@@ -15,18 +15,15 @@
 // equilibrium solves — the knob that moves the benchmark between the
 // cache-hit fast path and the solver-bound slow path.
 //
-// The serving topology is configurable: -shards 0 benchmarks a single
-// direct server (the pre-sharding baseline), -shards N puts N shard
-// servers sharing one solve cache behind a consistent-hash router.
-// -proto selects the wire protocol (JSON lines or binary frames) for
-// both the benchmark client and, when sharded, the router→shard hop.
-// -curve sweeps the shard/protocol grid and records every point.
+// -proto selects the wire protocol (JSON lines or binary frames) the
+// benchmark client speaks; -curve runs the in-process server under both
+// protocols and records each point.
 //
 // Usage:
 //
 //	coordbench -mode closed -concurrency 8 -duration 5s
 //	coordbench -mode open -rate 200 -duration 10s -churn 0.05
-//	coordbench -shards 4 -proto binary -requests 2000 -out BENCH_coord.json
+//	coordbench -proto binary -requests 2000 -out BENCH_coord.json
 //	coordbench -curve -requests 2000 -out BENCH_coord.json
 //	coordbench -trace spans.jsonl -duration 2s   # then: traceview spans.jsonl
 package main
@@ -62,7 +59,6 @@ type params struct {
 	churn        float64
 	cacheSize    int
 	cacheDir     string
-	l1Size       int
 	neighborWarm bool
 	seed         uint64
 }
@@ -80,11 +76,9 @@ func main() {
 		churn        = flag.Float64("churn", 0, "per-request probability of resubmitting a perturbed profile (forces re-solves)")
 		cacheSize    = flag.Int("cache-size", 0, "server solve-cache capacity (0 = default; in-process server only)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the disk solve-cache tier: the in-process server warm-starts from and spills equilibria to <dir>/equilibria.log")
-		l1Size       = flag.Int("l1-size", 0, "per-shard L1 cache capacity in front of the shared solve cache (0 disables; in-process server only)")
 		neighborWarm = flag.Bool("neighbor-warm", false, "seed cache-miss solves from the nearest cached same-family instance (in-process server only)")
-		shards       = flag.Int("shards", 0, "in-process shard servers behind a router (0 = one direct server, no router)")
 		protoFlag    = flag.String("proto", "json", "wire protocol: json | binary")
-		curve        = flag.Bool("curve", false, "sweep shards x proto ({1,2,4} x {json,binary} plus the direct baseline) and record every point")
+		curve        = flag.Bool("curve", false, "run the in-process server under each wire protocol (json, binary) and record every point")
 		seed         = flag.Uint64("seed", 1, "seed for profiles and churn decisions")
 		out          = flag.String("out", "", "write the JSON report to this file ('-' for stdout)")
 		traceOut     = flag.String("trace", "", "write span JSONL (client and server stitched) to this file")
@@ -103,9 +97,6 @@ func main() {
 	if !proto.Valid() {
 		fatal(fmt.Errorf("unknown -proto %q (want json or binary)", *protoFlag))
 	}
-	if *shards < 0 {
-		fatal(fmt.Errorf("-shards must be >= 0"))
-	}
 	if *curve && *addr != "" {
 		fatal(fmt.Errorf("-curve needs the in-process server (drop -addr)"))
 	}
@@ -117,7 +108,7 @@ func main() {
 		mode: *mode, concurrency: *concurrency, rate: *rate,
 		duration: *duration, requests: *requests, classes: *classes,
 		agents: *agents, churn: *churn, cacheSize: *cacheSize,
-		cacheDir: *cacheDir, l1Size: *l1Size, neighborWarm: *neighborWarm, seed: *seed,
+		cacheDir: *cacheDir, neighborWarm: *neighborWarm, seed: *seed,
 	}
 	if *cacheDir != "" && *addr != "" {
 		fatal(fmt.Errorf("-cache-dir needs the in-process server (drop -addr)"))
@@ -148,7 +139,7 @@ func main() {
 			}()
 		}
 		var err error
-		report, err = runPoint(p, *shards, proto, *addr, tracer)
+		report, err = runPoint(p, proto, *addr, tracer)
 		if err != nil {
 			fatal(err)
 		}
@@ -171,33 +162,22 @@ func main() {
 	}
 }
 
-// curvePoints is the shard-scaling grid recorded by -curve: the direct
-// pre-router baseline, then 1/2/4 shards under both protocols.
-var curvePoints = []struct {
-	shards int
-	proto  coord.Proto
-}{
-	{0, coord.ProtoJSON},
-	{1, coord.ProtoJSON},
-	{1, coord.ProtoBinary},
-	{2, coord.ProtoJSON},
-	{2, coord.ProtoBinary},
-	{4, coord.ProtoJSON},
-	{4, coord.ProtoBinary},
-}
+// curveProtos are the points recorded by -curve, one in-process server
+// per wire protocol.
+var curveProtos = []coord.Proto{coord.ProtoJSON, coord.ProtoBinary}
 
-// runCurve sweeps the grid; the returned report's headline numbers are
-// the last point's (4 shards, binary) with every point in Curve.
+// runCurve runs every curve point; the returned report's headline
+// numbers are the last point's (binary) with every point in Curve.
 func runCurve(p params) *Report {
 	var report *Report
 	var curve []CurvePoint
-	for _, pt := range curvePoints {
-		rep, err := runPoint(p, pt.shards, pt.proto, "", nil)
+	for _, proto := range curveProtos {
+		rep, err := runPoint(p, proto, "", nil)
 		if err != nil {
-			fatal(fmt.Errorf("curve point shards=%d proto=%s: %w", pt.shards, pt.proto, err))
+			fatal(fmt.Errorf("curve point proto=%s: %w", proto, err))
 		}
 		curve = append(curve, CurvePoint{
-			Shards: rep.Shards, Proto: rep.Proto,
+			Proto:    rep.Proto,
 			Requests: rep.Requests, Errors: rep.Errors,
 			RequestsPerSec: rep.RequestsPerSec,
 			Latency:        rep.Latency, Cache: rep.Cache,
@@ -208,11 +188,9 @@ func runCurve(p params) *Report {
 	return report
 }
 
-// runPoint benchmarks one topology: addr != "" targets an external
-// coordinator; otherwise shards == 0 starts one direct server and
-// shards >= 1 starts that many shard servers (sharing a batched solve
-// cache) behind a router.
-func runPoint(p params, shards int, proto coord.Proto, addr string, tracer *telemetry.Tracer) (*Report, error) {
+// runPoint benchmarks one protocol: addr != "" targets an external
+// coordinator; otherwise it starts an in-process server.
+func runPoint(p params, proto coord.Proto, addr string, tracer *telemetry.Tracer) (*Report, error) {
 	metrics := telemetry.NewRegistry()
 	target := addr
 	var cache *core.SolveCache
@@ -239,59 +217,21 @@ func runPoint(p params, shards int, proto coord.Proto, addr string, tracer *tele
 			fmt.Printf("warm start: %d equilibria loaded from %s (%d records skipped)\n",
 				len(loaded), store.Path(), store.Skipped())
 		}
-		if shards > 0 {
-			// Sharded misses arrive concurrently from several shard
-			// servers; batching coalesces each round into one SoA solve.
-			cache.SetBatching(true)
-			addrs := make([]string, shards)
-			for i := 0; i < shards; i++ {
-				coordinator, err := coord.NewCoordinator(core.DefaultConfig())
-				if err != nil {
-					return nil, err
-				}
-				srv, err := coord.ServeWith(coordinator, coord.ServeOptions{
-					Addr:    "127.0.0.1:0",
-					Metrics: metrics,
-					Tracer:  tracer,
-					Cache:   cache,
-					L1Size:  p.l1Size,
-				})
-				if err != nil {
-					return nil, err
-				}
-				closers = append(closers, func() { _ = srv.Close() })
-				addrs[i] = srv.Addr()
-			}
-			router, err := coord.NewRouter(coord.RouterOptions{
-				Addr:       "127.0.0.1:0",
-				Shards:     addrs,
-				ShardProto: proto,
-				Metrics:    metrics,
-				Tracer:     tracer,
-			})
-			if err != nil {
-				return nil, err
-			}
-			closers = append(closers, func() { _ = router.Close() })
-			target = router.Addr()
-		} else {
-			coordinator, err := coord.NewCoordinator(core.DefaultConfig())
-			if err != nil {
-				return nil, err
-			}
-			srv, err := coord.ServeWith(coordinator, coord.ServeOptions{
-				Addr:    "127.0.0.1:0",
-				Metrics: metrics,
-				Tracer:  tracer,
-				Cache:   cache,
-				L1Size:  p.l1Size,
-			})
-			if err != nil {
-				return nil, err
-			}
-			closers = append(closers, func() { _ = srv.Close() })
-			target = srv.Addr()
+		coordinator, err := coord.NewCoordinator(core.DefaultConfig())
+		if err != nil {
+			return nil, err
 		}
+		srv, err := coord.ServeWith(coordinator, coord.ServeOptions{
+			Addr:    "127.0.0.1:0",
+			Metrics: metrics,
+			Tracer:  tracer,
+			Cache:   cache,
+		})
+		if err != nil {
+			return nil, err
+		}
+		closers = append(closers, func() { _ = srv.Close() })
+		target = srv.Addr()
 	}
 
 	client := coord.NewClientWith(target, coord.ClientOptions{
@@ -323,9 +263,9 @@ func runPoint(p params, shards int, proto coord.Proto, addr string, tracer *tele
 		res = runOpen(client, p.rate, p.duration, p.requests, p.churn, p.classes, p.agents, p.seed)
 	}
 
-	report := buildReport(p.mode, shards, proto, res, cache)
-	fmt.Printf("coordbench: %s loop, shards=%d proto=%s, %d requests (%d errors) in %.2fs\n",
-		p.mode, shards, proto, report.Requests, report.Errors, report.DurationS)
+	report := buildReport(p.mode, proto, res, cache)
+	fmt.Printf("coordbench: %s loop, proto=%s, %d requests (%d errors) in %.2fs\n",
+		p.mode, proto, report.Requests, report.Errors, report.DurationS)
 	fmt.Printf("  throughput  %.1f req/s\n", report.RequestsPerSec)
 	fmt.Printf("  latency     p50 %.3fms  p90 %.3fms  p99 %.3fms  p99.9 %.3fms  max %.3fms\n",
 		report.Latency.P50Ms, report.Latency.P90Ms, report.Latency.P99Ms,
@@ -483,9 +423,8 @@ type LatencyReport struct {
 	MaxMs  float64 `json:"max_ms"`
 }
 
-// CurvePoint is one topology's result in the shard-scaling curve.
+// CurvePoint is one protocol's result in the -curve sweep.
 type CurvePoint struct {
-	Shards         int           `json:"shards"`
 	Proto          string        `json:"proto"`
 	Requests       int           `json:"requests"`
 	Errors         int           `json:"errors"`
@@ -497,9 +436,6 @@ type CurvePoint struct {
 // Report is the benchmark's JSON output (BENCH_coord.json).
 type Report struct {
 	Mode string `json:"mode"`
-	// Shards is the serving topology: 0 = one direct server, N >= 1 =
-	// N shard servers behind the router.
-	Shards int `json:"shards"`
 	// Proto is the wire protocol the benchmark client spoke.
 	Proto          string        `json:"proto"`
 	Requests       int           `json:"requests"`
@@ -508,7 +444,7 @@ type Report struct {
 	RequestsPerSec float64       `json:"requests_per_sec"`
 	Latency        LatencyReport `json:"latency"`
 	Cache          *CacheReport  `json:"solve_cache,omitempty"`
-	// Curve holds the shard-scaling sweep when run with -curve.
+	// Curve holds the per-protocol sweep when run with -curve.
 	Curve []CurvePoint `json:"curve,omitempty"`
 }
 
@@ -520,7 +456,7 @@ type CacheReport struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-func buildReport(mode string, shards int, proto coord.Proto, res *runResult, cache *core.SolveCache) *Report {
+func buildReport(mode string, proto coord.Proto, res *runResult, cache *core.SolveCache) *Report {
 	sort.Slice(res.latencies, func(i, j int) bool { return res.latencies[i] < res.latencies[j] })
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	pct := func(q float64) float64 {
@@ -543,7 +479,6 @@ func buildReport(mode string, shards int, proto coord.Proto, res *runResult, cac
 	}
 	rep := &Report{
 		Mode:      mode,
-		Shards:    shards,
 		Proto:     string(proto),
 		Requests:  len(res.latencies),
 		Errors:    res.errors,

@@ -6,7 +6,6 @@
 //
 //	equilibrium -apps decision=600,pagerank=400
 //	equilibrium -serve 127.0.0.1:7077 -debug-addr 127.0.0.1:6060
-//	equilibrium -serve 127.0.0.1:7077 -shards 4 -shard-proto binary
 package main
 
 import (
@@ -35,11 +34,8 @@ func main() {
 		bins         = flag.Int("bins", sim.DensityBins, "utility density bins")
 		connTimeout  = flag.Duration("conn-timeout", coord.DefaultConnTimeout, "per-connection read/write deadline in serve mode (negative disables)")
 		cacheSize    = flag.Int("cache-size", core.DefaultSolveCacheCapacity, "equilibrium solve-cache capacity in serve mode (0 disables caching)")
-		cacheDir     = flag.String("cache-dir", "", "serve mode: directory for warm state — solved equilibria spill to <dir>/equilibria.log and reload on start; with -shards the router also journals profiles to <dir>/profiles.log")
-		l1Size       = flag.Int("l1-size", 0, "serve mode: per-shard L1 cache capacity in front of the shared solve cache (0 disables the L1 tier)")
+		cacheDir     = flag.String("cache-dir", "", "serve mode: directory for warm state — solved equilibria spill to <dir>/equilibria.log and reload on start")
 		neighborWarm = flag.Bool("neighbor-warm", false, "serve mode: seed cache-miss solves from the nearest cached same-family instance (same classes/densities, drifted counts) instead of cold-starting")
-		shards       = flag.Int("shards", 0, "serve mode: front N coordinator shards (sharing one solve cache) with a router at the -serve address (0 = single server)")
-		shardProto   = flag.String("shard-proto", "binary", "serve mode with -shards: router-to-shard wire protocol (json | binary)")
 		traceOut     = flag.String("trace", "", "write a JSONL telemetry trace (solver/coordinator events) to this file ('-' for stdout)")
 		debugAddr    = flag.String("debug-addr", "", "serve the debug endpoint (/metrics, /debug/pprof, /debug/vars) on this address")
 	)
@@ -102,7 +98,6 @@ func main() {
 		} else if *neighborWarm {
 			fatal(fmt.Errorf("-neighbor-warm needs -cache-size > 0: seeds come from cached neighbours"))
 		}
-		var profileLog string
 		if *cacheDir != "" {
 			if cache == nil {
 				fatal(fmt.Errorf("-cache-dir needs -cache-size > 0: the disk tier spills through the solve cache"))
@@ -117,59 +112,8 @@ func main() {
 			defer store.Close()
 			cache.Warm(loaded)
 			cache.SetStore(store)
-			profileLog = filepath.Join(*cacheDir, "profiles.log")
 			fmt.Printf("warm start: %d equilibria loaded from %s (%d records skipped)\n",
 				len(loaded), store.Path(), store.Skipped())
-		}
-		if *shards > 0 {
-			proto := coord.Proto(*shardProto)
-			if !proto.Valid() {
-				fatal(fmt.Errorf("unknown -shard-proto %q (want json or binary)", *shardProto))
-			}
-			if cache != nil {
-				// Concurrent misses from different shards coalesce into
-				// one batched SoA solve per round.
-				cache.SetBatching(true)
-			}
-			addrs := make([]string, *shards)
-			for i := range addrs {
-				c, err := coord.NewCoordinator(gameCfg)
-				if err != nil {
-					fatal(err)
-				}
-				srv, err := coord.ServeWith(c, coord.ServeOptions{
-					Addr:        "127.0.0.1:0",
-					ConnTimeout: *connTimeout,
-					Metrics:     metrics,
-					Tracer:      tracer,
-					Cache:       cache,
-					L1Size:      *l1Size,
-				})
-				if err != nil {
-					fatal(err)
-				}
-				defer srv.Close()
-				addrs[i] = srv.Addr()
-			}
-			router, err := coord.NewRouter(coord.RouterOptions{
-				Addr:        *serve,
-				Shards:      addrs,
-				ShardProto:  proto,
-				ConnTimeout: *connTimeout,
-				ProfileLog:  profileLog,
-				Metrics:     metrics,
-				Tracer:      tracer,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("coordinator router listening on %s (%d shards, %s shard protocol; JSON lines or binary frames)\n",
-				router.Addr(), *shards, proto)
-			ch := make(chan os.Signal, 1)
-			signal.Notify(ch, os.Interrupt)
-			<-ch
-			_ = router.Close()
-			return
 		}
 		c, err := coord.NewCoordinator(gameCfg)
 		if err != nil {
@@ -181,7 +125,6 @@ func main() {
 			Metrics:     metrics,
 			Tracer:      tracer,
 			Cache:       cache,
-			L1Size:      *l1Size,
 		})
 		if err != nil {
 			fatal(err)

@@ -7,11 +7,10 @@ import (
 )
 
 // TestRecordCapMirrorsWireCap pins the documented invariant that the
-// persist record cap mirrors the wire protocol's frame guard: the
-// coordinator journals profiles through persist.Log, so a record the
-// log accepts must also fit in one wire frame (and vice versa). The
-// persist docs claimed 1 MiB while the constant said 16 MiB; this
-// keeps the two from drifting apart again.
+// persist record cap mirrors the wire protocol's frame guard, so one
+// size limit bounds a message whether it arrives on the wire or from
+// disk. The persist docs claimed 1 MiB while the constant said 16 MiB;
+// this keeps the two from drifting apart again.
 func TestRecordCapMirrorsWireCap(t *testing.T) {
 	if maxFramePayload != persist.MaxRecordPayload {
 		t.Errorf("coord maxFramePayload = %d, persist.MaxRecordPayload = %d; the caps must agree",

@@ -71,10 +71,6 @@ type Coordinator struct {
 	// cache, when non-nil, memoizes equilibrium solves and coalesces
 	// concurrent solves of the same game instance (see core.SolveCache).
 	cache *core.SolveCache
-	// l1, when non-nil, answers repeat solves from a coordinator-local
-	// tier before touching the (possibly shared) cache — see
-	// core.L1Cache. Takes precedence over cache on lookups.
-	l1 *core.L1Cache
 
 	mu       sync.Mutex
 	profiles map[string]Profile // by agent id
@@ -111,24 +107,6 @@ func (c *Coordinator) UseCache(cache *core.SolveCache) {
 	c.mu.Lock()
 	c.cache = cache
 	c.mu.Unlock()
-}
-
-// UseL1 attaches a coordinator-local L1 cache tier. When several shard
-// coordinators share one SolveCache, an L1 per shard answers that
-// shard's repeat solves without contending on the shared cache's lock;
-// the L1's misses still fall through to (and coalesce in) its shared
-// tier. A nil L1 restores lookups through UseCache's cache alone.
-func (c *Coordinator) UseL1(l1 *core.L1Cache) {
-	c.mu.Lock()
-	c.l1 = l1
-	c.mu.Unlock()
-}
-
-// L1 returns the attached L1 tier, if any.
-func (c *Coordinator) L1() *core.L1Cache {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.l1
 }
 
 // Submit registers or replaces an agent's profile.
@@ -191,7 +169,6 @@ func (c *Coordinator) ComputeStrategiesSpanned(span *telemetry.Span) (map[string
 	pool := span.Child("coord.pool")
 	c.mu.Lock()
 	cache := c.cache
-	l1 := c.l1
 	pc := c.pooled
 	memoized := pc != nil
 	if !memoized {
@@ -210,13 +187,7 @@ func (c *Coordinator) ComputeStrategiesSpanned(span *telemetry.Span) (map[string
 	cfg := c.cfg
 	cfg.N = pc.n
 	classes := pc.classes
-	var eq *core.Equilibrium
-	var err error
-	if l1 != nil {
-		eq, err = l1.FindEquilibriumSpanned(classes, cfg, span)
-	} else {
-		eq, err = cache.FindEquilibriumSpanned(classes, cfg, span)
-	}
+	eq, err := cache.FindEquilibriumSpanned(classes, cfg, span)
 	if err != nil {
 		return nil, nil, err
 	}

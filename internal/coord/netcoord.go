@@ -79,11 +79,6 @@ type ServeOptions struct {
 	// hit/miss counters land in Metrics when the cache was built with
 	// the same registry.
 	Cache *core.SolveCache
-	// L1Size, when positive, puts a server-local L1 of that capacity in
-	// front of Cache (Coordinator.UseL1): repeat solves answer from a
-	// lock-cheap per-shard map instead of contending on the shared
-	// cache. Zero disables the L1.
-	L1Size int
 }
 
 // normalizeTimeout maps the shared zero/negative timeout convention:
@@ -121,12 +116,8 @@ func ServeWith(coord *Coordinator, opts ServeOptions) (*Server, error) {
 	if opts.Cache != nil {
 		coord.UseCache(opts.Cache)
 	}
-	if opts.L1Size > 0 {
-		coord.UseL1(core.NewL1Cache(opts.L1Size, opts.Cache))
-	}
 	s := &Server{coord: coord, timeout: timeout}
 	ep := &endpoint{
-		prefix:   "coord",
 		timeout:  timeout,
 		metrics:  opts.Metrics,
 		tracer:   opts.Tracer,
@@ -345,21 +336,9 @@ func (c *Client) roundTrip(req request) (response, error) {
 	return resp, err
 }
 
-// do performs one request and surfaces application errors
-// (resp.Error) as Go errors.
+// do performs one request over a pooled (or fresh) connection and
+// surfaces application errors (resp.Error) as Go errors.
 func (c *Client) do(req request) (response, error) {
-	resp, err := c.doRaw(req)
-	if err == nil && resp.Error != "" {
-		err = errors.New(resp.Error)
-	}
-	return resp, err
-}
-
-// doRaw performs one request over a pooled (or fresh) connection. The
-// returned error covers transport failures only; application errors
-// stay in resp.Error (the Router forwards those verbatim while treating
-// transport failures as shard loss).
-func (c *Client) doRaw(req request) (response, error) {
 	cc, pooled, err := c.getConn()
 	if err != nil {
 		return response{}, err
@@ -381,6 +360,9 @@ func (c *Client) doRaw(req request) (response, error) {
 		return response{}, err
 	}
 	c.putConn(cc)
+	if resp.Error != "" {
+		return resp, errors.New(resp.Error)
+	}
 	return resp, nil
 }
 

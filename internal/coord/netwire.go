@@ -14,11 +14,10 @@ import (
 	"sprintgame/internal/telemetry"
 )
 
-// This file holds the transport machinery shared by the shard Server
-// and the Router front: per-connection protocol negotiation (JSON lines
-// vs binary frames), the codec implementations, and the request loop
-// that wraps every request in spans and metrics. Server and Router
-// differ only in their dispatch function and metric/span name prefix.
+// This file holds the Server's transport machinery: per-connection
+// protocol negotiation (JSON lines vs binary frames), the codec
+// implementations, and the request loop that wraps every request in
+// spans and metrics.
 
 // Proto names a wire protocol.
 type Proto string
@@ -158,11 +157,9 @@ func negotiate(br *bufio.Reader, conn net.Conn) (serverCodec, error) {
 	return &binServerCodec{br: br, conn: conn}, nil
 }
 
-// endpoint is the protocol-independent request loop shared by the
-// shard Server and the Router front. prefix namespaces the span and
-// metric names ("coord" or "router").
+// endpoint is the protocol-independent request loop: it wraps each
+// request in coord.* spans and metrics around the dispatch function.
 type endpoint struct {
-	prefix   string
 	timeout  time.Duration
 	metrics  *telemetry.Registry
 	tracer   *telemetry.Tracer
@@ -184,8 +181,8 @@ func (e *endpoint) requestTrace(req request) string {
 // connection dies, times out, or sends an unrecoverable request.
 func (e *endpoint) serveConn(conn net.Conn) {
 	defer conn.Close()
-	e.metrics.Counter(e.prefix + ".connections").Inc()
-	latencyHist := e.metrics.Histogram(e.prefix+".request_latency_s", telemetry.LatencyBuckets())
+	e.metrics.Counter("coord.connections").Inc()
+	latencyHist := e.metrics.Histogram("coord.request_latency_s", telemetry.LatencyBuckets())
 	if e.timeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(e.timeout))
 	}
@@ -194,11 +191,11 @@ func (e *endpoint) serveConn(conn net.Conn) {
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
-			e.metrics.Counter(e.prefix + ".conn_timeouts").Inc()
+			e.metrics.Counter("coord.conn_timeouts").Inc()
 		}
 		return
 	}
-	e.metrics.Counter(e.prefix + ".connections." + string(codec.proto())).Inc()
+	e.metrics.Counter("coord.connections." + string(codec.proto())).Inc()
 	for {
 		if e.timeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(e.timeout))
@@ -208,13 +205,13 @@ func (e *endpoint) serveConn(conn net.Conn) {
 			var ne net.Error
 			switch {
 			case errors.As(rerr, &ne) && ne.Timeout():
-				e.metrics.Counter(e.prefix + ".conn_timeouts").Inc()
+				e.metrics.Counter("coord.conn_timeouts").Inc()
 			case errors.Is(rerr, errOversized):
 				// The stream cannot resynchronize past an oversized
 				// request, so tell the client why before dropping the
 				// connection instead of dying silently.
-				e.metrics.Counter(e.prefix + ".oversized_requests").Inc()
-				e.metrics.Counter(e.prefix + ".request_errors").Inc()
+				e.metrics.Counter("coord.oversized_requests").Inc()
+				e.metrics.Counter("coord.request_errors").Inc()
 				if e.timeout > 0 {
 					_ = conn.SetWriteDeadline(time.Now().Add(e.timeout))
 				}
@@ -227,8 +224,8 @@ func (e *endpoint) serveConn(conn net.Conn) {
 		// The request root span covers parse + dispatch + encode; parse
 		// runs before the trace ID is known, so its timing was captured
 		// by the codec and is attached as a child span after the fact.
-		root := e.tracer.StartSpanFrom(e.prefix+".request", e.requestTrace(req), req.Parent)
-		root.Child(e.prefix+".parse").WithTiming(res.start, res.parseDur).End()
+		root := e.tracer.StartSpanFrom("coord.request", e.requestTrace(req), req.Parent)
+		root.Child("coord.parse").WithTiming(res.start, res.parseDur).End()
 		if res.payloadErr != nil {
 			req.Type = "malformed"
 			resp = response{Error: "malformed request: " + res.payloadErr.Error()}
@@ -239,7 +236,7 @@ func (e *endpoint) serveConn(conn net.Conn) {
 		if e.timeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(e.timeout))
 		}
-		encSpan := root.Child(e.prefix + ".encode")
+		encSpan := root.Child("coord.encode")
 		encErr := codec.writeResponse(resp)
 		encSpan.End()
 		// The root span's window closes here, right after the response
@@ -254,13 +251,13 @@ func (e *endpoint) serveConn(conn net.Conn) {
 		})
 		latency := rootDur.Seconds()
 		latencyHist.Observe(latency)
-		e.metrics.Counter(e.prefix + ".requests").Inc()
-		e.metrics.Counter(e.prefix + ".requests." + req.Type).Inc()
+		e.metrics.Counter("coord.requests").Inc()
+		e.metrics.Counter("coord.requests." + req.Type).Inc()
 		if resp.Error != "" {
-			e.metrics.Counter(e.prefix + ".request_errors").Inc()
+			e.metrics.Counter("coord.request_errors").Inc()
 		}
 		if e.tracer.Enabled() {
-			e.tracer.Emit(e.prefix+".request", telemetry.Fields{
+			e.tracer.Emit("coord.request", telemetry.Fields{
 				"type":      req.Type,
 				"error":     resp.Error,
 				"latency_s": latency,
@@ -283,7 +280,7 @@ const (
 )
 
 // acceptor owns a listener and the accept loop feeding connections to
-// an endpoint, plus the close bookkeeping shared by Server and Router.
+// an endpoint, plus the close bookkeeping.
 type acceptor struct {
 	ln net.Listener
 	ep *endpoint
@@ -352,7 +349,7 @@ func (a *acceptor) acceptLoop() {
 			if done || errors.Is(err, net.ErrClosed) {
 				return
 			}
-			a.ep.metrics.Counter(a.ep.prefix + ".accept_errors").Inc()
+			a.ep.metrics.Counter("coord.accept_errors").Inc()
 			if backoff == 0 {
 				backoff = acceptBackoffMin
 			} else if backoff *= 2; backoff > acceptBackoffMax {

@@ -17,9 +17,9 @@ import (
 // instances: the inner Bellman solves of every instance are packed into
 // a structure-of-arrays lane layout, lanes are grouped by utility
 // density, and one pass over each density's shared prefix-sum columns
-// advances every lane on it. Coordinator shards use this to coalesce
-// concurrent cache misses into one solve pass (SolveCache batching
-// mode); cmd/experiments uses it for multi-instance sweeps.
+// advances every lane on it. Cluster presolve uses this to solve a
+// fleet's distinct racks in one pass; cmd/experiments uses it for
+// multi-instance sweeps.
 //
 // The batch is a pure scheduling change: each lane performs exactly the
 // arithmetic of the serial path, in the same order, so SolveBatch

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"sprintgame/internal/dist"
@@ -132,102 +130,6 @@ func TestSolveBatchEmpty(t *testing.T) {
 	}
 	if res := SolveBatch([]SolveRequest{}); len(res) != 0 {
 		t.Errorf("empty batch returned %d results", len(res))
-	}
-}
-
-// TestSolveCacheBatching runs the cache in batching mode under
-// concurrent misses for distinct keys and checks (a) every result is
-// byte-identical to a direct solve, (b) each key solved exactly once
-// (hits + misses add up, no duplicate solves), and (c) rounds actually
-// formed (batch counters move).
-func TestSolveCacheBatching(t *testing.T) {
-	f := dist.MustDiscrete(
-		[]float64{1, 2, 3, 5, 8, 13},
-		[]float64{3, 5, 8, 5, 3, 1})
-	cache := NewSolveCache(64, nil)
-	cache.SetBatching(true)
-
-	const distinct = 8
-	const dup = 3 // concurrent requests per key
-	var wg sync.WaitGroup
-	results := make([]*Equilibrium, distinct*dup)
-	errs := make([]error, distinct*dup)
-	for k := 0; k < distinct; k++ {
-		cfg := DefaultConfig()
-		cfg.N = 500 + 10*k // distinct instances
-		classes := []AgentClass{{Name: fmt.Sprintf("w%d", k), Count: cfg.N, Density: f}}
-		for d := 0; d < dup; d++ {
-			wg.Add(1)
-			go func(slot int) {
-				defer wg.Done()
-				results[slot], errs[slot] = cache.FindEquilibrium(classes, cfg)
-			}(k*dup + d)
-		}
-	}
-	wg.Wait()
-
-	for k := 0; k < distinct; k++ {
-		cfg := DefaultConfig()
-		cfg.N = 500 + 10*k
-		classes := []AgentClass{{Name: fmt.Sprintf("w%d", k), Count: cfg.N, Density: f}}
-		want, err := FindEquilibrium(classes, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for d := 0; d < dup; d++ {
-			slot := k*dup + d
-			if errs[slot] != nil {
-				t.Fatalf("key %d dup %d: %v", k, d, errs[slot])
-			}
-			if !reflect.DeepEqual(results[slot], want) {
-				t.Errorf("key %d dup %d: cached batch result differs from direct solve", k, d)
-			}
-		}
-	}
-
-	st := cache.Stats()
-	if st.Misses != distinct {
-		t.Errorf("misses = %d, want %d (one per distinct key)", st.Misses, distinct)
-	}
-	if got := st.Hits + st.Coalesced; got != int64(distinct*(dup-1)) {
-		t.Errorf("hits+coalesced = %d, want %d", got, distinct*(dup-1))
-	}
-	if cache.Len() != distinct {
-		t.Errorf("cache holds %d entries, want %d", cache.Len(), distinct)
-	}
-}
-
-// TestSolveCacheBatchingSequential checks that a lone miss in batching
-// mode (a round of one) behaves exactly like the unbatched path.
-func TestSolveCacheBatchingSequential(t *testing.T) {
-	f := dist.MustDiscrete([]float64{1, 4, 9}, []float64{1, 2, 1})
-	cfg := DefaultConfig()
-	classes := []AgentClass{{Name: "solo", Count: cfg.N, Density: f}}
-
-	cache := NewSolveCache(4, nil)
-	cache.SetBatching(true)
-	got, err := cache.FindEquilibrium(classes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := FindEquilibrium(classes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("batched lone miss differs from direct solve")
-	}
-	// Second lookup: a hit, no new solve.
-	again, err := cache.FindEquilibrium(classes, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != got {
-		t.Error("second lookup did not return the cached pointer")
-	}
-	st := cache.Stats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("stats = %+v, want 1 miss 1 hit", st)
 	}
 }
 

@@ -157,9 +157,21 @@ func TestNeighborWarmDifferentialCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: cold near-miss solve: %v", name, err)
 		}
+		// Capture the seed the cache will use before the solve caches
+		// `near` itself (after which it would be its own neighbour).
+		seed := cache.NeighborSeed(near, nearCfg)
+		if seed == nil {
+			t.Fatalf("%s: no seed for the near-miss instance", name)
+		}
 		warm, err := cache.FindEquilibrium(near, nearCfg)
 		if err != nil {
 			t.Fatalf("%s: warm near-miss solve: %v", name, err)
+		}
+		// The cache's warm solve is exactly a serial solve from that seed.
+		if serial, err := FindEquilibriumWarm(near, nearCfg, seed); err != nil {
+			t.Fatalf("%s: serial warm solve: %v", name, err)
+		} else if !reflect.DeepEqual(warm, serial) {
+			t.Errorf("%s: cached neighbour-warm solve differs from serial warm solve", name)
 		}
 		st := cache.Stats()
 		if st.NeighborWarms != 1 {
@@ -392,40 +404,6 @@ func TestNeighborBatchMixedWarmColdDifferential(t *testing.T) {
 	}
 	if bad[1].Err == nil || err2 == nil || bad[1].Err.Error() != err2.Error() {
 		t.Errorf("bad values: batch %v, serial %v", bad[1].Err, err2)
-	}
-}
-
-// TestNeighborWarmBatchingMode: the batched-miss path (SetBatching)
-// carries neighbour seeds into its SolveBatch rounds.
-func TestNeighborWarmBatchingMode(t *testing.T) {
-	classes, cfg := cacheInstance(t, 0, 40)
-	cache := NewSolveCache(16, nil)
-	cache.SetNeighborWarm(true)
-	cache.SetBatching(true)
-	if _, err := cache.FindEquilibrium(classes, cfg); err != nil {
-		t.Fatal(err)
-	}
-	near, nearCfg := nearMiss(classes, cfg, 1.05)
-	// Capture the seed the cache will use before the solve caches `near`
-	// itself (after which it would be its own distance-0 neighbour).
-	seed := cache.NeighborSeed(near, nearCfg)
-	if seed == nil {
-		t.Fatal("no seed for the near-miss instance")
-	}
-	got, err := cache.FindEquilibrium(near, nearCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := cache.Stats(); st.NeighborWarms != 1 {
-		t.Fatalf("NeighborWarms = %d, want 1", st.NeighborWarms)
-	}
-	// The batched warm solve matches a serial solve from the same seed.
-	serial, err := FindEquilibriumWarm(near, nearCfg, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, serial) {
-		t.Error("batched neighbour-warm solve differs from serial warm solve")
 	}
 }
 

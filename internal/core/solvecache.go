@@ -40,14 +40,6 @@ type SolveCache struct {
 	order    *list.List               // front = most recently used
 	inflight map[uint64]*inflightSolve
 
-	// Batching mode (SetBatching): misses are queued and drained in
-	// rounds through SolveBatch instead of each solving on its own
-	// goroutine, so concurrent misses for distinct keys coalesce into
-	// one SoA solve pass. leaderActive guards the single drainer.
-	batching     bool
-	pending      []pendingSolve
-	leaderActive bool
-
 	// Disk tier (SetStore): every admitted equilibrium is written
 	// through so a restarted process can Warm itself back to this
 	// cache's contents. Spills happen outside mu; a failed spill costs a
@@ -71,22 +63,6 @@ type SolveCache struct {
 // concurrent Put.
 type EquilibriumStore interface {
 	Put(key uint64, eq *Equilibrium) error
-}
-
-// pendingSolve is one queued miss awaiting a batched round. warm, fam,
-// and counts are resolved at enqueue time, under the lock where the
-// neighbour index and the LRU are consistent (hasFam marks them valid);
-// the round carries warm into its SolveBatch lane and files the solved
-// entry under fam afterwards.
-type pendingSolve struct {
-	key     uint64
-	classes []AgentClass
-	cfg     Config
-	call    *inflightSolve
-	warm    *WarmStart
-	fam     uint64
-	counts  []int
-	hasFam  bool
 }
 
 // cacheEntry is one memoized solution. indexed marks entries filed in
@@ -113,8 +89,8 @@ const DefaultSolveCacheCapacity = 128
 
 // NewSolveCache returns a cache holding up to capacity equilibria
 // (DefaultSolveCacheCapacity if capacity <= 0). metrics, when non-nil,
-// receives solvecache.hits / .misses / .coalesced / .evictions counters
-// and a solvecache.size gauge.
+// receives solvecache.hits / .misses / .coalesced / .evictions /
+// .unconverged counters and a solvecache.size gauge.
 func NewSolveCache(capacity int, metrics *telemetry.Registry) *SolveCache {
 	if capacity <= 0 {
 		capacity = DefaultSolveCacheCapacity
@@ -215,13 +191,7 @@ func (c *SolveCache) FindEquilibriumSpanned(classes []AgentClass, cfg Config, pa
 		}
 		return eq, err
 	}
-	return c.findKeyed(SolveKey(classes, cfg), classes, cfg, parent)
-}
-
-// findKeyed is FindEquilibriumSpanned after key computation; the L1
-// tier calls it directly so one SolveKey hash serves both tiers.
-// c must be non-nil.
-func (c *SolveCache) findKeyed(key uint64, classes []AgentClass, cfg Config, parent *telemetry.Span) (*Equilibrium, error) {
+	key := SolveKey(classes, cfg)
 	lookup := parent.Child("cache.lookup")
 
 	c.mu.Lock()
@@ -263,44 +233,10 @@ func (c *SolveCache) findKeyed(key uint64, classes []AgentClass, cfg Config, par
 	var warm *WarmStart
 	var fam uint64
 	var counts []int
-	hasFam := false
 	if c.neighborWarm {
 		fam = FamilyKey(classes, cfg)
 		counts = classCounts(classes)
 		warm = c.neighborSeedLocked(fam, counts)
-		hasFam = true
-	}
-	if c.batching {
-		c.pending = append(c.pending, pendingSolve{
-			key: key, classes: classes, cfg: cfg, call: call,
-			warm: warm, fam: fam, counts: counts, hasFam: hasFam,
-		})
-		becameLeader := !c.leaderActive
-		if becameLeader {
-			c.leaderActive = true
-		}
-		c.mu.Unlock()
-		c.misses.Add(1)
-		c.metrics.Counter("solvecache.misses").Inc()
-		if lookup != nil {
-			lookup.EndWith(telemetry.Fields{"outcome": "miss"})
-		}
-		if becameLeader {
-			// Drain one round — it contains this caller's own key, so the
-			// wait below returns immediately — then hand any backlog that
-			// accumulated mid-round to a detached drainer, keeping this
-			// request's latency bounded by a single round.
-			c.solveRound(c.takePending(), parent)
-			c.mu.Lock()
-			if len(c.pending) > 0 {
-				go c.drainRounds()
-			} else {
-				c.leaderActive = false
-			}
-			c.mu.Unlock()
-		}
-		<-call.done
-		return call.eq, call.err
 	}
 	c.mu.Unlock()
 
@@ -323,11 +259,12 @@ func (c *SolveCache) findKeyed(key uint64, classes []AgentClass, cfg Config, par
 	delete(c.inflight, key)
 	var store EquilibriumStore
 	if call.err == nil {
-		c.insertLocked(key, call.eq)
-		if hasFam && c.neighbors != nil {
-			c.indexNeighborLocked(c.entries[key].Value.(*cacheEntry), fam, counts)
+		if ent := c.admitLocked(key, call.eq); ent != nil {
+			if counts != nil && c.neighbors != nil {
+				c.indexNeighborLocked(ent, fam, counts)
+			}
+			store = c.store
 		}
-		store = c.store
 	}
 	c.metrics.Gauge("solvecache.size").Set(float64(c.order.Len()))
 	c.mu.Unlock()
@@ -351,23 +288,6 @@ func (c *SolveCache) spill(store EquilibriumStore, key uint64, eq *Equilibrium) 
 	c.metrics.Counter("solvecache.spills").Inc()
 }
 
-// SetBatching switches the cache between per-goroutine misses (off, the
-// default) and batched rounds (on): concurrent misses for distinct keys
-// queue and are solved together through SolveBatch's structure-of-
-// arrays lanes, one round at a time. Identical keys still coalesce via
-// singleflight before ever reaching a round, so a round's lanes are
-// all distinct game instances. A nil cache ignores the call. Toggling
-// while solves are in flight is safe: queued misses are always drained
-// by whichever goroutine held leadership when they were queued.
-func (c *SolveCache) SetBatching(on bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.batching = on
-	c.mu.Unlock()
-}
-
 // SetStore attaches the disk tier: every equilibrium the cache admits
 // from here on is written through store.Put (outside the cache lock),
 // so the store accumulates exactly the solutions worth replaying after
@@ -386,27 +306,11 @@ func (c *SolveCache) SetStore(store EquilibriumStore) {
 // persist.OpenEquilibriumStore) without touching the hit/miss counters
 // or writing back to the store. Keys are inserted in sorted order so
 // the LRU state after a warm load is deterministic; when len(entries)
-// exceeds the capacity, the largest keys survive. Returns the number of
-// entries now cached. A nil cache ignores the call and returns 0.
+// exceeds the capacity, the largest keys survive. Unconverged entries
+// are skipped. Returns the number of entries now cached. A nil cache
+// ignores the call and returns 0.
 func (c *SolveCache) Warm(entries map[uint64]*Equilibrium) int {
-	if c == nil || len(entries) == 0 {
-		return c.Len()
-	}
-	keys := sortedKeys(entries)
-	c.mu.Lock()
-	for _, k := range keys {
-		if eq := entries[k]; eq != nil {
-			if el, ok := c.entries[k]; ok {
-				el.Value.(*cacheEntry).eq = eq
-				c.order.MoveToFront(el)
-				continue
-			}
-			c.insertLocked(k, eq)
-		}
-	}
-	n := c.order.Len()
-	c.mu.Unlock()
-	c.metrics.Gauge("solvecache.size").Set(float64(n))
+	n, _, _ := c.admitAll(entries)
 	return n
 }
 
@@ -428,37 +332,40 @@ func (c *SolveCache) Contains(key uint64) bool {
 // that ran the instances through SolveBatch itself — as if each had
 // been solved by a miss: entries insert in sorted key order and, unlike
 // Warm, are written through to the disk tier when one is attached, so
-// presolved solutions survive a restart. Hit/miss counters are
-// untouched. Returns the number of entries now cached. A nil cache
-// ignores the call and returns 0.
+// presolved solutions survive a restart. Unconverged entries are
+// refused, as on a miss. Hit/miss counters are untouched. Returns the
+// number of entries now cached. A nil cache ignores the call and
+// returns 0.
 func (c *SolveCache) Admit(entries map[uint64]*Equilibrium) int {
-	if c == nil || len(entries) == 0 {
-		return c.Len()
-	}
-	keys := sortedKeys(entries)
-	c.mu.Lock()
-	store := c.store
-	for _, k := range keys {
-		if eq := entries[k]; eq != nil {
-			if el, ok := c.entries[k]; ok {
-				el.Value.(*cacheEntry).eq = eq
-				c.order.MoveToFront(el)
-				continue
-			}
-			c.insertLocked(k, eq)
-		}
-	}
-	n := c.order.Len()
-	c.mu.Unlock()
-	c.metrics.Gauge("solvecache.size").Set(float64(n))
+	n, admitted, store := c.admitAll(entries)
 	if store != nil {
-		for _, k := range keys {
-			if eq := entries[k]; eq != nil {
-				c.spill(store, k, eq)
-			}
+		for _, k := range admitted {
+			c.spill(store, k, entries[k])
 		}
 	}
 	return n
+}
+
+// admitAll files entries in sorted key order through admitLocked. It
+// returns the resulting cache size, the keys it admitted, and the disk
+// tier attached at the time (nil if none).
+func (c *SolveCache) admitAll(entries map[uint64]*Equilibrium) (int, []uint64, EquilibriumStore) {
+	if c == nil || len(entries) == 0 {
+		return c.Len(), nil, nil
+	}
+	keys := sortedKeys(entries)
+	admitted := keys[:0] // filtered in place: admitted never overtakes keys
+	c.mu.Lock()
+	for _, k := range keys {
+		if eq := entries[k]; eq != nil && c.admitLocked(k, eq) != nil {
+			admitted = append(admitted, k)
+		}
+	}
+	n := c.order.Len()
+	store := c.store
+	c.mu.Unlock()
+	c.metrics.Gauge("solvecache.size").Set(float64(n))
+	return n, admitted, store
 }
 
 // sortedKeys returns entries' keys in ascending order, so warm loads
@@ -472,90 +379,26 @@ func sortedKeys(entries map[uint64]*Equilibrium) []uint64 {
 	return keys
 }
 
-// takePending claims the current queue of misses.
-func (c *SolveCache) takePending() []pendingSolve {
-	c.mu.Lock()
-	batch := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	return batch
-}
-
-// drainRounds serves rounds until the queue is empty, then releases
-// leadership. The empty-check and the release happen under one lock
-// acquisition so a concurrent miss either lands in a round or elects
-// itself leader — never neither.
-func (c *SolveCache) drainRounds() {
-	for {
-		c.mu.Lock()
-		batch := c.pending
-		c.pending = nil
-		if len(batch) == 0 {
-			c.leaderActive = false
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-		c.solveRound(batch, nil)
+// admitLocked is the one way an equilibrium enters the cache, whether
+// from a miss, Warm or Admit. It refuses an unconverged result — a
+// solve capped at MaxFixedPointIter is not an equilibrium Algorithm 1
+// would accept — counting the refusal and returning nil, so the caller
+// neither indexes nor spills it. Otherwise it files eq under key (in
+// place when key is already cached), enforces the LRU bound, and
+// returns the entry. Caller holds c.mu.
+func (c *SolveCache) admitLocked(key uint64, eq *Equilibrium) *cacheEntry {
+	if !eq.Converged {
+		c.metrics.Counter("solvecache.unconverged").Inc()
+		return nil
 	}
-}
-
-// solveRound solves one batch of queued misses through SolveBatch,
-// publishes the results, and wakes the waiters. The parent span, when
-// non-nil (the leader's own request), receives one core.solve_batch
-// child covering the whole round.
-func (c *SolveCache) solveRound(batch []pendingSolve, parent *telemetry.Span) {
-	if len(batch) == 0 {
-		return
+	if el, ok := c.entries[key]; ok {
+		ent := el.Value.(*cacheEntry)
+		ent.eq = eq
+		c.order.MoveToFront(el)
+		return ent
 	}
-	span := parent.Child("core.solve_batch")
-	reqs := make([]SolveRequest, len(batch))
-	for i, p := range batch {
-		cfg := p.cfg
-		cfg.Span = nil // batch lanes emit no per-iteration spans
-		reqs[i] = SolveRequest{Classes: p.classes, Cfg: cfg, Warm: p.warm}
-	}
-	results := SolveBatch(reqs)
-	c.metrics.Counter("solvecache.batches").Inc()
-	c.metrics.Counter("solvecache.batch_lanes").Add(int64(len(batch)))
-	if span != nil {
-		span.EndWith(telemetry.Fields{"lanes": len(batch)})
-	}
-	c.mu.Lock()
-	var store EquilibriumStore
-	for i, p := range batch {
-		p.call.eq, p.call.err = results[i].Eq, results[i].Err
-		delete(c.inflight, p.key)
-		if p.call.err == nil {
-			c.insertLocked(p.key, p.call.eq)
-			if p.hasFam && c.neighbors != nil {
-				c.indexNeighborLocked(c.entries[p.key].Value.(*cacheEntry), p.fam, p.counts)
-			}
-			store = c.store
-		}
-	}
-	c.metrics.Gauge("solvecache.size").Set(float64(c.order.Len()))
-	c.mu.Unlock()
-	for _, p := range batch {
-		if p.call.err == nil && p.warm != nil {
-			c.noteNeighborWarm(p.call.eq)
-		}
-		close(p.call.done)
-	}
-	if store != nil {
-		for _, p := range batch {
-			if p.call.err == nil {
-				c.spill(store, p.key, p.call.eq)
-			}
-		}
-	}
-}
-
-// insertLocked files a solved equilibrium under key and enforces the
-// LRU bound. Caller holds c.mu.
-func (c *SolveCache) insertLocked(key uint64, eq *Equilibrium) {
-	el := c.order.PushFront(&cacheEntry{key: key, eq: eq})
-	c.entries[key] = el
+	ent := &cacheEntry{key: key, eq: eq}
+	c.entries[key] = c.order.PushFront(ent)
 	for c.order.Len() > c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
@@ -569,6 +412,7 @@ func (c *SolveCache) insertLocked(key uint64, eq *Equilibrium) {
 		c.evictions.Add(1)
 		c.metrics.Counter("solvecache.evictions").Inc()
 	}
+	return ent
 }
 
 // noteNeighborWarm records one miss solved from a neighbour's seed

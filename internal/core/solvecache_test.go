@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -341,5 +342,169 @@ func TestSolveKeyUnboundedTripModelsDistinct(t *testing.T) {
 	c.Trip = unboundedTrip{scale: 100}
 	if SolveKey(classes, a) != SolveKey(classes, c) {
 		t.Error("identical unbounded trip models got distinct SolveKeys")
+	}
+}
+
+// recordingStore captures spills for assertions; failErr, when set,
+// makes every Put fail.
+type recordingStore struct {
+	mu      sync.Mutex
+	puts    map[uint64]*Equilibrium
+	failErr error
+}
+
+func (r *recordingStore) Put(key uint64, eq *Equilibrium) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.failErr != nil {
+		return r.failErr
+	}
+	if r.puts == nil {
+		r.puts = make(map[uint64]*Equilibrium)
+	}
+	r.puts[key] = eq
+	return nil
+}
+
+func TestSolveCacheSpillsThroughStore(t *testing.T) {
+	store := &recordingStore{}
+	c := NewSolveCache(0, nil)
+	c.SetStore(store)
+	classes, cfg := cacheInstance(t, 0, 40)
+	eq, err := c.FindEquilibrium(classes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := SolveKey(classes, cfg)
+	if store.puts[key] != eq {
+		t.Fatal("miss did not write through to the store")
+	}
+	st := c.Stats()
+	if st.Spills != 1 || st.SpillErrors != 0 {
+		t.Fatalf("stats = %+v, want 1 spill", st)
+	}
+	// A hit never re-spills.
+	if _, err := c.FindEquilibrium(classes, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Spills != 1 {
+		t.Fatalf("hit re-spilled: %+v", st)
+	}
+}
+
+func TestSolveCacheSpillFailureIsNotFatal(t *testing.T) {
+	store := &recordingStore{failErr: errors.New("disk full")}
+	c := NewSolveCache(0, nil)
+	c.SetStore(store)
+	classes, cfg := cacheInstance(t, 0, 40)
+	eq, err := c.FindEquilibrium(classes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.SpillErrors != 1 || st.Spills != 0 {
+		t.Fatalf("stats = %+v, want 1 spill error", st)
+	}
+	// The entry is still cached in memory.
+	again, err := c.FindEquilibrium(classes, cfg)
+	if err != nil || again != eq {
+		t.Fatalf("entry lost after failed spill: %v, %v", again, err)
+	}
+}
+
+func TestSolveCacheContainsAndAdmit(t *testing.T) {
+	store := &recordingStore{}
+	c := NewSolveCache(0, nil)
+	c.SetStore(store)
+	classes, cfg := cacheInstance(t, 0, 40)
+	key := SolveKey(classes, cfg)
+	if c.Contains(key) {
+		t.Fatal("empty cache contains key")
+	}
+	eq, err := FindEquilibrium(classes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Admit(map[uint64]*Equilibrium{key: eq}); n != 1 {
+		t.Fatalf("admit size = %d, want 1", n)
+	}
+	if !c.Contains(key) {
+		t.Fatal("admitted key not contained")
+	}
+	// Admit, unlike Warm, writes through to the disk tier.
+	if store.puts[key] != eq {
+		t.Fatal("admit did not spill")
+	}
+	got, err := c.FindEquilibrium(classes, cfg)
+	if err != nil || got != eq {
+		t.Fatalf("admitted entry not served: %v, %v", got, err)
+	}
+	st := c.Stats()
+	if st.Hits != 1 || st.Misses != 0 || st.Spills != 1 {
+		t.Fatalf("stats = %+v, want served from cache with one spill", st)
+	}
+
+	// Warm stays spill-free: disk-loaded entries must not be rewritten.
+	c2 := NewSolveCache(0, nil)
+	store2 := &recordingStore{}
+	c2.SetStore(store2)
+	c2.Warm(map[uint64]*Equilibrium{key: eq})
+	if len(store2.puts) != 0 {
+		t.Fatal("Warm wrote back to the store")
+	}
+	if !c2.Contains(key) || c2.Len() != 1 {
+		t.Fatal("Warm did not load the entry")
+	}
+}
+
+// TestSolveCacheRefusesUnconverged: a solve capped at MaxFixedPointIter
+// is not an equilibrium, so no admission path — miss, Admit or Warm —
+// may cache, index or spill it. The miss still hands the result to its
+// caller.
+func TestSolveCacheRefusesUnconverged(t *testing.T) {
+	classes, cfg := cacheInstance(t, 0, 40)
+	cfg.MaxFixedPointIter = 1
+	metrics := telemetry.NewRegistry()
+	store := &recordingStore{}
+	c := NewSolveCache(0, metrics)
+	c.SetStore(store)
+	c.SetNeighborWarm(true)
+
+	eq, err := c.FindEquilibrium(classes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if eq == nil || eq.Converged {
+		t.Fatalf("MaxFixedPointIter = 1 returned %+v, want an unconverged result", eq)
+	}
+	if c.Len() != 0 || len(store.puts) != 0 {
+		t.Fatalf("unconverged miss cached (%d entries) or spilled (%d puts)", c.Len(), len(store.puts))
+	}
+	if near, nearCfg := nearMiss(classes, cfg, 1.05); c.NeighborSeed(near, nearCfg) != nil {
+		t.Fatal("unconverged miss joined the neighbour index")
+	}
+	// The next lookup solves again instead of serving the capped result.
+	if _, err := c.FindEquilibrium(classes, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want 2 misses and no hit", st)
+	}
+
+	key := SolveKey(classes, cfg)
+	if n := c.Admit(map[uint64]*Equilibrium{key: eq}); n != 0 || len(store.puts) != 0 {
+		t.Fatalf("Admit filed an unconverged entry: size %d, %d puts", n, len(store.puts))
+	}
+	goodCfg := cfg
+	goodCfg.MaxFixedPointIter = DefaultConfig().MaxFixedPointIter
+	good, err := FindEquilibrium(classes, goodCfg)
+	if err != nil || !good.Converged {
+		t.Fatalf("converged reference solve: %v", err)
+	}
+	if n := c.Warm(map[uint64]*Equilibrium{key: eq, key + 1: good}); n != 1 || c.Contains(key) {
+		t.Fatalf("Warm kept the unconverged entry: size %d, contains %v", n, c.Contains(key))
+	}
+	if got := metrics.Counter("solvecache.unconverged").Value(); got != 4 {
+		t.Errorf("solvecache.unconverged = %d, want 4", got)
 	}
 }

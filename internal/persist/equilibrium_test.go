@@ -130,8 +130,8 @@ func TestEquilibriumStoreNewestRecordWins(t *testing.T) {
 }
 
 // TestEquilibriumStoreSkipsForeignAndFutureRecords covers the two
-// skip-not-fail paths: records of another kind sharing the file (the
-// router's profile journal idiom) and records from a newer codec.
+// skip-not-fail paths: records of another kind sharing the file and
+// records from a newer codec.
 func TestEquilibriumStoreSkipsForeignAndFutureRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "eq.log")
 	l, _, err := OpenLog(path)

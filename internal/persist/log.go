@@ -1,12 +1,11 @@
 // Package persist is the disk tier under the in-memory caches: an
 // append-only log of length-prefixed, checksummed binary records that a
 // process replays on open to restart hot. The solve cache spills
-// equilibria here keyed by core.SolveKey (EquilibriumStore), and the
-// coordinator router journals its profile replica through the same Log
-// (see internal/coord). Records use the wire protocol's float packing —
-// uvarints of bit-reversed IEEE-754 bits, delta-XOR float columns — so
-// warm state is exact: bits in, bits out, byte-identical to a fresh
-// solve (pinned by differential tests).
+// equilibria here keyed by core.SolveKey (EquilibriumStore). Records use
+// the coordinator wire protocol's float packing — uvarints of
+// bit-reversed IEEE-754 bits, delta-XOR float columns — so warm state is
+// exact: bits in, bits out, byte-identical to a fresh solve (pinned by
+// differential tests).
 //
 // Corruption is expected, never fatal. Each record carries a CRC-32C of
 // its payload; on open the log is scanned record by record, and the
@@ -226,9 +225,9 @@ func (l *Log) Path() string { return l.path }
 
 // --- payload packing primitives ---
 //
-// Exported so typed stores outside this package (the coordinator's
-// profile journal) compose record payloads with the same idiom the
-// wire protocol uses. Encoding is exact: floats round-trip bit for bit.
+// Typed stores (EquilibriumStore) compose record payloads from these,
+// with the same idiom the wire protocol uses. Encoding is exact: floats
+// round-trip bit for bit.
 
 // AppendString appends a length-prefixed string.
 func AppendString(b []byte, s string) []byte {

@@ -50,11 +50,11 @@ cat BENCH_cluster.json
 # Core solver benchmarks: sweep kernels (reference scan vs O(log n)
 # crossover, small/large densities), cold Algorithm 1 runs (serial vs
 # parallel, 1/4/8 classes), the batched SoA solver vs per-call solving,
-# the L1 on/off hit cost, the neighbour-seeded warm solve vs cold on a
-# near-miss instance, and the warm-restart first solve (replay the disk
-# tier + serve from cache) vs a cold Algorithm 1 run.
+# the neighbour-seeded warm solve vs cold on a near-miss instance, and
+# the warm-restart first solve (replay the disk tier + serve from cache)
+# vs a cold Algorithm 1 run.
 go test -run '^$' \
-	-bench 'BenchmarkSolveBellman$|BenchmarkSolveBellmanKernel|BenchmarkFindEquilibriumCold|BenchmarkSolveBatch|BenchmarkL1Lookup|BenchmarkNeighborWarmSolve' \
+	-bench 'BenchmarkSolveBellman$|BenchmarkSolveBellmanKernel|BenchmarkFindEquilibriumCold|BenchmarkSolveBatch|BenchmarkNeighborWarmSolve' \
 	-benchtime "$BENCHTIME" ./internal/core >"$RAW"
 go test -run '^$' -bench 'BenchmarkFirstSolve' \
 	-benchtime "$BENCHTIME" ./internal/persist >>"$RAW"
@@ -107,12 +107,11 @@ awk -v c="$cold" -v w="$warm" 'BEGIN {
 	printf "gate ok: warm first solve %s ns/op is >= 10x faster than cold %s ns/op\n", w, c
 }'
 
-# Serving-path benchmark: closed-loop load against in-process
-# coordinator topologies, reported as throughput plus p50/p99/p99.9
-# latency. -curve sweeps the shard-scaling grid — the direct single
-# server (pre-router baseline) plus 1/2/4 shards under both the JSON
-# and binary wire protocols — and records every point in the report's
-# "curve" array; the headline numbers are the 4-shard binary point.
+# Serving-path benchmark: closed-loop load against the in-process
+# coordinator, reported as throughput plus p50/p99/p99.9 latency.
+# -curve runs the server under the JSON and binary wire protocols and
+# records both points in the report's "curve" array; the headline
+# numbers are the binary point.
 # coordbench writes the JSON itself — requests/sec and tail
 # percentiles, not ns/op — so this stage bypasses json_from_bench.
 BENCH_COORD_REQUESTS="${BENCH_COORD_REQUESTS:-2000}"

@@ -37,23 +37,22 @@ go test -race ./internal/telemetry
 echo "== go test -race -short ./internal/cluster/..."
 go test -race -short ./internal/cluster/...
 
-# The sharded coordinator's correctness story is concurrency: one solve
-# cache shared by several shard servers (cross-shard singleflight), a
-# router mutating its replica/fingerprint/health state under
-# concurrent submits, and the batched SoA solver coalescing concurrent
-# misses. Run those suites under the race detector by name so a rename
-# that silently drops them from this pass is visible here.
-echo "== go test -race -run 'Router|Shard|Binary|Batch|Singleflight|Coalesce' ./internal/coord ./internal/core"
-go test -race -run 'Router|Shard|Binary|Batch|Singleflight|Coalesce' ./internal/coord ./internal/core
+# The coordinator's correctness story is concurrency: concurrent
+# requests on one server coalescing into one solve (singleflight), the
+# binary codec's per-connection scratch buffers, and the batched SoA
+# solver's lanes. Run those suites under the race detector by name so a
+# rename that silently drops them from this pass is visible here.
+echo "== go test -race -run 'Binary|Batch|Singleflight|Coalesce' ./internal/coord ./internal/core"
+go test -race -run 'Binary|Batch|Singleflight|Coalesce' ./internal/coord ./internal/core
 
-# The warm-state tiers are shared mutable state by design: the L1's
-# read-locked map over the shared cache, spills racing lookups through
-# the store hook, concurrent Put on one append-only log, and the
-# cluster presolve admitting batches while racks solve lazily. Run the
-# persistence and cache-tier suites under the race detector by name so
-# a rename that drops them from this pass is visible here.
-echo "== go test -race -run 'L1|Spill|Admit|Store|Restart|Log|Packing|Dec' ./internal/core ./internal/persist"
-go test -race -run 'L1|Spill|Admit|Store|Restart|Log|Packing|Dec' ./internal/core ./internal/persist
+# The warm-state tiers are shared mutable state by design: spills
+# racing lookups through the store hook, the one admission path shared
+# by misses, Warm and Admit, concurrent Put on one append-only log, and
+# the cluster presolve admitting batches while racks solve lazily. Run
+# the persistence and cache-tier suites under the race detector by name
+# so a rename that drops them from this pass is visible here.
+echo "== go test -race -run 'Spill|Admit|Unconverged|Store|Restart|Log|Packing|Dec' ./internal/core ./internal/persist"
+go test -race -run 'Spill|Admit|Unconverged|Store|Restart|Log|Packing|Dec' ./internal/core ./internal/persist
 
 # The neighbour tier mutates the family index and entry equilibria on
 # the cache's hit path (lazy indexing, warm-seeded inserts, eviction
@@ -63,8 +62,8 @@ go test -race -run 'L1|Spill|Admit|Store|Restart|Log|Packing|Dec' ./internal/cor
 echo "== go test -race -run 'Neighbor|HitAdmitRace' ./internal/core"
 go test -race -run 'Neighbor|HitAdmitRace' ./internal/core
 
-echo "== go test -race -run 'RouterRestart|Journal|Presolve|AutoWorkers' ./internal/coord ./internal/cluster"
-go test -race -run 'RouterRestart|Journal|Presolve|AutoWorkers' ./internal/coord ./internal/cluster
+echo "== go test -race -run 'Presolve|AutoWorkers' ./internal/cluster"
+go test -race -run 'Presolve|AutoWorkers' ./internal/cluster
 
 # Fault injection exercises the engine's degraded paths (mid-run rack
 # kills, retries on derived streams, partial aggregation) across worker
@@ -96,17 +95,17 @@ go build -o "$SMOKE/traceview" ./cmd/traceview
 	-classes 2 -agents 64 -trace "$SMOKE/spans.jsonl" -out "$SMOKE/bench.json" >/dev/null
 "$SMOKE/traceview" "$SMOKE/spans.jsonl" | grep -q 'coord.request'
 
-# Sharded smoke: the same pipeline through a 2-shard router speaking
-# the binary protocol. The greps pin that spans stitch across the
-# router hop — the router's forward span and the shard's coord.request
-# must land in one trace tree, not as disconnected roots.
+# Binary smoke: the same pipeline over the binary protocol. The greps
+# pin that the trace and parent IDs the binary codec carries stitch the
+# server's coord.request under the client's span in one trace tree
+# (the slowest-trace view indents a direct child by four spaces),
+# rather than leaving them as disconnected roots.
 "$SMOKE/coordbench" -mode closed -concurrency 2 -requests 40 \
-	-classes 2 -agents 64 -shards 2 -proto binary \
-	-trace "$SMOKE/shard-spans.jsonl" -out "$SMOKE/shard-bench.json" >/dev/null
-"$SMOKE/traceview" "$SMOKE/shard-spans.jsonl" >"$SMOKE/shard-view.txt"
-grep -q 'router.request' "$SMOKE/shard-view.txt"
-grep -q 'router.forward' "$SMOKE/shard-view.txt"
-grep -q 'coord.request' "$SMOKE/shard-view.txt"
+	-classes 2 -agents 64 -proto binary \
+	-trace "$SMOKE/bin-spans.jsonl" -out "$SMOKE/bin-bench.json" >/dev/null
+"$SMOKE/traceview" "$SMOKE/bin-spans.jsonl" >"$SMOKE/bin-view.txt"
+grep -q '^slowest trace [0-9a-f]*: coord.client.request' "$SMOKE/bin-view.txt"
+grep -q '^    coord.request ' "$SMOKE/bin-view.txt"
 
 # Restart-warm smoke: the same coordbench pipeline against a warm-state
 # directory, killed and restarted. The cold run spills its solves; the
