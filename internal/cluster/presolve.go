@@ -21,8 +21,8 @@ type PresolveStats struct {
 	// neighbour's equilibrium (cache.NeighborSeed) instead of the cold
 	// Ptrip = 1 start. Zero unless the cache has SetNeighborWarm on.
 	Warmed int
-	// Skipped counts racks whose classes could not be built plus lanes
-	// whose solve failed. Skipped instances are not admitted; the same
+	// Skipped counts racks whose classes could not be built plus
+	// instances whose solve failed. Skipped instances are not admitted; the same
 	// failure resurfaces with rack context when Run builds the policy.
 	Skipped int
 }
@@ -34,9 +34,9 @@ type PresolveStats struct {
 // rack to need an instance solves it alone while racks behind it
 // coalesce or block. Presolving instead collects the distinct
 // instances up front — racks sharing a workload mix and game
-// parameters dedupe by core.SolveKey — and drives them through
-// core.SolveBatch's structure-of-arrays lanes, so a heterogeneous
-// cluster pays one cache-aware solve pass instead of R serial solves.
+// parameters dedupe by core.SolveKey — and solves them through
+// core.SolveBatch, so a heterogeneous cluster pays one cache-aware
+// solve pass instead of R serial solves.
 // Instances the cache already holds (including ones warm-loaded from
 // the disk tier) are skipped.
 //
@@ -73,7 +73,7 @@ func PresolveEquilibria(cfg Config, cache *core.SolveCache) PresolveStats {
 			continue
 		}
 		// Neighbour warmth: a near-miss instance (same mix, drifted
-		// counts) seeds its lane from the nearest cached neighbour.
+		// counts) seeds its solve from the nearest cached neighbour.
 		// NeighborSeed returns nil unless the cache opted in.
 		warm := cache.NeighborSeed(classes, simCfg.Game)
 		if warm != nil {

@@ -155,7 +155,9 @@ func poolAtoms(values, weights []float64) (*dist.Discrete, error) {
 }
 
 // ComputeStrategies merges profiles per class, runs Algorithm 1, and
-// returns each class's assigned strategy.
+// returns each class's assigned strategy. A solve that does not
+// converge within the config's MaxFixedPointIter is an error, counted
+// as coord.unconverged.
 func (c *Coordinator) ComputeStrategies() (map[string]Strategy, *core.Equilibrium, error) {
 	return c.ComputeStrategiesSpanned(nil)
 }
@@ -190,6 +192,12 @@ func (c *Coordinator) ComputeStrategiesSpanned(span *telemetry.Span) (map[string
 	eq, err := cache.FindEquilibriumSpanned(classes, cfg, span)
 	if err != nil {
 		return nil, nil, err
+	}
+	if !eq.Converged {
+		// A solve capped at MaxFixedPointIter is not an equilibrium
+		// Algorithm 1 would accept; never hand it out as one.
+		c.cfg.Metrics.Counter("coord.unconverged").Inc()
+		return nil, nil, fmt.Errorf("coord: equilibrium did not converge in %d iterations", eq.Iterations)
 	}
 	out := make(map[string]Strategy, len(eq.Classes))
 	for _, cl := range eq.Classes {

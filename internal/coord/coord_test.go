@@ -7,13 +7,12 @@ import (
 
 	"sprintgame/internal/core"
 	"sprintgame/internal/dist"
+	"sprintgame/internal/telemetry"
 	"sprintgame/internal/workload"
 )
 
 func gameConfig() core.Config {
-	cfg := core.DefaultConfig()
-	cfg.ValueTol = 1e-8
-	return cfg
+	return core.DefaultConfig()
 }
 
 func profileFor(t *testing.T, id, class string, seed uint64, epochs int) Profile {
@@ -138,6 +137,38 @@ func TestComputeStrategiesNoProfiles(t *testing.T) {
 	c, _ := NewCoordinator(gameConfig())
 	if _, _, err := c.ComputeStrategies(); err == nil {
 		t.Error("no profiles should error")
+	}
+}
+
+// TestComputeStrategiesRejectsUnconverged: a solve that runs out of
+// Algorithm 1 iterations is not an equilibrium, so the coordinator
+// returns an error (the server answers with an error response) and
+// counts it, instead of serving the capped iterate as strategies.
+func TestComputeStrategiesRejectsUnconverged(t *testing.T) {
+	cfg := gameConfig()
+	cfg.MaxFixedPointIter = 1
+	cfg.Metrics = telemetry.NewRegistry()
+	c, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, class := range []string{"decision", "pagerank", "svm"} {
+		for j := 0; j < 4; j++ {
+			id := fmt.Sprintf("%s%d", class, j)
+			if err := c.Submit(profileFor(t, id, class, uint64(10*i+j+1), 200)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if strategies, _, err := c.ComputeStrategies(); err == nil {
+		t.Fatalf("unconverged solve served %d strategies", len(strategies))
+	}
+	s := &Server{coord: c}
+	if resp := s.dispatch(request{Type: "strategies"}, nil); resp.Error == "" || resp.Strategies != nil {
+		t.Errorf("server answered %+v, want an error response", resp)
+	}
+	if n := cfg.Metrics.Counter("coord.unconverged").Value(); n != 2 {
+		t.Errorf("coord.unconverged = %d, want 2", n)
 	}
 }
 

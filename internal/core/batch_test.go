@@ -9,9 +9,8 @@ import (
 )
 
 // batchRequests builds a mixed batch over the catalog densities: single-
-// and multi-class instances, varying configs (kernel, damping, accel),
-// with some instances sharing densities so the SoA grouping actually
-// coalesces lanes.
+// and multi-class instances, varying configs (trip model, damping) and
+// a warm start, with some instances sharing densities.
 func batchRequests(t *testing.T) []SolveRequest {
 	t.Helper()
 	densities := catalogDensities(t, 250)
@@ -50,27 +49,26 @@ func batchRequests(t *testing.T) []SolveRequest {
 			Cfg: cfg,
 		})
 	}
-	// Reference scan kernel and Aitken acceleration lanes.
+	// A damped instance and a warm-started one.
 	cfg := DefaultConfig()
-	cfg.Kernel = KernelScan
-	reqs = append(reqs, SolveRequest{
-		Classes: []AgentClass{{Name: names[0], Count: cfg.N, Density: densities[names[0]]}},
-		Cfg:     cfg,
-	})
-	cfg = DefaultConfig()
-	cfg.Accel = AccelAitken
 	cfg.Damping = 0.5
 	reqs = append(reqs, SolveRequest{
 		Classes: []AgentClass{{Name: names[0], Count: cfg.N, Density: densities[names[0]]}},
 		Cfg:     cfg,
 	})
+	cfg = DefaultConfig()
+	reqs = append(reqs, SolveRequest{
+		Classes: []AgentClass{{Name: names[0], Count: cfg.N, Density: densities[names[0]]}},
+		Cfg:     cfg,
+		Warm:    &WarmStart{Ptrip: 0.9},
+	})
 	return reqs
 }
 
 // TestSolveBatchDifferential pins the batch contract: SolveBatch must
-// return byte-identical equilibria to calling FindEquilibrium once per
-// request — thresholds, Ptrip, iteration counts, and the full residual
-// trajectories.
+// return byte-identical equilibria to calling FindEquilibriumWarm once
+// per request — thresholds, Ptrip, iteration counts, and the full
+// residual trajectories.
 func TestSolveBatchDifferential(t *testing.T) {
 	reqs := batchRequests(t)
 	results := SolveBatch(reqs)
@@ -78,7 +76,7 @@ func TestSolveBatchDifferential(t *testing.T) {
 		t.Fatalf("got %d results for %d requests", len(results), len(reqs))
 	}
 	for i, r := range reqs {
-		want, wantErr := FindEquilibrium(r.Classes, r.Cfg)
+		want, wantErr := FindEquilibriumWarm(r.Classes, r.Cfg, r.Warm)
 		got, gotErr := results[i].Eq, results[i].Err
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("request %d: error mismatch: batch=%v percall=%v", i, gotErr, wantErr)

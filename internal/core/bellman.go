@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"sprintgame/internal/dist"
 )
@@ -21,39 +20,48 @@ type Values struct {
 	Threshold float64
 	// Ptrip is the tripping probability the program was solved against.
 	Ptrip float64
-	// Iterations is the number of value-iteration sweeps used.
-	Iterations int
 }
 
-// SolveBellman solves Eqs. (1)-(8) by value iteration for the utility
-// density f and tripping probability ptrip. The recursion contracts with
-// modulus delta, so with delta = 0.99 a cold start converges in a few
-// thousand sweeps (the paper: iterations grow polynomially in
-// 1/(1-delta)). Each sweep costs O(log n) under the default crossover
-// kernel (see kernel.go) or O(n) under the KernelScan reference path.
+// SolveBellman solves Eqs. (1)-(8) exactly for the utility density f and
+// tripping probability ptrip.
+//
+// Eqs. (5) and (6) are linear in the three values, so VR = r·VA and
+// VC = c·VA with
+//
+//	r = delta (1-pr) / (1 - delta pr)
+//	c = delta [(1-ptrip)(1-pc) + ptrip r] / (1 - delta pc (1-ptrip))
+//
+// and the no-sprint value (Eq. 3) and the sprint continuation (Eq. 2)
+// are n·VA and s·VA with n = delta (1-ptrip + ptrip r) and
+// s = delta (c (1-ptrip) + ptrip r). Eq. (4) then reads
+//
+//	VA = G(VA) = E_f[ max(u + s·VA, n·VA) ],
+//
+// and G is affine between the atoms of f's sorted support: on segment
+// k, where the first k atoms lie below the crossover (n-s)·VA and take
+// the no-sprint value,
+//
+//	G(V) = a_k V + b_k,  a_k = cumP[k] n + (1-cumP[k]) s,
+//	                     b_k = cumPX[len] - cumPX[k],
+//
+// with the density's prefix sums cumP and cumPX, whose fixed point is
+// VA_k = b_k / (1 - a_k). Moving atom k from sprint to no-sprint raises
+// VA_k exactly when u_k < (n-s)·VA_k; that holds for a prefix of
+// segments and fails after it, and the solution is the first segment k
+// with k = len or u_k >= (n-s)·VA_k (ties sprint), found by binary
+// search in O(log n). Both n and s are at most delta, so 1 - a_k >= 1 - delta > 0
+// for every pc, pr and ptrip in [0, 1]: no case divides by zero.
 func SolveBellman(f *dist.Discrete, ptrip float64, cfg Config) (Values, error) {
 	if err := cfg.Validate(); err != nil {
 		return Values{}, err
 	}
-	return solveBellman(f, ptrip, cfg, Values{})
-}
-
-// SolveBellmanWarm is SolveBellman started from a previous solution.
-// Value iteration is a contraction, so any starting point converges to
-// the same fixed point (within ValueTol); a guess solved at a nearby
-// ptrip lands within a handful of sweeps instead of thousands. The zero
-// Values is exactly the cold start.
-func SolveBellmanWarm(f *dist.Discrete, ptrip float64, cfg Config, guess Values) (Values, error) {
-	if err := cfg.Validate(); err != nil {
-		return Values{}, err
-	}
-	return solveBellman(f, ptrip, cfg, guess)
+	return solveBellman(f, ptrip, cfg)
 }
 
 // solveBellman is the pre-validated entry point: cfg must already have
 // passed Validate. Algorithm 1 calls this once per class per fixed-point
 // iteration, so re-validating here would dominate small solves.
-func solveBellman(f *dist.Discrete, ptrip float64, cfg Config, guess Values) (Values, error) {
+func solveBellman(f *dist.Discrete, ptrip float64, cfg Config) (Values, error) {
 	if f == nil || f.Len() == 0 {
 		return Values{}, errors.New("core: empty utility density")
 	}
@@ -61,54 +69,35 @@ func solveBellman(f *dist.Discrete, ptrip float64, cfg Config, guess Values) (Va
 		return Values{}, fmt.Errorf("core: ptrip = %v is not a probability", ptrip)
 	}
 	d := cfg.Delta
-	vA, vC, vR := guess.VA, guess.VC, guess.VR
-	scan := cfg.Kernel == KernelScan
-	var us, ps []float64
-	if scan {
-		us, ps = f.Values(), f.Probs()
+	r := d * (1 - cfg.Pr) / (1 - d*cfg.Pr)
+	c := d * ((1-ptrip)*(1-cfg.Pc) + ptrip*r) / (1 - d*cfg.Pc*(1-ptrip))
+	n := d * (1 - ptrip + ptrip*r)
+	s := d * (c*(1-ptrip) + ptrip*r)
+
+	xs, _, cumP, cumPX := f.KernelView()
+	size := len(xs)
+	segment := func(k int) float64 {
+		a := cumP[k]*n + (cumP[size]-cumP[k])*s
+		return (cumPX[size] - cumPX[k]) / (1 - a)
 	}
-	iter := 0
-	for ; iter < cfg.MaxValueIter; iter++ {
-		// Value of not sprinting (Eq. 3) is utility-independent.
-		vNoSprint := d * (vA*(1-ptrip) + vR*ptrip)
-		// Continuation value of sprinting excluding the immediate u
-		// (Eq. 2).
-		sprintCont := d * (vC*(1-ptrip) + vR*ptrip)
-		// Eq. (4): expectation of Eq. (1) over f.
-		var newVA float64
-		if scan {
-			newVA = sweepScan(us, ps, sprintCont, vNoSprint)
+	// Smallest k in [0, size) whose atom sprints at VA_k; size if none.
+	lo, hi := 0, size
+	for lo < hi {
+		k := int(uint(lo+hi) >> 1)
+		if xs[k] >= (n-s)*segment(k) {
+			hi = k
 		} else {
-			newVA = sweepCrossover(f, sprintCont, vNoSprint)
-		}
-		// Eqs. (5) and (6).
-		newVC := d*(vC*cfg.Pc+vA*(1-cfg.Pc))*(1-ptrip) + d*vR*ptrip
-		newVR := d * (vR*cfg.Pr + vA*(1-cfg.Pr))
-		// Branchy max: math.Max is not intrinsified and its call
-		// dominated sweep profiles; math.Abs is, so only Max is unrolled.
-		diff := math.Abs(newVA - vA)
-		if d2 := math.Abs(newVC - vC); d2 > diff {
-			diff = d2
-		}
-		if d2 := math.Abs(newVR - vR); d2 > diff {
-			diff = d2
-		}
-		vA, vC, vR = newVA, newVC, newVR
-		if diff < cfg.ValueTol {
-			iter++
-			break
+			lo = k + 1
 		}
 	}
-	if iter >= cfg.MaxValueIter {
-		return Values{}, errors.New("core: value iteration did not converge")
-	}
+	vA := segment(lo)
+	vC := c * vA
 	return Values{
-		VA:         vA,
-		VC:         vC,
-		VR:         vR,
-		Threshold:  d * (vA - vC) * (1 - ptrip),
-		Ptrip:      ptrip,
-		Iterations: iter,
+		VA:        vA,
+		VC:        vC,
+		VR:        r * vA,
+		Threshold: d * (vA - vC) * (1 - ptrip),
+		Ptrip:     ptrip,
 	}, nil
 }
 

@@ -12,12 +12,9 @@ import (
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// testConfig returns the Table 2 config with slightly looser tolerances
-// for speed in tests.
+// testConfig returns the Table 2 config.
 func testConfig() Config {
-	cfg := DefaultConfig()
-	cfg.ValueTol = 1e-8
-	return cfg
+	return DefaultConfig()
 }
 
 func uniformDensity(lo, hi float64, n int) *dist.Discrete {
@@ -54,8 +51,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Pr = 1.1 },
 		func(c *Config) { c.Delta = 1 },
 		func(c *Config) { c.Delta = 0 },
-		func(c *Config) { c.ValueTol = 0 },
-		func(c *Config) { c.MaxValueIter = 0 },
 		func(c *Config) { c.FixedPointTol = 0 },
 		func(c *Config) { c.MaxFixedPointIter = 0 },
 		func(c *Config) { c.Damping = 0 },
@@ -82,9 +77,9 @@ func TestSolveBellmanInputValidation(t *testing.T) {
 		t.Error("ptrip > 1 should error")
 	}
 	bad := cfg
-	bad.MaxValueIter = 3
+	bad.Pc = 2
 	if _, err := SolveBellman(bimodalDensity(), 0, bad); err == nil {
-		t.Error("starved iteration cap should report non-convergence")
+		t.Error("invalid config should error")
 	}
 }
 
@@ -260,7 +255,6 @@ func TestExpectedSprintersEq10(t *testing.T) {
 // utility (sprinting on the best epoch is always rational when free).
 func TestThresholdBoundedProperty(t *testing.T) {
 	cfg := testConfig()
-	cfg.ValueTol = 1e-7
 	f := func(seed uint32) bool {
 		r := stats.NewRNG(uint64(seed))
 		n := r.Intn(30) + 2

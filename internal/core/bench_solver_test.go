@@ -25,43 +25,20 @@ func benchDensity(b *testing.B, atoms int) *dist.Discrete {
 	return d
 }
 
-// BenchmarkSolveBellman measures one cold dynamic-program solve (Eqs.
-// 1-8) under the default crossover kernel, the inner loop of Algorithm 1.
+// BenchmarkSolveBellman measures one exact dynamic-program solve (Eqs.
+// 1-8), the inner step of Algorithm 1, on small and large densities: a
+// binary search over the density's segments, O(log n).
 func BenchmarkSolveBellman(b *testing.B) {
-	f := benchDensity(b, 250)
-	cfg := DefaultConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveBellman(f, 0.1, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolveBellmanKernel compares the reference O(n) scan against
-// the O(log n) crossover kernel on small and large densities. The gap
-// widens with the atom count: the scan is linear per sweep, the
-// crossover logarithmic.
-func BenchmarkSolveBellmanKernel(b *testing.B) {
-	for _, atoms := range []int{64, 1024} {
+	for _, atoms := range []int{64, 250, 1024} {
 		f := benchDensity(b, atoms)
-		for _, k := range []struct {
-			name   string
-			kernel BellmanKernel
-		}{
-			{"scan", KernelScan},
-			{"crossover", KernelCrossover},
-		} {
-			b.Run(fmt.Sprintf("kernel=%s/atoms=%d", k.name, atoms), func(b *testing.B) {
-				cfg := DefaultConfig()
-				cfg.Kernel = k.kernel
-				for i := 0; i < b.N; i++ {
-					if _, err := SolveBellman(f, 0.1, cfg); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("atoms=%d", atoms), func(b *testing.B) {
+			cfg := DefaultConfig()
+			for i := 0; i < b.N; i++ {
+				if _, err := SolveBellman(f, 0.1, cfg); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -95,28 +72,16 @@ func benchClasses(b *testing.B, k, atoms int) ([]AgentClass, Config) {
 }
 
 // BenchmarkFindEquilibriumColdClasses measures cold Algorithm 1 runs
-// over 1/4/8-class racks, serial (Workers=1) versus the default bounded
-// pool (Workers=0 → GOMAXPROCS). Single-class instances cannot
-// parallelize — the pool's win grows with class count.
+// over 1/4/8-class racks.
 func BenchmarkFindEquilibriumColdClasses(b *testing.B) {
 	for _, k := range []int{1, 4, 8} {
 		classes, cfg := benchClasses(b, k, 250)
-		for _, w := range []struct {
-			name    string
-			workers int
-		}{
-			{"serial", 1},
-			{"parallel", 0},
-		} {
-			b.Run(fmt.Sprintf("classes=%d/%s", k, w.name), func(b *testing.B) {
-				wcfg := cfg
-				wcfg.Workers = w.workers
-				for i := 0; i < b.N; i++ {
-					if _, err := FindEquilibrium(classes, wcfg); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("classes=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := FindEquilibrium(classes, cfg); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

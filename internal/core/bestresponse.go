@@ -43,7 +43,7 @@ func BestResponseCurve(f *dist.Discrete, cfg Config, beliefs []float64) ([]BestR
 	}
 	out := make([]BestResponsePoint, 0, len(beliefs))
 	for _, p := range beliefs {
-		vals, err := SolveBellmanFast(f, p, cfg)
+		vals, err := solveBellman(f, p, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -15,7 +15,7 @@ import (
 )
 
 // Config collects the game's technology and system parameters (Table 2)
-// together with solver tolerances.
+// together with Algorithm 1's tolerance and iteration budget.
 type Config struct {
 	// N is the number of agents (chip multiprocessors) sharing the rack.
 	N int
@@ -31,39 +31,17 @@ type Config struct {
 	// Delta is the per-epoch discount factor applied to future utility.
 	Delta float64
 
-	// ValueTol terminates value iteration when successive sweeps change
-	// no value by more than this.
-	ValueTol float64
-	// MaxValueIter caps value-iteration sweeps.
-	MaxValueIter int
 	// FixedPointTol terminates Algorithm 1 when the tripping probability
 	// changes by less than this between iterations.
 	FixedPointTol float64
 	// MaxFixedPointIter caps Algorithm 1 iterations.
 	MaxFixedPointIter int
 	// Damping is the step size of the fixed-point update:
-	// P <- (1-Damping)*P + Damping*P'. 1 reproduces the undamped
-	// Algorithm 1; smaller values stabilize oscillating instances.
+	// P <- (1-Damping)*P + Damping*P'. The default 1 is the undamped
+	// Algorithm 1, a monotone descent to the largest fixed point (see
+	// FindEquilibrium); smaller values exist for the abl-damping
+	// ablation and only slow the descent.
 	Damping float64
-
-	// Kernel selects the value-iteration sweep implementation.
-	// KernelCrossover (the zero value) evaluates Eq. (4) in O(log n)
-	// through the density's prefix sums; KernelScan is the original
-	// O(n) scan, kept as a reference path for differential testing.
-	Kernel BellmanKernel
-	// Workers bounds the goroutine pool that solves per-class dynamic
-	// programs inside each Algorithm 1 iteration. 0 uses GOMAXPROCS;
-	// 1 forces the serial path. Any value produces byte-identical
-	// equilibria (classes are independent given Ptrip and the reduction
-	// is in class order), so Workers is excluded from SolveKey.
-	Workers int
-	// Accel selects an optional extrapolation scheme for the outer
-	// Ptrip fixed point. AccelNone (the zero value) is the paper's
-	// damped iteration; AccelAitken applies a guarded Aitken delta-
-	// squared jump every third iteration, which cuts iterations on
-	// slowly-contracting instances at the cost of a slightly different
-	// residual trajectory.
-	Accel FixedPointAccel
 
 	// Metrics, when non-nil, receives solver metrics (solver.runs,
 	// solver.iterations, solver.residual, ...). Nil disables metrics at
@@ -80,33 +58,6 @@ type Config struct {
 	Span *telemetry.Span
 }
 
-// BellmanKernel selects how a value-iteration sweep evaluates the
-// expectation of Eq. (4) over the utility density.
-type BellmanKernel int
-
-const (
-	// KernelCrossover binary-searches the sprint/no-sprint crossover in
-	// the sorted support and evaluates the expectation from the
-	// density's cached prefix sums: O(log n) per sweep. The default.
-	KernelCrossover BellmanKernel = iota
-	// KernelScan is the original O(n) per-sweep scan over every atom,
-	// kept as the reference implementation for differential tests.
-	KernelScan
-)
-
-// FixedPointAccel selects an extrapolation scheme for Algorithm 1's
-// outer fixed point.
-type FixedPointAccel int
-
-const (
-	// AccelNone runs the plain damped iteration. The default.
-	AccelNone FixedPointAccel = iota
-	// AccelAitken applies Aitken delta-squared extrapolation to the
-	// damped Ptrip sequence, guarded so it never leaves [0, 1] and
-	// falls back to the plain step when the denominator degenerates.
-	AccelAitken
-)
-
 // DefaultConfig returns the paper's Table 2 parameters with solver
 // settings that converge for every catalog workload.
 func DefaultConfig() Config {
@@ -116,11 +67,9 @@ func DefaultConfig() Config {
 		Pc:                0.50,
 		Pr:                0.88,
 		Delta:             0.99,
-		ValueTol:          1e-9,
-		MaxValueIter:      200000,
 		FixedPointTol:     1e-7,
 		MaxFixedPointIter: 2000,
-		Damping:           0.25,
+		Damping:           1,
 	}
 }
 
@@ -141,23 +90,14 @@ func (c Config) Validate() error {
 	if c.Delta <= 0 || c.Delta >= 1 {
 		return fmt.Errorf("core: discount factor %v outside (0, 1)", c.Delta)
 	}
-	if c.ValueTol <= 0 || c.FixedPointTol <= 0 {
-		return errors.New("core: tolerances must be positive")
+	if c.FixedPointTol <= 0 {
+		return errors.New("core: fixed-point tolerance must be positive")
 	}
-	if c.MaxValueIter <= 0 || c.MaxFixedPointIter <= 0 {
-		return errors.New("core: iteration caps must be positive")
+	if c.MaxFixedPointIter <= 0 {
+		return errors.New("core: fixed-point iteration cap must be positive")
 	}
 	if c.Damping <= 0 || c.Damping > 1 {
 		return fmt.Errorf("core: damping %v outside (0, 1]", c.Damping)
-	}
-	if c.Kernel != KernelCrossover && c.Kernel != KernelScan {
-		return fmt.Errorf("core: unknown bellman kernel %d", c.Kernel)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: workers %d must be non-negative", c.Workers)
-	}
-	if c.Accel != AccelNone && c.Accel != AccelAitken {
-		return fmt.Errorf("core: unknown fixed-point acceleration %d", c.Accel)
 	}
 	return nil
 }

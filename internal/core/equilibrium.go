@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"sprintgame/internal/dist"
 	"sprintgame/internal/telemetry"
@@ -47,7 +45,7 @@ type ClassOutcome struct {
 	ActiveFrac float64
 	// ExpectedSprinters is this class's contribution to nS (Eq. 10).
 	ExpectedSprinters float64
-	// Values is the class's converged dynamic program.
+	// Values is the class's dynamic program at the equilibrium Ptrip.
 	Values Values
 }
 
@@ -64,10 +62,7 @@ type Equilibrium struct {
 	// Iterations is the number of Algorithm 1 iterations performed.
 	Iterations int
 	// Residuals records, per iteration, the fixed-point residual
-	// |Ptrip' - Ptrip| before the damped update (len == Iterations).
-	// The damped iteration is a contraction on the paper's instances, so
-	// the tail of this series shrinks geometrically; a flat or growing
-	// tail indicates an oscillating instance that needs more damping.
+	// |Ptrip' - Ptrip| before the update (len == Iterations).
 	Residuals []float64
 	// Converged reports whether the fixed point met tolerance (false
 	// means the caller got the best available approximation).
@@ -75,33 +70,29 @@ type Equilibrium struct {
 }
 
 // WarmStart seeds Algorithm 1 from a previous solution of a nearby
-// instance (e.g. the neighbouring point of a sensitivity sweep). Ptrip
-// replaces the paper's Ptrip = 1 initialization; Values, when non-nil,
-// warm-starts each class's first dynamic-program solve and must have one
-// entry per class in class order. A warm start changes only the solve
-// trajectory: every later solve is warm-started from the previous
-// iteration regardless, and the fixed point reached is the same within
-// FixedPointTol for instances in the same basin of attraction.
+// instance: Ptrip replaces the paper's Ptrip = 1 initialization. The
+// descent reaches the largest fixed point only from a seed at or above
+// it (see FindEquilibrium), so a seed must approach from above; a seed
+// below the largest fixed point may converge to a lower one.
 type WarmStart struct {
-	Ptrip  float64
-	Values []Values
+	Ptrip float64
 }
 
 // FindEquilibrium runs Algorithm 1 for one or more agent classes. Per the
 // paper, the iteration starts from Ptrip = 1 and alternates: solve each
-// class's dynamic program for the current Ptrip, derive thresholds and
-// the expected number of sprinters, update Ptrip from the trip model, and
-// repeat until stationary. The update is damped by cfg.Damping to
-// suppress the oscillations the raw iteration exhibits near the kinks of
-// Eq. (11).
+// class's dynamic program for the current Ptrip (exactly, see
+// SolveBellman), derive thresholds and the expected number of
+// sprinters, update Ptrip from the trip model, and repeat until
+// stationary.
 //
-// Ptrip moves by Damping*(next-ptrip) per step, so each iteration's
-// converged Values are an excellent initial guess for the next: every
-// inner solve after the first is warm-started from its class's previous
-// solution. Classes are independent given Ptrip, so when cfg.Workers
-// permits, the per-class solves run on a bounded goroutine pool; results
-// land in per-class slots and are reduced in class order, making the
-// output byte-identical to the serial path for any pool size.
+// The trip response T(p) — solve at p, then Eq. (11) — is monotone
+// non-decreasing: a class's threshold does not rise with Ptrip, so its
+// sprint probability ps does not fall, nS = ps·pA·N rises with ps, and
+// Eq. (11) is non-decreasing in nS. Undamped iteration from Ptrip = 1 is
+// therefore a descent that stays at or above every fixed point, and it
+// converges to the largest one — the equilibrium Algorithm 1 selects —
+// in a handful of steps with no damping. cfg.Damping below 1 still
+// descends, only more slowly.
 //
 // The class counts must sum to cfg.N.
 func FindEquilibrium(classes []AgentClass, cfg Config) (*Equilibrium, error) {
@@ -132,50 +123,26 @@ func FindEquilibriumWarm(classes []AgentClass, cfg Config, warm *WarmStart) (*Eq
 	residualGauge := cfg.Metrics.Gauge("solver.residual")
 
 	ptrip := 1.0 // Algorithm 1 initialization
-	// guesses[i] warm-starts class i's next solve; the zero Values is a
-	// cold start.
-	guesses := make([]Values, len(classes))
 	if warm != nil {
 		if warm.Ptrip < 0 || warm.Ptrip > 1 {
 			return nil, fmt.Errorf("core: warm-start ptrip = %v is not a probability", warm.Ptrip)
 		}
-		if warm.Values != nil && len(warm.Values) != len(classes) {
-			return nil, fmt.Errorf("core: warm start has %d value sets for %d classes", len(warm.Values), len(classes))
-		}
 		ptrip = warm.Ptrip
-		copy(guesses, warm.Values)
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(classes) {
-		workers = len(classes)
-	}
-
-	eq := &Equilibrium{
-		Classes:   make([]ClassOutcome, len(classes)),
-		Residuals: make([]float64, 0, cfg.MaxFixedPointIter),
-	}
-	// Aitken delta-squared state: the last iterates of the damped Ptrip
-	// sequence (AccelAitken only).
-	var aitken [3]float64
-	aitkenLen := 0
+	eq := &Equilibrium{Classes: make([]ClassOutcome, len(classes))}
 	for iter := 1; iter <= cfg.MaxFixedPointIter; iter++ {
 		// Span payloads are built behind nil checks: the Fields maps must
 		// not cost an allocation per iteration on untraced solves.
 		iterSpan := cfg.Span.Child("solver.iter")
-		if err := solveClasses(classes, ptrip, cfg, guesses, eq.Classes, workers); err != nil {
-			if iterSpan != nil {
-				iterSpan.EndWith(telemetry.Fields{"iter": iter, "error": err.Error()})
-			}
-			return nil, err
-		}
-		// Deterministic reduction in class order: byte-identical for
-		// serial and parallel solves.
 		nS := 0.0
-		for i := range eq.Classes {
+		for i := range classes {
+			if err := solveClass(&classes[i], ptrip, cfg, &eq.Classes[i]); err != nil {
+				if iterSpan != nil {
+					iterSpan.EndWith(telemetry.Fields{"iter": iter, "error": err.Error()})
+				}
+				return nil, err
+			}
 			nS += eq.Classes[i].ExpectedSprinters
 		}
 		next := cfg.Trip.Ptrip(nS)
@@ -203,123 +170,19 @@ func FindEquilibriumWarm(classes []AgentClass, cfg Config, warm *WarmStart) (*Eq
 			return eq, nil
 		}
 		ptrip += cfg.Damping * (next - ptrip)
-		if cfg.Accel == AccelAitken {
-			if aitkenLen < 3 {
-				aitken[aitkenLen] = ptrip
-				aitkenLen++
-			}
-			if aitkenLen == 3 {
-				if ext, ok := aitkenExtrapolate(aitken); ok {
-					ptrip = ext
-				}
-				aitkenLen = 0
-			}
-		}
 	}
 	eq.Ptrip = ptrip
 	finishSolve(cfg, eq)
 	return eq, nil
 }
 
-// aitkenExtrapolate applies the delta-squared formula to three successive
-// iterates of the damped sequence. The geometric tail of a contraction
-// makes x* = x2 - (x2-x1)^2 / (x2 - 2 x1 + x0) a far better estimate of
-// the limit than x2 itself. The jump is rejected (plain iteration
-// continues) when the denominator degenerates or the extrapolant leaves
-// [0, 1].
-func aitkenExtrapolate(x [3]float64) (float64, bool) {
-	den := x[2] - 2*x[1] + x[0]
-	if math.Abs(den) < 1e-14 {
-		return 0, false
-	}
-	d := x[2] - x[1]
-	ext := x[2] - d*d/den
-	if math.IsNaN(ext) || ext < 0 || ext > 1 {
-		return 0, false
-	}
-	return ext, true
-}
-
-// solveClasses solves every class's dynamic program at ptrip, writing
-// outcomes into out[i] and the converged values into guesses[i] (the
-// warm start for the next iteration). With workers > 1 the solves run
-// concurrently on a bounded pool; each goroutine touches only its own
-// slot, so the result is byte-identical to the serial path. On error the
-// lowest-indexed failure is reported, matching serial behaviour.
-func solveClasses(classes []AgentClass, ptrip float64, cfg Config, guesses []Values, out []ClassOutcome, workers int) error {
-	if workers > 1 {
-		// Work-size gate: predict this round's per-class sweep count from
-		// the previous round's (a warm-started contraction re-converges in
-		// about as many sweeps as last time; a cold guess carries
-		// Iterations == 0 and is predicted at the sweep cap). Fanning out
-		// costs roughly a goroutine spawn + semaphore round-trip per class,
-		// which only amortizes over a few hundred O(log n) sweeps — below
-		// the floor the serial loop wins regardless of core count. The
-		// gate picks a schedule, never a result: both schedules are
-		// byte-identical (pinned by the parallel differential tests).
-		predicted := 0
-		for i := range guesses {
-			s := guesses[i].Iterations
-			if s == 0 {
-				s = cfg.MaxValueIter
-			}
-			if s > predicted {
-				predicted = s
-			}
-		}
-		if predicted < parallelSweepFloor {
-			workers = 1
-		}
-	}
-	if workers <= 1 || len(classes) == 1 {
-		for i := range classes {
-			if err := solveClass(&classes[i], ptrip, cfg, &guesses[i], &out[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(classes))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i := range classes {
-		wg.Add(1)
-		sem <- struct{}{}
-		// cfg is passed as an explicit argument rather than captured:
-		// a closure capture of the (now >128-byte) struct would force a
-		// heap copy of cfg on every solveClasses call, even serial ones.
-		go func(i int, cfg Config) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = solveClass(&classes[i], ptrip, cfg, &guesses[i], &out[i])
-		}(i, cfg)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // solveClass solves one class's dynamic program and derives its
 // population statistics (Eqs. 9-10).
-func solveClass(c *AgentClass, ptrip float64, cfg Config, guess *Values, out *ClassOutcome) error {
-	vals, err := solveBellman(c.Density, ptrip, cfg, *guess)
+func solveClass(c *AgentClass, ptrip float64, cfg Config, out *ClassOutcome) error {
+	vals, err := solveBellman(c.Density, ptrip, cfg)
 	if err != nil {
 		return fmt.Errorf("core: class %q: %w", c.Name, err)
 	}
-	classOutcome(c, vals, cfg, out)
-	*guess = vals
-	return nil
-}
-
-// classOutcome derives one class's population statistics (Eqs. 9-10)
-// from its converged dynamic program. Shared by the per-call path above
-// and the batched SoA solver (batch.go), so both produce bit-identical
-// outcomes from identical Values.
-func classOutcome(c *AgentClass, vals Values, cfg Config, out *ClassOutcome) {
 	ps := SprintProbability(c.Density, vals.Threshold)
 	pa := ActiveFraction(ps, cfg.Pc)
 	*out = ClassOutcome{
@@ -330,6 +193,7 @@ func classOutcome(c *AgentClass, vals Values, cfg Config, out *ClassOutcome) {
 		ExpectedSprinters: ps * pa * float64(c.Count),
 		Values:            vals,
 	}
+	return nil
 }
 
 // finishSolve records end-of-run solver telemetry.
@@ -352,14 +216,6 @@ func finishSolve(cfg Config, eq *Equilibrium) {
 
 // solverIterBuckets spans quick solves to the MaxFixedPointIter default.
 var solverIterBuckets = telemetry.ExponentialBuckets(4, 2, 10)
-
-// parallelSweepFloor is the minimum predicted per-class sweep count at
-// which solveClasses fans out to the worker pool. Cold Bellman solves
-// run thousands of sweeps and amortize the spawn cost easily; the
-// warm-started re-solves of later Algorithm 1 iterations finish in tens
-// of sweeps, where the pool's overhead exceeds the work being split
-// (the classes=8 parallel regression in BENCH_core.json).
-const parallelSweepFloor = 256
 
 // SingleClass is a convenience wrapper: all cfg.N agents run the same
 // application.

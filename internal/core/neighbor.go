@@ -9,22 +9,22 @@ import (
 // Neighbour-seeded warm solves. An exact SolveKey miss usually is not a
 // cold instance: clusters re-solve the same workload mix at slightly
 // different chip counts (a rack loses a board, a class's population
-// drifts), and the equilibrium of the near-miss instance sits a few
-// Algorithm 1 iterations away from a cached one — not the hundreds the
-// paper's pessimistic Ptrip = 1 initialization pays. The cache therefore
-// keeps, alongside the exact LRU, a per-family index: FamilyKey hashes
-// everything SolveKey hashes except the per-class counts (and cfg.N,
-// which is their sum), so two instances share a family exactly when they
-// have the same classes, densities, and game parameters and differ only
-// in how many agents each class holds. On an exact miss with neighbour
+// drifts), and the equilibrium of the near-miss instance sits closer to
+// a cached one than the paper's pessimistic Ptrip = 1 initialization
+// does. The cache therefore keeps, alongside the exact LRU, a
+// per-family index: FamilyKey hashes everything SolveKey hashes except
+// the per-class counts (and cfg.N, which is their sum), so two
+// instances share a family exactly when they have the same classes,
+// densities, and game parameters and differ only in how many agents
+// each class holds. On an exact miss with neighbour
 // warming enabled, the nearest same-family instance within
 // NeighborMaxDistance seeds FindEquilibriumWarm with its equilibrium's
-// Ptrip and per-class Values instead of cold-starting.
+// Ptrip instead of cold-starting.
 //
 // Seeding is approximate warmth, not approximate answers. The sprinting
 // game can hold multiple equilibria, and Algorithm 1's Ptrip = 1 start
 // is a selection rule: descending from above every fixed point, the
-// damped iteration lands on the largest one. A donor's Ptrip can sit
+// iteration lands on the largest one. A donor's Ptrip can sit
 // *below* the near-miss instance's equilibrium (population drift near a
 // tangent bifurcation moves the fixed point a lot), and seeding there
 // verbatim would climb into a lower basin and return a different — if
@@ -102,13 +102,9 @@ func FamilyKey(classes []AgentClass, cfg Config) uint64 {
 	f64(cfg.Pc)
 	f64(cfg.Pr)
 	f64(cfg.Delta)
-	f64(cfg.ValueTol)
-	u64(uint64(cfg.MaxValueIter))
 	f64(cfg.FixedPointTol)
 	u64(uint64(cfg.MaxFixedPointIter))
 	f64(cfg.Damping)
-	u64(uint64(cfg.Kernel))
-	u64(uint64(cfg.Accel))
 	tripFingerprint(cfg.Trip, f64)
 	return h.Sum64()
 }
@@ -254,8 +250,8 @@ func (c *SolveCache) SetNeighborMaxDistance(d float64) {
 // (classes, cfg), or nil when neighbour warming is off or no same-family
 // instance sits within the distance threshold. Callers that solve
 // outside the cache — cluster.PresolveEquilibria batching its misses —
-// use this to seed their own SolveBatch lanes. The cache's counters are
-// not advanced; the caller owns the solve.
+// use this to seed their own SolveBatch requests. The cache's counters
+// are not advanced; the caller owns the solve.
 func (c *SolveCache) NeighborSeed(classes []AgentClass, cfg Config) *WarmStart {
 	if c == nil {
 		return nil
@@ -277,9 +273,7 @@ func (c *SolveCache) NeighborSeed(classes []AgentClass, cfg Config) *WarmStart {
 // settle on a lower equilibrium of a multi-equilibrium instance (see
 // the package comment). The margin costs a handful of iterations on
 // well-behaved instances and buys equilibrium-selection fidelity on the
-// rest; the Values seed carries over unadjusted, since per-class value
-// functions vary smoothly with Ptrip and only set the inner dynamic
-// program's starting guess.
+// rest.
 func (c *SolveCache) neighborSeedLocked(fam uint64, counts []int) *WarmStart {
 	key, dist, ok := c.neighbors.nearest(fam, counts, c.neighborMaxDist)
 	if !ok {
@@ -289,12 +283,7 @@ func (c *SolveCache) neighborSeedLocked(fam uint64, counts []int) *WarmStart {
 	if !ok {
 		return nil // index and LRU out of sync; never expected
 	}
-	eq := el.Value.(*cacheEntry).eq
-	warm := &WarmStart{Ptrip: math.Min(1, eq.Ptrip+2*dist), Values: make([]Values, len(eq.Classes))}
-	for i := range eq.Classes {
-		warm.Values[i] = eq.Classes[i].Values
-	}
-	return warm
+	return &WarmStart{Ptrip: math.Min(1, el.Value.(*cacheEntry).eq.Ptrip+2*dist)}
 }
 
 // IndexNeighbor files an already-cached instance into the family index

@@ -347,7 +347,7 @@ func TestNeighborSeedDeterministicTieBreak(t *testing.T) {
 			t.Fatal("tie-break query drew no seed")
 		}
 		// The Ptrip seed approaches from above: donor Ptrip + 2*distance.
-		if seed.Ptrip != math.Min(1, want.Ptrip+2*0.2) || seed.Values[0] != want.Classes[0].Values {
+		if seed.Ptrip != math.Min(1, want.Ptrip+2*0.2) {
 			t.Errorf("insertion order %v: seed came from the higher-key donor", order)
 		}
 	}
@@ -372,7 +372,7 @@ func TestNeighborBatchMixedWarmColdDifferential(t *testing.T) {
 		// lanes stay distinct instances.
 		reqs = append(reqs, SolveRequest{
 			Classes: near, Cfg: nearCfg,
-			Warm: &WarmStart{Ptrip: base.Ptrip, Values: []Values{base.Classes[0].Values}},
+			Warm: &WarmStart{Ptrip: base.Ptrip},
 		})
 		reqs = append(reqs, SolveRequest{Classes: near, Cfg: nearCfg})
 	}
@@ -395,15 +395,15 @@ func TestNeighborBatchMixedWarmColdDifferential(t *testing.T) {
 	classes, cfg := cacheInstance(t, 0, 40)
 	bad := SolveBatch([]SolveRequest{
 		{Classes: classes, Cfg: cfg, Warm: &WarmStart{Ptrip: 1.5}},
-		{Classes: classes, Cfg: cfg, Warm: &WarmStart{Ptrip: 0.5, Values: make([]Values, 3)}},
+		{Classes: classes, Cfg: cfg, Warm: &WarmStart{Ptrip: -0.1}},
 	})
 	_, err1 := FindEquilibriumWarm(classes, cfg, &WarmStart{Ptrip: 1.5})
-	_, err2 := FindEquilibriumWarm(classes, cfg, &WarmStart{Ptrip: 0.5, Values: make([]Values, 3)})
+	_, err2 := FindEquilibriumWarm(classes, cfg, &WarmStart{Ptrip: -0.1})
 	if bad[0].Err == nil || err1 == nil || bad[0].Err.Error() != err1.Error() {
 		t.Errorf("bad ptrip: batch %v, serial %v", bad[0].Err, err1)
 	}
 	if bad[1].Err == nil || err2 == nil || bad[1].Err.Error() != err2.Error() {
-		t.Errorf("bad values: batch %v, serial %v", bad[1].Err, err2)
+		t.Errorf("negative ptrip: batch %v, serial %v", bad[1].Err, err2)
 	}
 }
 
@@ -495,10 +495,7 @@ func BenchmarkNeighborWarmSolve(b *testing.B) {
 	}
 	near, nearCfg := nearMiss(classes, cfg, 1.005)
 	d := NeighborDistance(classCounts(classes), classCounts(near))
-	seed := &WarmStart{
-		Ptrip:  math.Min(1, base.Ptrip+2*d),
-		Values: []Values{base.Classes[0].Values},
-	}
+	seed := &WarmStart{Ptrip: math.Min(1, base.Ptrip+2*d)}
 
 	b.Run("cold", func(b *testing.B) {
 		iters := 0

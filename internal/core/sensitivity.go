@@ -19,19 +19,16 @@ type SensitivityPoint struct {
 // mutator rewrites a Config for a parameter value.
 type mutator func(cfg *Config, v float64)
 
-// sweep solves the grid in order, warm-starting each point from its
-// neighbour: adjacent grid points have nearby equilibria, so seeding
-// Algorithm 1 with the previous point's Ptrip and converged Values cuts
-// both the fixed-point and value-iteration counts. The first point runs
-// cold, anchoring the sweep to the paper's Ptrip = 1 initialization.
+// sweep solves each grid point cold, from the paper's Ptrip = 1
+// initialization. Seeding a point from its neighbour's Ptrip would be a
+// seed below the largest fixed point whenever the equilibrium rises
+// along the grid, and the descent would then settle on a lower one.
 func sweep(f *dist.Discrete, base Config, values []float64, mut mutator) ([]SensitivityPoint, error) {
 	out := make([]SensitivityPoint, 0, len(values))
-	var warm *WarmStart
 	for _, v := range values {
 		cfg := base
 		mut(&cfg, v)
-		classes := []AgentClass{{Name: "sweep", Count: cfg.N, Density: f}}
-		eq, err := FindEquilibriumWarm(classes, cfg, warm)
+		eq, err := SingleClass("sweep", f, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("core: sweep at %v: %w", v, err)
 		}
@@ -41,7 +38,6 @@ func sweep(f *dist.Discrete, base Config, values []float64, mut mutator) ([]Sens
 			Ptrip:     eq.Ptrip,
 			Sprinters: eq.Sprinters,
 		})
-		warm = &WarmStart{Ptrip: eq.Ptrip, Values: []Values{eq.Classes[0].Values}}
 	}
 	return out, nil
 }

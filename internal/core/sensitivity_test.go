@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 )
 
@@ -103,8 +104,36 @@ func TestEfficiencyCurveDecays(t *testing.T) {
 func TestSweepPropagatesErrors(t *testing.T) {
 	f := density(t, "decision")
 	cfg := testConfig()
-	cfg.MaxValueIter = 1
-	if _, err := SweepPc(f, cfg, []float64{0.5}); err == nil {
+	if _, err := SweepPc(f, cfg, []float64{0.5, 1.5}); err == nil {
 		t.Error("sweep should propagate solver errors")
+	}
+}
+
+// TestSweepDescendingPcKeepsLargestFixedPoint: along a descending Pc grid
+// the equilibrium Ptrip rises from point to point, so a sweep seeding
+// each point from its predecessor starts below the largest fixed point
+// and can settle on a lower one (decision at Pc 0.5: 0.011729 against
+// 0.015077; cc at Pc 0.05: 0.439019 against 0.443158). Every point must
+// equal a per-point FindEquilibrium.
+func TestSweepDescendingPcKeepsLargestFixedPoint(t *testing.T) {
+	grid := []float64{0.95, 0.8, 0.65, 0.5, 0.35, 0.2, 0.05}
+	for _, name := range []string{"decision", "cc"} {
+		f := density(t, name)
+		cfg := testConfig()
+		pts, err := SweepPc(f, cfg, grid)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, pc := range grid {
+			c := cfg
+			c.Pc = pc
+			eq, err := SingleClass("sweep", f, c)
+			if err != nil {
+				t.Fatalf("%s pc=%v: %v", name, pc, err)
+			}
+			if d := math.Abs(pts[i].Ptrip - eq.Ptrip); d > cfg.FixedPointTol {
+				t.Errorf("%s pc=%v: sweep ptrip %.6f, FindEquilibrium %.6f", name, pc, pts[i].Ptrip, eq.Ptrip)
+			}
+		}
 	}
 }

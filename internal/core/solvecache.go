@@ -13,12 +13,10 @@ import (
 	"sprintgame/internal/telemetry"
 )
 
-// SolveCache memoizes FindEquilibrium results. Solving the sprinting
-// game is the system's most expensive operation (hundreds of Bellman
-// sweeps per Algorithm 1 iteration), yet deployments re-solve the same
-// instance constantly: every rack of a cluster with the same workload
-// mix, every coordinator request between profile changes. The cache
-// keys solutions by a canonical FNV-1a hash of the game instance
+// SolveCache memoizes FindEquilibrium results. Deployments re-solve the
+// same instance constantly: every rack of a cluster with the same
+// workload mix, every coordinator request between profile changes. The
+// cache keys solutions by a canonical FNV-1a hash of the game instance
 // (classes and semantic Config fields), bounds memory with an LRU, and
 // coalesces concurrent solves of the same instance into a single
 // FindEquilibrium call (singleflight), so a thundering herd of
@@ -447,11 +445,7 @@ const tripFingerprintSamples = 17
 // SolveKey returns the canonical FNV-1a hash of a game instance: the
 // classes (name, count, density atoms) and the semantic fields of cfg.
 // Telemetry sinks (cfg.Metrics, cfg.Tracer, cfg.Span) are deliberately
-// excluded — they do not affect the solution. cfg.Workers is likewise excluded:
-// the parallel class solver reduces deterministically in class order, so
-// every pool size produces a byte-identical Equilibrium. cfg.Kernel and
-// cfg.Accel ARE keyed — their solutions agree only within tolerance, not
-// bitwise, and differential tests rely on the paths staying distinct.
+// excluded — they do not affect the solution.
 func SolveKey(classes []AgentClass, cfg Config) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -482,13 +476,9 @@ func SolveKey(classes []AgentClass, cfg Config) uint64 {
 	f64(cfg.Pc)
 	f64(cfg.Pr)
 	f64(cfg.Delta)
-	f64(cfg.ValueTol)
-	u64(uint64(cfg.MaxValueIter))
 	f64(cfg.FixedPointTol)
 	u64(uint64(cfg.MaxFixedPointIter))
 	f64(cfg.Damping)
-	u64(uint64(cfg.Kernel))
-	u64(uint64(cfg.Accel))
 
 	tripFingerprint(cfg.Trip, f64)
 	return h.Sum64()

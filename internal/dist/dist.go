@@ -184,14 +184,13 @@ func (d *Discrete) SearchValue(x float64) int {
 	return sort.SearchFloat64s(d.xs, x)
 }
 
-// KernelView exposes the density's sweep-kernel state in one call: the
-// sorted support, the atom probabilities, and both cached prefix-sum
-// columns (cumP, cumPX, each of length Len()+1). Batched solvers hoist
-// this view out of their sweep loops so that evaluating many crossover
-// queries shares one set of (L1-resident) columns instead of re-fetching
-// them through method calls per lane per sweep. All four slices are the
-// density's own backing arrays — callers MUST NOT modify them. Safe for
-// concurrent use.
+// KernelView exposes the density's solver state in one call: the sorted
+// support, the atom probabilities, and both cached prefix-sum columns
+// (cumP, cumPX, each of length Len()+1). The exact Bellman solve binary-
+// searches the support while reading both columns, so it fetches them
+// once instead of through a method call per probe. All four slices are
+// the density's own backing arrays — callers MUST NOT modify them. Safe
+// for concurrent use.
 func (d *Discrete) KernelView() (values, probs, cumP, cumPX []float64) {
 	cp, cpx := d.prefixes()
 	return d.xs, d.ps, cp, cpx

@@ -24,8 +24,8 @@ func AblTripModel(opts Options) (*Report, error) {
 		Title:  "Ablation: Eq. (11) linear trip model vs exact breaker curve",
 		Header: []string{"benchmark", "uT (Eq.11)", "uT (curve)", "nS (Eq.11)", "nS (curve)"},
 	}
-	linear := gameConfig(opts)
-	curve := gameConfig(opts)
+	linear := core.DefaultConfig()
+	curve := core.DefaultConfig()
 	curve.Trip = power.CurveTripModel{Rack: power.DefaultRack()}
 	names := []string{"decision", "pagerank", "svm"}
 	if !opts.Quick {
@@ -78,7 +78,7 @@ func AblDamping(opts Options) (*Report, error) {
 			return nil, err
 		}
 		for _, damping := range []float64{1.0, 0.5, 0.25, 0.1} {
-			cfg := gameConfig(opts)
+			cfg := core.DefaultConfig()
 			cfg.Damping = damping
 			cfg.MaxFixedPointIter = 400
 			eq, err := opts.singleClass(name, f, cfg)
@@ -92,7 +92,7 @@ func AblDamping(opts Options) (*Report, error) {
 		}
 	}
 	r.Notes = append(r.Notes,
-		"damping=1 reproduces the paper's raw iteration; smaller steps trade iterations for robustness near Eq. (11)'s kinks")
+		"damping=1 is the paper's raw iteration and the solver default: the trip response is monotone, so it descends to the largest fixed point; smaller steps only add iterations")
 	return r, nil
 }
 
@@ -108,7 +108,7 @@ func AblBins(opts Options) (*Report, error) {
 		Title:  "Ablation: density discretization resolution",
 		Header: []string{"bins", "threshold uT", "ps", "Ptrip"},
 	}
-	cfg := gameConfig(opts)
+	cfg := core.DefaultConfig()
 	for _, bins := range []int{10, 25, 50, 100, 250, 500} {
 		f, err := b.DiscreteDensity(bins)
 		if err != nil {
@@ -178,7 +178,7 @@ func AblPredictor(opts Options) (*Report, error) {
 	if opts.Quick {
 		epochs = 4000
 	}
-	cfg := gameConfig(opts)
+	cfg := core.DefaultConfig()
 	r := &Report{
 		ID:     "abl-predictor",
 		Title:  "Ablation: online utility predictors (§4.4)",
@@ -248,7 +248,7 @@ func AblPredictor(opts Options) (*Report, error) {
 // thickens relative to the bulk (larger alpha = thinner tail = less to
 // wait for).
 func AblTails(opts Options) (*Report, error) {
-	cfg := gameConfig(opts)
+	cfg := core.DefaultConfig()
 	r := &Report{
 		ID:     "abl-tails",
 		Title:  "Ablation: heavy-tailed utility densities (Pareto gains)",
@@ -285,7 +285,7 @@ func AblTails(opts Options) (*Report, error) {
 // long-run average rate. The repeated game's discounting is a modeling
 // convenience; this ablation shows how little it costs.
 func AblDiscount(opts Options) (*Report, error) {
-	cfg := gameConfig(opts)
+	cfg := core.DefaultConfig()
 	r := &Report{
 		ID:     "abl-discount",
 		Title:  "Ablation: discounted Bellman vs long-run-average optimal thresholds",

@@ -239,7 +239,7 @@ func ExtFolk(opts Options) (*Report, error) {
 // using coordinate descent, and reports the equilibrium's efficiency on
 // mixed racks — Figure 9's missing C-T column, analytically.
 func ExtCoopMulti(opts Options) (*Report, error) {
-	cfg := gameConfig(opts)
+	cfg := core.DefaultConfig()
 	mixes := []map[string]int{
 		{"decision": 1000},
 		{"decision": 500, "pagerank": 500},
@@ -251,8 +251,7 @@ func ExtCoopMulti(opts Options) (*Report, error) {
 		Title:  "Heterogeneous cooperative upper bound via coordinate descent (Figure 9's missing C-T)",
 		Header: []string{"mix", "E-T rate", "C-T rate (approx)", "efficiency", "C-T sprinters"},
 	}
-	// The mixes are independent game instances; solve them as one SoA
-	// batch so their Bellman sweeps run as coalesced lanes.
+	// The mixes are independent game instances; solve them as one batch.
 	labels := make([]string, 0, len(mixes))
 	reqs := make([]core.SolveRequest, 0, len(mixes))
 	for _, mix := range mixes {

@@ -52,7 +52,7 @@ func ExtMisreport(opts Options) (*Report, error) {
 		// In a large system one liar barely moves Ptrip (§2.3), so the
 		// coordinator's equilibrium Ptrip stands; the liar's tailored
 		// threshold is her best response computed on the lie.
-		vals, err := core.SolveBellmanFast(lie, eq.Ptrip, game)
+		vals, err := core.SolveBellman(lie, eq.Ptrip, game)
 		if err != nil {
 			return 0, err
 		}

@@ -8,15 +8,6 @@ import (
 	"sprintgame/internal/workload"
 )
 
-// gameConfig returns the Table 2 game configuration for analytic figures.
-func gameConfig(opts Options) core.Config {
-	cfg := core.DefaultConfig()
-	if opts.Quick {
-		cfg.ValueTol = 1e-7
-	}
-	return cfg
-}
-
 // Figure10 reproduces the utility-density kernel plots for Linear
 // Regression and PageRank: KDE curves over profiled per-epoch speedups.
 func Figure10(opts Options) (*Report, error) {
@@ -55,7 +46,7 @@ func Figure10(opts Options) (*Report, error) {
 // Figure11 reproduces the probability of sprinting per benchmark: the
 // equilibrium's long-run fraction of epochs spent sprinting (ps * pA).
 func Figure11(opts Options) (*Report, error) {
-	cfg := gameConfig(opts)
+	cfg := core.DefaultConfig()
 	r := &Report{
 		ID:     "fig11",
 		Title:  "Probability of sprinting per benchmark (Figure 11)",
@@ -84,7 +75,7 @@ func Figure11(opts Options) (*Report, error) {
 // Figure12 reproduces the efficiency-of-equilibrium curve: E-T rate over
 // C-T rate as recovery persistence pr grows.
 func Figure12(opts Options) (*Report, error) {
-	cfg := gameConfig(opts)
+	cfg := core.DefaultConfig()
 	b, err := workload.ByName("decision")
 	if err != nil {
 		return nil, err
@@ -117,7 +108,7 @@ func Figure12(opts Options) (*Report, error) {
 // Figure13 reproduces the sensitivity of the equilibrium threshold to
 // pc, pr, Nmin, and Nmax.
 func Figure13(opts Options) (*Report, error) {
-	cfg := gameConfig(opts)
+	cfg := core.DefaultConfig()
 	b, err := workload.ByName("decision")
 	if err != nil {
 		return nil, err

@@ -24,8 +24,9 @@ const (
 	recordKindEquilibrium = 'E'
 	// equilibriumCodecVersion versions the payload layout below. A
 	// bumped writer leaves old readers skipping the new records (stale
-	// cache, correct behaviour), never misdecoding them.
-	equilibriumCodecVersion = 1
+	// cache, correct behaviour), never misdecoding them. Version 2
+	// dropped the per-class value-iteration sweep count.
+	equilibriumCodecVersion = 2
 )
 
 // OpenEquilibriumStore opens (creating if absent) the store at path and
@@ -78,7 +79,7 @@ func (s *EquilibriumStore) Close() error { return s.log.Close() }
 //	floatcol residuals | uvarint nClasses |
 //	( str name | float threshold | float sprintProb | float activeFrac |
 //	  float expectedSprinters | float vA | float vC | float vR |
-//	  float vThreshold | float vPtrip | uvarint vIterations )*
+//	  float vThreshold | float vPtrip )*
 func appendEquilibriumRecord(b []byte, key uint64, eq *core.Equilibrium) []byte {
 	b = append(b, recordKindEquilibrium, equilibriumCodecVersion)
 	b = AppendUint64(b, key)
@@ -104,7 +105,6 @@ func appendEquilibriumRecord(b []byte, key uint64, eq *core.Equilibrium) []byte 
 		b = AppendFloat(b, c.Values.VR)
 		b = AppendFloat(b, c.Values.Threshold)
 		b = AppendFloat(b, c.Values.Ptrip)
-		b = binary.AppendUvarint(b, uint64(c.Values.Iterations))
 	}
 	return b
 }
@@ -154,9 +154,9 @@ func decodeEquilibriumRecord(payload []byte) (uint64, *core.Equilibrium, error) 
 	if err != nil {
 		return 0, nil, err
 	}
-	// Every class costs at least 11 payload bytes; reject corrupt counts
+	// Every class costs at least 10 payload bytes; reject corrupt counts
 	// before allocating.
-	if n > uint64(d.Remaining()/11+1) {
+	if n > uint64(d.Remaining()/10+1) {
 		return 0, nil, fmt.Errorf("persist: class count %d exceeds remaining %d bytes", n, d.Remaining())
 	}
 	eq.Classes = make([]core.ClassOutcome, n)
@@ -192,11 +192,6 @@ func decodeEquilibriumRecord(payload []byte) (uint64, *core.Equilibrium, error) 
 		if c.Values.Ptrip, err = d.Float(); err != nil {
 			return 0, nil, err
 		}
-		vi, err := d.Uvarint()
-		if err != nil {
-			return 0, nil, err
-		}
-		c.Values.Iterations = int(vi)
 	}
 	if d.Remaining() != 0 {
 		return 0, nil, fmt.Errorf("persist: %d trailing bytes", d.Remaining())

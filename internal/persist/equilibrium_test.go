@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -50,7 +51,7 @@ func syntheticEq(i int) *core.Equilibrium {
 			ExpectedSprinters: 3.5,
 			Values: core.Values{
 				VA: 1.25, VC: -2.5, VR: 3 + float64(i),
-				Threshold: 4.75, Ptrip: 0.0625, Iterations: 100 + i,
+				Threshold: 4.75, Ptrip: 0.0625,
 			},
 		}},
 	}
@@ -175,6 +176,34 @@ func TestEquilibriumStoreSkipsForeignAndFutureRecords(t *testing.T) {
 	}
 	if !reflect.DeepEqual(loaded[3], syntheticEq(3)) {
 		t.Fatal("good record after skipped ones decoded wrong")
+	}
+}
+
+// TestEquilibriumStoreSkipsVersion1Records: version 1 records carried a
+// per-class sweep count after each class's values. Replayed by the
+// version 2 reader they count as skipped, never misdecoded.
+func TestEquilibriumStoreSkipsVersion1Records(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "eq.log")
+	l, _, err := OpenLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// syntheticEq has one class, so its sweep count ends the record.
+	v1 := binary.AppendUvarint(appendEquilibriumRecord(nil, 1, syntheticEq(1)), 101)
+	v1[1] = 1
+	if err := l.Append(v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, loaded, err := OpenEquilibriumStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Skipped() != 1 || len(loaded) != 0 {
+		t.Fatalf("skipped %d, replayed %v: a version 1 record must be skipped", s.Skipped(), keysOf(loaded))
 	}
 }
 

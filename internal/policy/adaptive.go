@@ -35,11 +35,6 @@ type AdaptiveThreshold struct {
 type adaptiveClass struct {
 	density   *dist.Discrete
 	threshold float64
-	// vals is the previous re-solve's solution, warm-starting the next
-	// one: the trip estimate moves by O(1/t) per epoch, so successive
-	// solves are near-identical and converge in a handful of sweeps.
-	// The zero Values cold-starts the first solve.
-	vals core.Values
 }
 
 // NewAdaptiveThreshold builds the learning policy. densities maps each
@@ -77,15 +72,14 @@ func NewAdaptiveThreshold(cfg core.Config, densities map[string]*dist.Discrete, 
 }
 
 // resolve recomputes every class's threshold against the current
-// estimate, warm-starting each class's solve from its previous solution.
+// estimate with the exact dynamic-program solve.
 func (a *AdaptiveThreshold) resolve() error {
 	for name, c := range a.classes {
-		vals, err := core.SolveBellmanFastWarm(c.density, a.ptripEst, a.cfg, c.vals)
+		vals, err := core.SolveBellman(c.density, a.ptripEst, a.cfg)
 		if err != nil {
 			return fmt.Errorf("policy: adaptive resolve for %q: %w", name, err)
 		}
 		c.threshold = vals.Threshold
-		c.vals = vals
 	}
 	return nil
 }
@@ -113,10 +107,10 @@ func (a *AdaptiveThreshold) EpochEnd(epoch, _ int, tripped bool) {
 	}
 	a.ptripEst += step * (obs - a.ptripEst)
 	if (epoch+1)%a.resolveEvery == 0 {
-		// Estimation noise cannot make the solve fail: the estimate is a
-		// valid probability and the density is fixed. An error here
-		// would indicate iteration-budget exhaustion; keep the previous
-		// thresholds in that case.
+		// The solve cannot fail here: the config and densities were
+		// validated at construction, the exact solve has no iteration
+		// budget to exhaust, and the 1/t update keeps the estimate a
+		// convex combination of probabilities.
 		_ = a.resolve()
 	}
 }

@@ -12,7 +12,6 @@ import (
 func adaptiveFixture(t *testing.T) (core.Config, map[string]*dist.Discrete) {
 	t.Helper()
 	cfg := core.DefaultConfig()
-	cfg.ValueTol = 1e-8
 	b, err := workload.ByName("decision")
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +53,7 @@ func TestAdaptiveInitialThresholdMatchesPtripOne(t *testing.T) {
 	if a.Name() != "adaptive-threshold" {
 		t.Errorf("name = %q", a.Name())
 	}
-	want, err := core.SolveBellmanFast(ds["decision"], 1, cfg)
+	want, err := core.SolveBellman(ds["decision"], 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +84,7 @@ func TestAdaptiveConvergesToQuietEquilibrium(t *testing.T) {
 	if a.PtripEstimate() > 1e-3 {
 		t.Errorf("estimate = %v after 3000 quiet epochs", a.PtripEstimate())
 	}
-	want, _ := core.SolveBellmanFast(ds["decision"], 0, cfg)
+	want, _ := core.SolveBellman(ds["decision"], 0, cfg)
 	got := a.Thresholds()["decision"]
 	if math.Abs(got-want.Threshold) > 0.01 {
 		t.Errorf("threshold %v, want %v", got, want.Threshold)

@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Benchmark baselines: record the cluster epoch-engine / solve-cache
 # benchmarks as BENCH_cluster.json and the core solver benchmarks
-# (Bellman sweep kernels, cold equilibrium solves serial vs parallel) as
+# (the exact Bellman solve, cold equilibrium solves by class count) as
 # BENCH_core.json — one JSON object per benchmark — so successive PRs
 # can diff scaling behaviour and the solver's perf trajectory.
 #
@@ -47,14 +47,14 @@ json_from_bench <"$RAW" >BENCH_cluster.json
 echo "wrote BENCH_cluster.json:"
 cat BENCH_cluster.json
 
-# Core solver benchmarks: sweep kernels (reference scan vs O(log n)
-# crossover, small/large densities), cold Algorithm 1 runs (serial vs
-# parallel, 1/4/8 classes), the batched SoA solver vs per-call solving,
+# Core solver benchmarks: the exact Bellman solve (small/large
+# densities), cold Algorithm 1 runs (1/4/8 classes), the batch solve vs
+# per-call solving,
 # the neighbour-seeded warm solve vs cold on a near-miss instance, and
 # the warm-restart first solve (replay the disk tier + serve from cache)
 # vs a cold Algorithm 1 run.
 go test -run '^$' \
-	-bench 'BenchmarkSolveBellman$|BenchmarkSolveBellmanKernel|BenchmarkFindEquilibriumCold|BenchmarkSolveBatch|BenchmarkNeighborWarmSolve' \
+	-bench 'BenchmarkSolveBellman$|BenchmarkFindEquilibriumCold|BenchmarkSolveBatch|BenchmarkNeighborWarmSolve' \
 	-benchtime "$BENCHTIME" ./internal/core >"$RAW"
 go test -run '^$' -bench 'BenchmarkFirstSolve' \
 	-benchtime "$BENCHTIME" ./internal/persist >>"$RAW"

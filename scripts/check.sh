@@ -21,12 +21,13 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
-# Quick signal first: the solver's differential tests (new parallel
-# class pool + lazily-built density prefix sums) and the cluster engine
-# are the most concurrency-sensitive paths, so their short-mode race
-# passes run before the full suite.
-echo "== go test -race -short -run 'Differential|Parallel|Warm|Kernel|Aitken|Prefix' ./internal/core ./internal/dist"
-go test -race -short -run 'Differential|Parallel|Warm|Kernel|Aitken|Prefix' ./internal/core ./internal/dist
+# Quick signal first: the solver's differential tests (exact solve vs
+# the value-iteration reference, concurrent solves over lazily-built
+# density prefix sums, largest-fixed-point selection and the descent
+# witness) and the cluster engine are the most concurrency-sensitive
+# paths, so their short-mode race passes run before the full suite.
+echo "== go test -race -short -run 'Differential|Parallel|Warm|EquivalenceProperty|LargestFixedPoint|DescentNeverRises|Prefix' ./internal/core ./internal/dist"
+go test -race -short -run 'Differential|Parallel|Warm|EquivalenceProperty|LargestFixedPoint|DescentNeverRises|Prefix' ./internal/core ./internal/dist
 
 # The lock-free histogram and the span/tracer layer sit on the
 # coordinator's per-request hot path; their dedicated race tests
@@ -39,9 +40,9 @@ go test -race -short ./internal/cluster/...
 
 # The coordinator's correctness story is concurrency: concurrent
 # requests on one server coalescing into one solve (singleflight), the
-# binary codec's per-connection scratch buffers, and the batched SoA
-# solver's lanes. Run those suites under the race detector by name so a
-# rename that silently drops them from this pass is visible here.
+# binary codec's per-connection scratch buffers, and the batch solve.
+# Run those suites under the race detector by name so a rename that
+# silently drops them from this pass is visible here.
 echo "== go test -race -run 'Binary|Batch|Singleflight|Coalesce' ./internal/coord ./internal/core"
 go test -race -run 'Binary|Batch|Singleflight|Coalesce' ./internal/coord ./internal/core
 
