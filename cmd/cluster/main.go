@@ -24,14 +24,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 
 	"sprintgame/internal/cluster"
 	"sprintgame/internal/core"
-	"sprintgame/internal/persist"
 	"sprintgame/internal/power"
 	"sprintgame/internal/route"
 	"sprintgame/internal/sim"
@@ -41,27 +39,24 @@ import (
 
 func main() {
 	var (
-		racks        = flag.Int("racks", 8, "number of racks in the cluster")
-		chips        = flag.Int("chips", 256, "chips (agents) per rack")
-		epochs       = flag.Int("epochs", 1000, "epochs to simulate per rack")
-		workers      = flag.String("workers", "0", "worker goroutines: a count (0 = NumCPU) or \"auto\" to size the pool from a short calibration run's rack task-rate histogram; results are identical for any value")
-		apps         = flag.String("app", "decision", "comma-separated benchmark names for each rack's mix")
-		rotate       = flag.Bool("rotate", false, "rotate the app mix per rack for a heterogeneous cluster")
-		polName      = flag.String("policy", "equilibrium", "greedy | backoff | equilibrium | never")
-		seed         = flag.Uint64("seed", 1, "cluster base seed (per-rack seeds are derived)")
-		cacheSize    = flag.Int("cache-size", 0, "equilibrium solve-cache capacity (0 = default)")
-		cacheDir     = flag.String("cache-dir", "", "directory for the disk solve-cache tier: warm-starts from and spills equilibria to <dir>/equilibria.log")
-		neighborWarm = flag.Bool("neighbor-warm", false, "seed cache-miss solves from the nearest cached same-family instance (same mix, drifted counts) instead of cold-starting")
-		faultSpec    = flag.String("faults", "", "inject rack faults: a kill rate in [0,1] (\"0.2\") or rack@epoch pairs (\"3@100,7@250\")")
-		transient    = flag.Bool("fault-transient", false, "injected faults are transient: retried attempts run clean")
-		retries      = flag.Int("max-retries", 0, "retry attempts per restartable rack failure")
-		partial      = flag.Bool("allow-partial", false, "aggregate surviving racks when some racks fail instead of erroring")
-		arrivals     = flag.String("arrivals", "", "serving mode: arrival spec (poisson:rate=...,units=..., diurnal:..., trace:...)")
-		routeName    = flag.String("route", "least-loaded", "serving mode: routing policy (round-robin | random | least-loaded | sprint-aware)")
-		replay       = flag.String("trace-replay", "", "serving mode: trace-set file (cmd/tracegen output) for arrival kind \"trace\"")
-		traceOut     = flag.String("trace", "", "write cluster.epoch/cluster.rack JSONL events to this file ('-' for stdout)")
-		metricsTo    = flag.String("metrics", "", "write the final metrics registry as JSON to this file ('-' for stdout)")
-		debugAddr    = flag.String("debug-addr", "", "serve the debug endpoint (/metrics, /debug/pprof, /debug/vars) on this address while running")
+		racks     = flag.Int("racks", 8, "number of racks in the cluster")
+		chips     = flag.Int("chips", 256, "chips (agents) per rack")
+		epochs    = flag.Int("epochs", 1000, "epochs to simulate per rack")
+		workers   = flag.String("workers", "0", "worker goroutines: a count (0 = NumCPU) or \"auto\" to size the pool from a short calibration run's rack task-rate histogram; results are identical for any value")
+		apps      = flag.String("app", "decision", "comma-separated benchmark names for each rack's mix")
+		rotate    = flag.Bool("rotate", false, "rotate the app mix per rack for a heterogeneous cluster")
+		polName   = flag.String("policy", "equilibrium", "greedy | backoff | equilibrium | never")
+		seed      = flag.Uint64("seed", 1, "cluster base seed (per-rack seeds are derived)")
+		faultSpec = flag.String("faults", "", "inject rack faults: a kill rate in [0,1] (\"0.2\") or rack@epoch pairs (\"3@100,7@250\")")
+		transient = flag.Bool("fault-transient", false, "injected faults are transient: retried attempts run clean")
+		retries   = flag.Int("max-retries", 0, "retry attempts per restartable rack failure")
+		partial   = flag.Bool("allow-partial", false, "aggregate surviving racks when some racks fail instead of erroring")
+		arrivals  = flag.String("arrivals", "", "serving mode: arrival spec (poisson:rate=...,units=..., diurnal:..., trace:...)")
+		routeName = flag.String("route", "least-loaded", "serving mode: routing policy (round-robin | random | least-loaded | sprint-aware)")
+		replay    = flag.String("trace-replay", "", "serving mode: trace-set file (cmd/tracegen output) for arrival kind \"trace\"")
+		traceOut  = flag.String("trace", "", "write cluster.epoch/cluster.rack JSONL events to this file ('-' for stdout)")
+		metricsTo = flag.String("metrics", "", "write the final metrics registry as JSON to this file ('-' for stdout)")
+		debugAddr = flag.String("debug-addr", "", "serve the debug endpoint (/metrics, /debug/pprof, /debug/vars) on this address while running")
 	)
 	flag.Parse()
 
@@ -122,22 +117,7 @@ func main() {
 		specs[r] = cluster.RackSpec{Groups: groups}
 	}
 
-	cache := core.NewSolveCache(*cacheSize, metrics)
-	cache.SetNeighborWarm(*neighborWarm)
-	if *cacheDir != "" {
-		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
-			fatal(err)
-		}
-		store, loaded, err := persist.OpenEquilibriumStore(filepath.Join(*cacheDir, "equilibria.log"))
-		if err != nil {
-			fatal(err)
-		}
-		defer store.Close()
-		cache.Warm(loaded)
-		cache.SetStore(store)
-		fmt.Printf("warm start: %d equilibria loaded from %s (%d records skipped)\n",
-			len(loaded), store.Path(), store.Skipped())
-	}
+	cache := core.NewSolveCache(core.DefaultSolveCacheCapacity, metrics)
 	factory, err := cluster.FactoryByName(*polName, cache)
 	if err != nil {
 		fatal(err)
@@ -165,15 +145,6 @@ func main() {
 		MaxRetries:   *retries,
 	}
 
-	// Presolve the cluster's distinct game instances in one batched pass
-	// before any rack needs them (and before the calibration run below),
-	// so lazy per-rack solves never serialize the worker pool.
-	if *polName == "equilibrium" {
-		pst := cluster.PresolveEquilibria(ccfg, cache)
-		fmt.Printf("presolve: %d distinct game instances across %d racks (%d solved, %d already cached)\n",
-			pst.Distinct, pst.Racks, pst.Solved, pst.Cached)
-	}
-
 	switch *workers {
 	case "auto":
 		ccfg.Workers = autoSizeWorkers(ccfg)
@@ -190,7 +161,7 @@ func main() {
 		serve(ccfg, *arrivals, *routeName, *replay, *polName)
 		writeMetrics(metrics, *metricsTo)
 		if *polName == "equilibrium" {
-			printCacheStats(cache, *cacheDir != "")
+			printCacheStats(cache)
 		}
 		return
 	}
@@ -228,22 +199,17 @@ func main() {
 		}
 	}
 	if *polName == "equilibrium" {
-		printCacheStats(cache, *cacheDir != "")
+		printCacheStats(cache)
 	}
 
 	writeMetrics(metrics, *metricsTo)
 }
 
-// printCacheStats reports the solve cache's counters, plus the disk
-// tier's when -cache-dir attached one.
-func printCacheStats(cache *core.SolveCache, diskTier bool) {
+// printCacheStats reports the solve cache's counters.
+func printCacheStats(cache *core.SolveCache) {
 	st := cache.Stats()
 	fmt.Printf("solve cache: %d solves, %d hits, %d coalesced (hit rate %.0f%%)\n",
 		st.Misses, st.Hits, st.Coalesced, 100*st.HitRate())
-	if diskTier {
-		fmt.Printf("disk tier: %d equilibria spilled, %d spill errors\n",
-			st.Spills, st.SpillErrors)
-	}
 }
 
 // calibrationEpochs bounds the -workers auto probe run: enough epochs

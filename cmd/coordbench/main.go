@@ -1,7 +1,9 @@
 // Command coordbench load-tests the coordinator's serving path and
 // reports throughput plus tail-latency percentiles, exercising the full
 // request pipeline: wire parse, profile pooling, solve-cache lookup,
-// equilibrium solve, and response encoding.
+// equilibrium solve, and response encoding. Between profile changes the
+// coordinator answers from its memoized equilibrium; the lookup and the
+// solve run once per pooled version.
 //
 // Two load models are supported. Closed-loop keeps -concurrency workers
 // each issuing the next request as soon as the last returns, measuring
@@ -13,7 +15,7 @@
 // With -churn > 0, each request resubmits a perturbed profile with that
 // probability, invalidating the pooled densities and forcing fresh
 // equilibrium solves — the knob that moves the benchmark between the
-// cache-hit fast path and the solver-bound slow path.
+// memoized fast path and the solver-bound slow path.
 //
 // -proto selects the wire protocol (JSON lines or binary frames) the
 // benchmark client speaks; -curve runs the in-process server under both
@@ -35,53 +37,45 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"sprintgame/internal/coord"
 	"sprintgame/internal/core"
-	"sprintgame/internal/persist"
 	"sprintgame/internal/stats"
 	"sprintgame/internal/telemetry"
 )
 
 // params carries the load-model knobs shared by every benchmark point.
 type params struct {
-	mode         string
-	concurrency  int
-	rate         float64
-	duration     time.Duration
-	requests     int
-	classes      int
-	agents       int
-	churn        float64
-	cacheSize    int
-	cacheDir     string
-	neighborWarm bool
-	seed         uint64
+	mode        string
+	concurrency int
+	rate        float64
+	duration    time.Duration
+	requests    int
+	classes     int
+	agents      int
+	churn       float64
+	seed        uint64
 }
 
 func main() {
 	var (
-		addr         = flag.String("addr", "", "coordinator address; empty starts an in-process server")
-		mode         = flag.String("mode", "closed", "load model: closed (fixed concurrency) | open (fixed rate)")
-		concurrency  = flag.Int("concurrency", 8, "closed-loop worker count")
-		rate         = flag.Float64("rate", 200, "open-loop arrival rate, requests/sec")
-		duration     = flag.Duration("duration", 5*time.Second, "benchmark duration (ignored when -requests > 0)")
-		requests     = flag.Int("requests", 0, "stop after this many requests instead of -duration")
-		classes      = flag.Int("classes", 3, "workload classes registered before the run")
-		agents       = flag.Int("agents", 12, "agents (profiles) registered before the run")
-		churn        = flag.Float64("churn", 0, "per-request probability of resubmitting a perturbed profile (forces re-solves)")
-		cacheSize    = flag.Int("cache-size", 0, "server solve-cache capacity (0 = default; in-process server only)")
-		cacheDir     = flag.String("cache-dir", "", "directory for the disk solve-cache tier: the in-process server warm-starts from and spills equilibria to <dir>/equilibria.log")
-		neighborWarm = flag.Bool("neighbor-warm", false, "seed cache-miss solves from the nearest cached same-family instance (in-process server only)")
-		protoFlag    = flag.String("proto", "json", "wire protocol: json | binary")
-		curve        = flag.Bool("curve", false, "run the in-process server under each wire protocol (json, binary) and record every point")
-		seed         = flag.Uint64("seed", 1, "seed for profiles and churn decisions")
-		out          = flag.String("out", "", "write the JSON report to this file ('-' for stdout)")
-		traceOut     = flag.String("trace", "", "write span JSONL (client and server stitched) to this file")
+		addr        = flag.String("addr", "", "coordinator address; empty starts an in-process server")
+		mode        = flag.String("mode", "closed", "load model: closed (fixed concurrency) | open (fixed rate)")
+		concurrency = flag.Int("concurrency", 8, "closed-loop worker count")
+		rate        = flag.Float64("rate", 200, "open-loop arrival rate, requests/sec")
+		duration    = flag.Duration("duration", 5*time.Second, "benchmark duration (ignored when -requests > 0)")
+		requests    = flag.Int("requests", 0, "stop after this many requests instead of -duration")
+		classes     = flag.Int("classes", 3, "workload classes registered before the run")
+		agents      = flag.Int("agents", 12, "agents (profiles) registered before the run")
+		churn       = flag.Float64("churn", 0, "per-request probability of resubmitting a perturbed profile (forces re-solves)")
+		protoFlag   = flag.String("proto", "json", "wire protocol: json | binary")
+		curve       = flag.Bool("curve", false, "run the in-process server under each wire protocol (json, binary) and record every point")
+		seed        = flag.Uint64("seed", 1, "seed for profiles and churn decisions")
+		out         = flag.String("out", "", "write the JSON report to this file ('-' for stdout)")
+		traceOut    = flag.String("trace", "", "write span JSONL (client and server stitched) to this file")
 	)
 	flag.Parse()
 	if *mode != "closed" && *mode != "open" {
@@ -107,11 +101,7 @@ func main() {
 	p := params{
 		mode: *mode, concurrency: *concurrency, rate: *rate,
 		duration: *duration, requests: *requests, classes: *classes,
-		agents: *agents, churn: *churn, cacheSize: *cacheSize,
-		cacheDir: *cacheDir, neighborWarm: *neighborWarm, seed: *seed,
-	}
-	if *cacheDir != "" && *addr != "" {
-		fatal(fmt.Errorf("-cache-dir needs the in-process server (drop -addr)"))
+		agents: *agents, churn: *churn, seed: *seed,
 	}
 
 	var report *Report
@@ -194,29 +184,8 @@ func runPoint(p params, proto coord.Proto, addr string, tracer *telemetry.Tracer
 	metrics := telemetry.NewRegistry()
 	target := addr
 	var cache *core.SolveCache
-	var closers []func()
-	defer func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
-	}()
 	if target == "" {
-		cache = core.NewSolveCache(p.cacheSize, metrics)
-		cache.SetNeighborWarm(p.neighborWarm)
-		if p.cacheDir != "" {
-			if err := os.MkdirAll(p.cacheDir, 0o755); err != nil {
-				return nil, err
-			}
-			store, loaded, err := persist.OpenEquilibriumStore(filepath.Join(p.cacheDir, "equilibria.log"))
-			if err != nil {
-				return nil, err
-			}
-			closers = append(closers, func() { _ = store.Close() })
-			cache.Warm(loaded)
-			cache.SetStore(store)
-			fmt.Printf("warm start: %d equilibria loaded from %s (%d records skipped)\n",
-				len(loaded), store.Path(), store.Skipped())
-		}
+		cache = core.NewSolveCache(core.DefaultSolveCacheCapacity, metrics)
 		coordinator, err := coord.NewCoordinator(core.DefaultConfig())
 		if err != nil {
 			return nil, err
@@ -230,7 +199,7 @@ func runPoint(p params, proto coord.Proto, addr string, tracer *telemetry.Tracer
 		if err != nil {
 			return nil, err
 		}
-		closers = append(closers, func() { _ = srv.Close() })
+		defer srv.Close()
 		target = srv.Addr()
 	}
 
@@ -250,7 +219,7 @@ func runPoint(p params, proto coord.Proto, addr string, tracer *telemetry.Tracer
 			return nil, fmt.Errorf("submit profile %d: %w", a, err)
 		}
 	}
-	// Warm the cache so the run starts from a solved equilibrium.
+	// Solve once so the run starts from a memoized equilibrium.
 	if _, _, err := client.FetchStrategies(); err != nil {
 		return nil, fmt.Errorf("warmup solve: %w", err)
 	}
@@ -274,12 +243,6 @@ func runPoint(p params, proto coord.Proto, addr string, tracer *telemetry.Tracer
 		st := cache.Stats()
 		fmt.Printf("  solve cache %.1f%% hit (%d hits, %d coalesced, %d misses)\n",
 			100*st.HitRate(), st.Hits, st.Coalesced, st.Misses)
-		if p.cacheDir != "" {
-			// The headline for restart smoke tests: after a warm start the
-			// working set should serve without a single fresh solve.
-			fmt.Printf("  warm hit rate %.1f%% (%d spilled, %d spill errors)\n",
-				100*st.HitRate(), st.Spills, st.SpillErrors)
-		}
 	}
 	return report, nil
 }
@@ -448,7 +411,11 @@ type Report struct {
 	Curve []CurvePoint `json:"curve,omitempty"`
 }
 
-// CacheReport summarizes the in-process server's solve cache.
+// CacheReport summarizes the in-process server's solve cache. Only the
+// first fetch after a profile change looks the equilibrium up; fetches
+// in between are answered from the coordinator's memo and never reach
+// the cache, so Misses counts solves and the hit rate covers re-pooled
+// versions only.
 type CacheReport struct {
 	Hits      int64   `json:"hits"`
 	Misses    int64   `json:"misses"`

@@ -14,14 +14,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
 	"sprintgame/internal/coord"
 	"sprintgame/internal/core"
-	"sprintgame/internal/persist"
 	"sprintgame/internal/sim"
 	"sprintgame/internal/telemetry"
 	"sprintgame/internal/workload"
@@ -29,15 +27,12 @@ import (
 
 func main() {
 	var (
-		apps         = flag.String("apps", "decision=1000", "class counts, e.g. decision=600,pagerank=400")
-		serve        = flag.String("serve", "", "serve the coordinator protocol on this TCP address instead")
-		bins         = flag.Int("bins", sim.DensityBins, "utility density bins")
-		connTimeout  = flag.Duration("conn-timeout", coord.DefaultConnTimeout, "per-connection read/write deadline in serve mode (negative disables)")
-		cacheSize    = flag.Int("cache-size", core.DefaultSolveCacheCapacity, "equilibrium solve-cache capacity in serve mode (0 disables caching)")
-		cacheDir     = flag.String("cache-dir", "", "serve mode: directory for warm state — solved equilibria spill to <dir>/equilibria.log and reload on start")
-		neighborWarm = flag.Bool("neighbor-warm", false, "serve mode: seed cache-miss solves from the nearest cached same-family instance (same classes/densities, drifted counts) instead of cold-starting")
-		traceOut     = flag.String("trace", "", "write a JSONL telemetry trace (solver/coordinator events) to this file ('-' for stdout)")
-		debugAddr    = flag.String("debug-addr", "", "serve the debug endpoint (/metrics, /debug/pprof, /debug/vars) on this address")
+		apps        = flag.String("apps", "decision=1000", "class counts, e.g. decision=600,pagerank=400")
+		serve       = flag.String("serve", "", "serve the coordinator protocol on this TCP address instead")
+		bins        = flag.Int("bins", sim.DensityBins, "utility density bins")
+		connTimeout = flag.Duration("conn-timeout", coord.DefaultConnTimeout, "per-connection read/write deadline in serve mode (negative disables)")
+		traceOut    = flag.String("trace", "", "write a JSONL telemetry trace (solver/coordinator events) to this file ('-' for stdout)")
+		debugAddr   = flag.String("debug-addr", "", "serve the debug endpoint (/metrics, /debug/pprof, /debug/vars) on this address")
 	)
 	flag.Parse()
 
@@ -88,33 +83,11 @@ func main() {
 		gameCfg := core.DefaultConfig()
 		gameCfg.Metrics = metrics
 		gameCfg.Tracer = tracer
-		// The solve cache memoizes equilibria between profile changes and
-		// coalesces concurrent "strategies" requests into one solve; its
-		// hit/miss counters appear under solvecache.* on /metrics.
-		var cache *core.SolveCache
-		if *cacheSize > 0 {
-			cache = core.NewSolveCache(*cacheSize, metrics)
-			cache.SetNeighborWarm(*neighborWarm)
-		} else if *neighborWarm {
-			fatal(fmt.Errorf("-neighbor-warm needs -cache-size > 0: seeds come from cached neighbours"))
-		}
-		if *cacheDir != "" {
-			if cache == nil {
-				fatal(fmt.Errorf("-cache-dir needs -cache-size > 0: the disk tier spills through the solve cache"))
-			}
-			if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
-				fatal(err)
-			}
-			store, loaded, err := persist.OpenEquilibriumStore(filepath.Join(*cacheDir, "equilibria.log"))
-			if err != nil {
-				fatal(err)
-			}
-			defer store.Close()
-			cache.Warm(loaded)
-			cache.SetStore(store)
-			fmt.Printf("warm start: %d equilibria loaded from %s (%d records skipped)\n",
-				len(loaded), store.Path(), store.Skipped())
-		}
+		// The coordinator keeps its equilibrium between profile changes;
+		// the solve cache remembers earlier workload mixes, so a profile
+		// set that returns to one is not solved again. Its hit/miss
+		// counters appear under solvecache.* on /metrics.
+		cache := core.NewSolveCache(core.DefaultSolveCacheCapacity, metrics)
 		c, err := coord.NewCoordinator(gameCfg)
 		if err != nil {
 			fatal(err)

@@ -15,24 +15,20 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"sprintgame/internal/core"
 	"sprintgame/internal/experiments"
-	"sprintgame/internal/persist"
 )
 
 func main() {
 	var (
-		runID        = flag.String("run", "all", "experiment id (e.g. fig8, table1) or 'all'")
-		list         = flag.Bool("list", false, "list experiment ids and exit")
-		quick        = flag.Bool("quick", false, "reduced scale (200 agents, fewer epochs)")
-		seed         = flag.Uint64("seed", 1, "random seed")
-		epochs       = flag.Int("epochs", 0, "override epochs per simulation (0 = default)")
-		format       = flag.String("format", "text", "output format: text, csv, json, or plot")
-		cacheDir     = flag.String("cache-dir", "", "warm-state directory: equilibrium solves spill to <dir>/equilibria.log and reload on the next run")
-		neighborWarm = flag.Bool("neighbor-warm", false, "seed cache-miss solves from the nearest cached same-family instance (same classes/densities, drifted counts) instead of cold-starting")
+		runID  = flag.String("run", "all", "experiment id (e.g. fig8, table1) or 'all'")
+		list   = flag.Bool("list", false, "list experiment ids and exit")
+		quick  = flag.Bool("quick", false, "reduced scale (200 agents, fewer epochs)")
+		seed   = flag.Uint64("seed", 1, "random seed")
+		epochs = flag.Int("epochs", 0, "override epochs per simulation (0 = default)")
+		format = flag.String("format", "text", "output format: text, csv, json, or plot")
 	)
 	flag.Parse()
 
@@ -44,33 +40,10 @@ func main() {
 	}
 
 	opts := experiments.Options{Seed: *seed, Quick: *quick, Epochs: *epochs}
-	// Experiments share a solve cache so repeated game instances (every
-	// figure starts from the Table 2 configuration) solve once; with
-	// -cache-dir the solutions also persist, so a re-run starts hot.
-	cache := core.NewSolveCache(core.DefaultSolveCacheCapacity, nil)
-	cache.SetNeighborWarm(*neighborWarm)
-	opts.Cache = cache
-	if *cacheDir != "" {
-		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		store, loaded, err := persist.OpenEquilibriumStore(filepath.Join(*cacheDir, "equilibria.log"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer store.Close()
-		cache.Warm(loaded)
-		cache.SetStore(store)
-		fmt.Fprintf(os.Stderr, "warm start: %d equilibria loaded from %s (%d records skipped)\n",
-			len(loaded), store.Path(), store.Skipped())
-		defer func() {
-			st := cache.Stats()
-			fmt.Fprintf(os.Stderr, "solve cache: %d hits / %d misses (%.1f%% hit rate), %d spilled, %d spill errors\n",
-				st.Hits, st.Misses, 100*st.HitRate(), st.Spills, st.SpillErrors)
-		}()
-	}
+	// Experiments share an in-memory solve cache so repeated game
+	// instances (every figure starts from the Table 2 configuration)
+	// solve once per run.
+	opts.Cache = core.NewSolveCache(core.DefaultSolveCacheCapacity, nil)
 	registry := experiments.Registry()
 
 	ids := []string{*runID}

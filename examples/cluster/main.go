@@ -58,7 +58,7 @@ func main() {
 	// 3. Run the cluster: each rack solves its game through the shared
 	//    cache (3 distinct mixes -> 3 solves for 8 racks) and then
 	//    simulates under its equilibrium-threshold policy.
-	cache := core.NewSolveCache(16, nil)
+	cache := core.NewSolveCache(core.DefaultSolveCacheCapacity, nil)
 	res, err := cluster.Run(cluster.Config{
 		Racks:    specs,
 		Epochs:   epochs,

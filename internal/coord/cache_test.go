@@ -1,8 +1,11 @@
 package coord
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +13,15 @@ import (
 	"sprintgame/internal/core"
 	"sprintgame/internal/telemetry"
 )
+
+// seedProfiles are cachedCoordinator's three agents across two classes.
+func seedProfiles(t *testing.T) []Profile {
+	return []Profile{
+		profileFor(t, "a1", "decision", 11, 400),
+		profileFor(t, "a2", "decision", 12, 400),
+		profileFor(t, "a3", "pagerank", 13, 400),
+	}
+}
 
 // cachedCoordinator returns a coordinator with three registered agents
 // across two classes and an attached solve cache.
@@ -21,11 +33,7 @@ func cachedCoordinator(t *testing.T, metrics *telemetry.Registry) (*Coordinator,
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range []Profile{
-		profileFor(t, "a1", "decision", 11, 400),
-		profileFor(t, "a2", "decision", 12, 400),
-		profileFor(t, "a3", "pagerank", 13, 400),
-	} {
+	for i, p := range seedProfiles(t) {
 		if err := c.Submit(p); err != nil {
 			t.Fatalf("profile %d: %v", i, err)
 		}
@@ -65,38 +73,170 @@ func TestComputeStrategiesSingleflight(t *testing.T) {
 		}
 	}
 	// 64 concurrent identical requests must trigger exactly one solve:
-	// profile pooling is canonical (sorted agent order), so every caller
-	// hashes to the same cache key.
+	// the first caller pools and solves under the coordinator's lock,
+	// and everyone after it reads the memoized equilibrium without
+	// reaching the cache at all.
 	if runs := metrics.Counter("solver.runs").Value(); runs != 1 {
 		t.Errorf("solver.runs = %d, want exactly 1", runs)
 	}
-	st := cache.Stats()
-	if st.Misses != 1 || st.Hits+st.Coalesced != callers-1 {
-		t.Errorf("cache stats = %+v, want 1 miss and %d hits+coalesced", st, callers-1)
+	if st := cache.Stats(); st.Misses != 1 || st.Hits+st.Coalesced != 0 {
+		t.Errorf("cache stats = %+v, want 1 miss and no other lookup", st)
+	}
+}
+
+// tracedFetch runs one ComputeStrategiesSpanned under a fresh dispatch
+// span and returns the spans it emitted, by name.
+func tracedFetch(t *testing.T, c *Coordinator) map[string][]spanEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	tracer := telemetry.NewTracer(&buf)
+	dispatch := tracer.StartSpan("coord.dispatch", telemetry.TraceIDFromSeed(1))
+	if _, _, err := c.ComputeStrategiesSpanned(dispatch); err != nil {
+		t.Fatal(err)
+	}
+	dispatch.End()
+	byName := map[string][]spanEvent{}
+	for _, s := range decodeSpans(t, buf.Bytes()) {
+		byName[s.Name] = append(byName[s.Name], s)
+	}
+	return byName
+}
+
+// TestFetchBetweenSubmitsRunsNoSolve: once the first fetch has solved
+// the pooled profiles, further fetches with no Submit in between answer
+// from the coordinator's memo — no solve, no cache lookup (and so no
+// SolveKey), and the same equilibrium pointer every time.
+func TestFetchBetweenSubmitsRunsNoSolve(t *testing.T) {
+	metrics := telemetry.NewRegistry()
+	c, cache := cachedCoordinator(t, metrics)
+	_, first, err := c.ComputeStrategies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := metrics.Counter("solver.runs").Value()
+	before := cache.Stats()
+
+	const k = 20
+	for i := 0; i < k; i++ {
+		_, eq, err := c.ComputeStrategies()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eq != first {
+			t.Fatalf("fetch %d returned a different equilibrium than the first", i)
+		}
+	}
+	spans := tracedFetch(t, c)
+	if got := metrics.Counter("solver.runs").Value(); got != runs {
+		t.Errorf("solver.runs went %d -> %d across %d fetches with no submit", runs, got, k+1)
+	}
+	if after := cache.Stats(); after != before {
+		t.Errorf("cache stats moved across fetches with no submit: %+v -> %+v", before, after)
+	}
+	if len(spans["cache.lookup"]) != 0 || len(spans["core.solve"]) != 0 {
+		t.Errorf("memoized fetch emitted %d cache.lookup and %d core.solve spans, want none",
+			len(spans["cache.lookup"]), len(spans["core.solve"]))
+	}
+	if pool := spans["coord.pool"]; len(pool) != 1 || !pool[0].Memoized {
+		t.Errorf("memoized fetch pool spans = %+v, want one memoized coord.pool", pool)
 	}
 }
 
 func TestCacheInvalidatedByProfileChange(t *testing.T) {
-	c, cache := cachedCoordinator(t, nil)
+	metrics := telemetry.NewRegistry()
+	c, cache := cachedCoordinator(t, metrics)
 	if _, _, err := c.ComputeStrategies(); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.ComputeStrategies(); err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("stats = %+v, want repeat request to hit", st)
+	// The repeat request is answered by the coordinator's memo, before
+	// the cache.
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want one miss and the repeat served by the memo", st)
 	}
 	// A new profile changes the pooled densities, so the next request
-	// must re-solve rather than serve the stale equilibrium.
+	// must re-pool and re-solve rather than serve the stale equilibrium.
 	if err := c.Submit(profileFor(t, "a4", "pagerank", 14, 400)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.ComputeStrategies(); err != nil {
-		t.Fatal(err)
+	spans := tracedFetch(t, c)
+	if pool := spans["coord.pool"]; len(pool) != 1 || pool[0].Memoized {
+		t.Errorf("fetch after a submit: pool spans = %+v, want one fresh coord.pool", pool)
+	}
+	if len(spans["core.solve"]) != 1 {
+		t.Errorf("fetch after a submit emitted %d core.solve spans, want 1", len(spans["core.solve"]))
 	}
 	if st := cache.Stats(); st.Misses != 2 {
 		t.Fatalf("stats = %+v, want a fresh solve after a profile change", st)
+	}
+	if runs := metrics.Counter("solver.runs").Value(); runs != 2 {
+		t.Fatalf("solver.runs = %d, want 2", runs)
+	}
+	// The new version is memoized in turn.
+	if _, _, err := c.ComputeStrategies(); err != nil {
+		t.Fatal(err)
+	}
+	if runs := metrics.Counter("solver.runs").Value(); runs != 2 {
+		t.Fatalf("solver.runs = %d after a repeat fetch, want 2", runs)
+	}
+}
+
+// TestConcurrentSubmitAndFetchMatchesFresh races Submits against
+// fetches on one coordinator (run it under -race). Once the writers are
+// done, the answer must be bit-identical to a fresh coordinator's for
+// the final profiles: no fetch may leave a stale equilibrium memoized
+// against a newer pooled version.
+func TestConcurrentSubmitAndFetchMatchesFresh(t *testing.T) {
+	c, _ := cachedCoordinator(t, nil)
+	final := make([]Profile, 4)
+	var wg sync.WaitGroup
+	for w := range final {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				p := profileFor(t, fmt.Sprintf("w%d", w), []string{"decision", "pagerank"}[i%2], uint64(100*w+i), 200)
+				if err := c.Submit(p); err != nil {
+					t.Error(err)
+					return
+				}
+				final[w] = p
+			}
+		}(w)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				if _, _, err := c.ComputeStrategies(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	got, gotEq, err := c.ComputeStrategies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewCoordinator(gameConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range append(seedProfiles(t), final...) {
+		if err := fresh.Submit(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, wantEq, err := fresh.ComputeStrategies()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || math.Float64bits(gotEq.Ptrip) != math.Float64bits(wantEq.Ptrip) {
+		t.Fatalf("after concurrent submits: got %+v (ptrip %v), fresh coordinator %+v (ptrip %v)",
+			got, gotEq.Ptrip, want, wantEq.Ptrip)
 	}
 }
 
@@ -195,51 +335,5 @@ func TestClientTimeoutDefaultsAndDisable(t *testing.T) {
 	custom := NewClientWith("127.0.0.1:1", ClientOptions{DialTimeout: time.Second, RequestTimeout: time.Minute})
 	if custom.dialTimeout != time.Second || custom.reqTimeout != time.Minute {
 		t.Errorf("explicit options not honored: (%v, %v)", custom.dialTimeout, custom.reqTimeout)
-	}
-}
-
-// TestChurnedPoolNeighborWarm pins neighbour seeding on the live
-// serving path: the coordinator re-pools class densities every time the
-// population changes, and the accumulated atom weights differ in their
-// last mantissa bits between 100 and 102 agents even when every profile
-// is identical. FamilyKey quantizes atom coordinates before hashing
-// exactly so this churn stays in one family — without it the neighbour
-// tier never fires outside synthetic tests (the regression this pins:
-// two misses, zero neighbour warms).
-func TestChurnedPoolNeighborWarm(t *testing.T) {
-	cache := core.NewSolveCache(64, nil)
-	cache.SetNeighborWarm(true)
-	c, err := NewCoordinator(gameConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.UseCache(cache)
-	submit := func(i int) {
-		t.Helper()
-		if err := c.Submit(Profile{
-			Agent: fmt.Sprintf("a%d", i), Class: "decision",
-			Values: []float64{1, 2, 6}, Weights: []float64{0.5, 0.3, 0.2},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 100; i++ {
-		submit(i)
-	}
-	if _, _, err := c.ComputeStrategies(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 100; i < 102; i++ {
-		submit(i)
-	}
-	if _, _, err := c.ComputeStrategies(); err != nil {
-		t.Fatal(err)
-	}
-	st := cache.Stats()
-	if st.Misses != 2 {
-		t.Fatalf("misses = %d, want 2 (both pools must be exact misses)", st.Misses)
-	}
-	if st.NeighborWarms != 1 {
-		t.Fatalf("NeighborWarms = %d, want 1: churned pool left its family", st.NeighborWarms)
 	}
 }

@@ -68,24 +68,29 @@ type Strategy struct {
 type Coordinator struct {
 	cfg core.Config
 
-	// cache, when non-nil, memoizes equilibrium solves and coalesces
-	// concurrent solves of the same game instance (see core.SolveCache).
-	cache *core.SolveCache
-
-	mu       sync.Mutex
+	mu sync.Mutex
+	// cache, when non-nil, routes the one solve per pooled version
+	// through a shared core.SolveCache, so coordinators (or profile sets
+	// that return to an earlier mix) reuse each other's equilibria.
+	cache    *core.SolveCache
 	profiles map[string]Profile // by agent id
-	// pooled memoizes the per-class pooled densities between profile
-	// changes: pooling re-histograms every profile (the dominant
-	// per-request cost once solves are cached), but the result only
-	// changes when a Submit lands. Nil means dirty.
+	// pooled memoizes the per-class pooled densities and their
+	// equilibrium between profile changes: the answer only changes when
+	// a Submit lands (§2.3), so a fetch in between neither re-pools nor
+	// re-solves. Nil means dirty.
 	pooled *pooledClasses
 }
 
-// pooledClasses is the memoized result of pooling all profiles.
+// pooledClasses is the memoized result of pooling all profiles, plus
+// the equilibrium solved for them once the first fetch needs it.
 type pooledClasses struct {
 	classes []core.AgentClass
 	n       int // population (sum of class counts)
 	agents  int // reporting agents
+	// eq is the converged equilibrium of classes; nil until solved.
+	// An unconverged solve is never stored: each fetch re-solves and
+	// refuses it.
+	eq *core.Equilibrium
 }
 
 // NewCoordinator returns a coordinator with the given game parameters.
@@ -99,10 +104,10 @@ func NewCoordinator(cfg core.Config) (*Coordinator, error) {
 	return &Coordinator{cfg: cfg, profiles: make(map[string]Profile)}, nil
 }
 
-// UseCache attaches a solve cache: between profile changes, repeated or
-// concurrent ComputeStrategies calls reuse one memoized equilibrium and
-// trigger at most one core.FindEquilibrium per distinct workload mix.
-// A nil cache restores direct solving.
+// UseCache attaches a solve cache: the coordinator's one solve per
+// pooled version goes through it, so a workload mix it has already
+// solved (here or in another coordinator sharing the cache) is not
+// solved again. A nil cache restores direct solving.
 func (c *Coordinator) UseCache(cache *core.SolveCache) {
 	c.mu.Lock()
 	c.cache = cache
@@ -167,10 +172,17 @@ func (c *Coordinator) ComputeStrategies() (map[string]Strategy, *core.Equilibriu
 // solve are recorded as children of the given parent span (the
 // coordinator server passes its per-request dispatch span). A nil span
 // disables tracing.
+//
+// Between Submits a call reuses the memoized equilibrium: no solve, no
+// cache lookup, no SolveKey. The first call after a Submit pools and
+// solves once while holding the coordinator's lock, so concurrent
+// callers wait for that one solve instead of repeating it. The solve
+// (or a cache wait on another coordinator's identical solve) never
+// calls back into this coordinator, so holding c.mu across it cannot
+// deadlock.
 func (c *Coordinator) ComputeStrategiesSpanned(span *telemetry.Span) (map[string]Strategy, *core.Equilibrium, error) {
 	pool := span.Child("coord.pool")
 	c.mu.Lock()
-	cache := c.cache
 	pc := c.pooled
 	memoized := pc != nil
 	if !memoized {
@@ -182,17 +194,23 @@ func (c *Coordinator) ComputeStrategiesSpanned(span *telemetry.Span) (map[string
 		}
 		c.pooled = pc
 	}
-	c.mu.Unlock()
 	pool.EndWith(telemetry.Fields{
 		"classes": len(pc.classes), "agents": pc.agents, "memoized": memoized})
-
-	cfg := c.cfg
-	cfg.N = pc.n
-	classes := pc.classes
-	eq, err := cache.FindEquilibriumSpanned(classes, cfg, span)
-	if err != nil {
-		return nil, nil, err
+	eq := pc.eq
+	if eq == nil {
+		cfg := c.cfg
+		cfg.N = pc.n
+		var err error
+		if eq, err = c.cache.FindEquilibriumSpanned(pc.classes, cfg, span); err != nil {
+			c.mu.Unlock()
+			return nil, nil, err
+		}
+		if eq.Converged {
+			pc.eq = eq
+		}
 	}
+	c.mu.Unlock()
+
 	if !eq.Converged {
 		// A solve capped at MaxFixedPointIter is not an equilibrium
 		// Algorithm 1 would accept; never hand it out as one.
@@ -202,7 +220,7 @@ func (c *Coordinator) ComputeStrategiesSpanned(span *telemetry.Span) (map[string
 	out := make(map[string]Strategy, len(eq.Classes))
 	for _, cl := range eq.Classes {
 		n := 0
-		for _, ac := range classes {
+		for _, ac := range pc.classes {
 			if ac.Name == cl.Name {
 				n = ac.Count
 			}
@@ -232,7 +250,7 @@ func (c *Coordinator) poolLocked() (*pooledClasses, error) {
 	agg := make(map[string]*classAgg)
 	// Pool profiles in sorted agent order: floating-point pooling is
 	// order-sensitive, and a canonical order keeps the pooled densities
-	// (and therefore the solve-cache key) stable across calls.
+	// (and therefore the equilibrium) independent of submit order.
 	agents := make([]string, 0, len(c.profiles))
 	for id := range c.profiles {
 		agents = append(agents, id)

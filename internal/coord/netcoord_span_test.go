@@ -18,6 +18,9 @@ type spanEvent struct {
 	Parent  string `json:"parent"`
 	Type    string `json:"type"`
 	Outcome string `json:"outcome"`
+	// Memoized is coord.pool's flag for a fetch that reused the pooled
+	// densities.
+	Memoized bool `json:"memoized"`
 }
 
 func decodeSpans(t *testing.T, trace []byte) []spanEvent {

@@ -221,35 +221,6 @@ func TestExactSolveEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestWarmStartMatchesCold: a Ptrip seed at or above the largest fixed
-// point descends to the same equilibrium as the cold Ptrip = 1 start.
-func TestWarmStartMatchesCold(t *testing.T) {
-	cfg := DefaultConfig()
-	for name, f := range catalogDensities(t, 250) {
-		classes := []AgentClass{{Name: name, Count: cfg.N, Density: f}}
-		cold, err := FindEquilibrium(classes, cfg)
-		if err != nil {
-			t.Fatalf("%s cold: %v", name, err)
-		}
-		for _, seed := range []float64{1, (1 + cold.Ptrip) / 2, math.Min(1, cold.Ptrip+1e-3)} {
-			warm, err := FindEquilibriumWarm(classes, cfg, &WarmStart{Ptrip: seed})
-			if err != nil {
-				t.Fatalf("%s seed %v: %v", name, seed, err)
-			}
-			if !warm.Converged {
-				t.Errorf("%s seed %v: did not converge", name, seed)
-			}
-			if d := math.Abs(warm.Ptrip - cold.Ptrip); d > cfg.FixedPointTol {
-				t.Errorf("%s seed %v: warm Ptrip %v differs from cold %v by %.3e",
-					name, seed, warm.Ptrip, cold.Ptrip, d)
-			}
-		}
-		if warm, _ := FindEquilibriumWarm(classes, cfg, &WarmStart{Ptrip: 1}); !reflect.DeepEqual(warm, cold) {
-			t.Errorf("%s: a Ptrip = 1 warm start differs from the cold solve", name)
-		}
-	}
-}
-
 // referenceEquilibrium is the seed implementation of Algorithm 1: value
 // iteration for every inner solve and the seed's damped update
 // (Damping 0.25) from Ptrip = 1 — independent of both the exact inner

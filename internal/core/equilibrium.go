@@ -69,15 +69,6 @@ type Equilibrium struct {
 	Converged bool
 }
 
-// WarmStart seeds Algorithm 1 from a previous solution of a nearby
-// instance: Ptrip replaces the paper's Ptrip = 1 initialization. The
-// descent reaches the largest fixed point only from a seed at or above
-// it (see FindEquilibrium), so a seed must approach from above; a seed
-// below the largest fixed point may converge to a lower one.
-type WarmStart struct {
-	Ptrip float64
-}
-
 // FindEquilibrium runs Algorithm 1 for one or more agent classes. Per the
 // paper, the iteration starts from Ptrip = 1 and alternates: solve each
 // class's dynamic program for the current Ptrip (exactly, see
@@ -96,12 +87,6 @@ type WarmStart struct {
 //
 // The class counts must sum to cfg.N.
 func FindEquilibrium(classes []AgentClass, cfg Config) (*Equilibrium, error) {
-	return FindEquilibriumWarm(classes, cfg, nil)
-}
-
-// FindEquilibriumWarm is FindEquilibrium seeded by a previous solution.
-// A nil warm start reproduces FindEquilibrium exactly.
-func FindEquilibriumWarm(classes []AgentClass, cfg Config, warm *WarmStart) (*Equilibrium, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -123,12 +108,6 @@ func FindEquilibriumWarm(classes []AgentClass, cfg Config, warm *WarmStart) (*Eq
 	residualGauge := cfg.Metrics.Gauge("solver.residual")
 
 	ptrip := 1.0 // Algorithm 1 initialization
-	if warm != nil {
-		if warm.Ptrip < 0 || warm.Ptrip > 1 {
-			return nil, fmt.Errorf("core: warm-start ptrip = %v is not a probability", warm.Ptrip)
-		}
-		ptrip = warm.Ptrip
-	}
 
 	eq := &Equilibrium{Classes: make([]ClassOutcome, len(classes))}
 	for iter := 1; iter <= cfg.MaxFixedPointIter; iter++ {

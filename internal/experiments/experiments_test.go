@@ -40,7 +40,7 @@ func cell(t *testing.T, rep *Report, row, col int) float64 {
 func TestRegistryCoversAllArtifacts(t *testing.T) {
 	want := []string{"table1", "table2", "fig1", "fig2", "fig3", "fig5",
 		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-		"ext-adaptive", "ext-coopmulti", "ext-deviation", "ext-folk", "ext-misreport", "ext-neighborwarm", "ext-physgame", "ext-physical",
+		"ext-adaptive", "ext-coopmulti", "ext-deviation", "ext-folk", "ext-misreport", "ext-physgame", "ext-physical",
 		"abl-bins", "abl-damping", "abl-discount", "abl-onlinepred", "abl-predictor", "abl-recovery", "abl-tails", "abl-tripmodel"}
 	ids := IDs()
 	if len(ids) != len(want) {

@@ -251,9 +251,6 @@ func ExtCoopMulti(opts Options) (*Report, error) {
 		Title:  "Heterogeneous cooperative upper bound via coordinate descent (Figure 9's missing C-T)",
 		Header: []string{"mix", "E-T rate", "C-T rate (approx)", "efficiency", "C-T sprinters"},
 	}
-	// The mixes are independent game instances; solve them as one batch.
-	labels := make([]string, 0, len(mixes))
-	reqs := make([]core.SolveRequest, 0, len(mixes))
 	for _, mix := range mixes {
 		names := make([]string, 0, len(mix))
 		for _, n := range workload.Names() {
@@ -282,14 +279,10 @@ func ExtCoopMulti(opts Options) (*Report, error) {
 		}
 		mcfg := cfg
 		mcfg.N = total
-		labels = append(labels, label)
-		reqs = append(reqs, core.SolveRequest{Classes: classes, Cfg: mcfg})
-	}
-	for i, res := range core.SolveBatch(reqs) {
-		if res.Err != nil {
-			return nil, res.Err
+		eq, err := core.FindEquilibrium(classes, mcfg)
+		if err != nil {
+			return nil, err
 		}
-		eq, classes, mcfg := res.Eq, reqs[i].Classes, reqs[i].Cfg
 		eqThs := make([]float64, len(classes))
 		for j, c := range classes {
 			o, err := eq.Outcome(c.Name)
@@ -307,7 +300,7 @@ func ExtCoopMulti(opts Options) (*Report, error) {
 			return nil, err
 		}
 		r.Rows = append(r.Rows, []string{
-			labels[i], f3(eqRate.Rate), f3(coop.Rate),
+			label, f3(eqRate.Rate), f3(coop.Rate),
 			f3(eqRate.Rate / coop.Rate), f0(coop.Sprinters),
 		})
 	}

@@ -211,34 +211,3 @@ func TestExtCoopMultiEfficiency(t *testing.T) {
 		}
 	}
 }
-
-func TestExtNeighborWarm(t *testing.T) {
-	rep := run(t, "ext-neighborwarm")
-	if len(rep.Rows) == 0 {
-		t.Fatal("empty sweep")
-	}
-	for i, row := range rep.Rows {
-		// Every warm solve must reproduce the cold equilibrium...
-		if row[8] != "yes" {
-			t.Errorf("row %d (%s @ %s): warm equilibrium drifted beyond FixedPointTol", i, row[0], row[1])
-		}
-		// ...in no more iterations than the cold start.
-		if cold, warm := cell(t, rep, i, 2), cell(t, rep, i, 3); warm > cold {
-			t.Errorf("row %d (%s @ %s): warm used %v iterations vs cold %v", i, row[0], row[1], warm, cold)
-		}
-	}
-	// The acceptance bar: >= 30% of Algorithm 1 iterations saved at the
-	// smallest drift (row order is per-workload, smallest drift first).
-	coldTot, warmTot := 0.0, 0.0
-	smallest := rep.Rows[0][1]
-	for i, row := range rep.Rows {
-		if row[1] != smallest {
-			continue
-		}
-		coldTot += cell(t, rep, i, 2)
-		warmTot += cell(t, rep, i, 3)
-	}
-	if saved := 1 - warmTot/coldTot; saved < 0.30 {
-		t.Errorf("only %.0f%% iterations saved at drift %s, want >= 30%%", 100*saved, smallest)
-	}
-}

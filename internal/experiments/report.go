@@ -100,11 +100,10 @@ type Options struct {
 	// Quick reduces agents, epochs, and repetitions by roughly an order
 	// of magnitude.
 	Quick bool
-	// Cache, when non-nil, memoizes equilibrium solves across experiments
-	// and between runs: repeated (classes, game) instances reuse one
-	// solution, and a cache warmed from a disk tier starts the whole
-	// suite hot. A nil cache solves directly — results are identical
-	// either way.
+	// Cache, when non-nil, memoizes equilibrium solves in memory across
+	// the experiments of one run: repeated (classes, game) instances
+	// reuse one solution. A nil cache solves directly — results are
+	// identical either way.
 	Cache *core.SolveCache
 }
 
@@ -130,14 +129,13 @@ func Registry() map[string]Generator {
 		"fig12":  Figure12,
 		"fig13":  Figure13,
 		// Extensions beyond the paper's artifacts (§6.4 made concrete).
-		"ext-adaptive":     ExtAdaptive,
-		"ext-coopmulti":    ExtCoopMulti,
-		"ext-deviation":    ExtDeviation,
-		"ext-folk":         ExtFolk,
-		"ext-misreport":    ExtMisreport,
-		"ext-neighborwarm": ExtNeighborWarm,
-		"ext-physical":     ExtPhysical,
-		"ext-physgame":     ExtPhysGame,
+		"ext-adaptive":  ExtAdaptive,
+		"ext-coopmulti": ExtCoopMulti,
+		"ext-deviation": ExtDeviation,
+		"ext-folk":      ExtFolk,
+		"ext-misreport": ExtMisreport,
+		"ext-physical":  ExtPhysical,
+		"ext-physgame":  ExtPhysGame,
 		// Ablations of this reproduction's design choices.
 		"abl-tripmodel":  AblTripModel,
 		"abl-damping":    AblDamping,

@@ -48,64 +48,13 @@ echo "wrote BENCH_cluster.json:"
 cat BENCH_cluster.json
 
 # Core solver benchmarks: the exact Bellman solve (small/large
-# densities), cold Algorithm 1 runs (1/4/8 classes), the batch solve vs
-# per-call solving,
-# the neighbour-seeded warm solve vs cold on a near-miss instance, and
-# the warm-restart first solve (replay the disk tier + serve from cache)
-# vs a cold Algorithm 1 run.
+# densities) and cold Algorithm 1 runs (1/4/8 classes).
 go test -run '^$' \
-	-bench 'BenchmarkSolveBellman$|BenchmarkFindEquilibriumCold|BenchmarkSolveBatch|BenchmarkNeighborWarmSolve' \
+	-bench 'BenchmarkSolveBellman$|BenchmarkFindEquilibriumCold' \
 	-benchtime "$BENCHTIME" ./internal/core >"$RAW"
-go test -run '^$' -bench 'BenchmarkFirstSolve' \
-	-benchtime "$BENCHTIME" ./internal/persist >>"$RAW"
 json_from_bench <"$RAW" >BENCH_core.json
 echo "wrote BENCH_core.json:"
 cat BENCH_core.json
-
-# bench_ns name-prefix: first matching ns_per_op from BENCH_core.json.
-bench_ns() {
-	sed -n 's|.*"name": "'"$1"'[^"]*", "iterations": [0-9]*, "ns_per_op": \([0-9.e+]*\).*|\1|p' \
-		BENCH_core.json | head -1
-}
-
-# bench_metric name-prefix key: first matching extra metric (e.g.
-# "iters/op") from BENCH_core.json.
-bench_metric() {
-	sed -n 's|.*"name": "'"$1"'[^"]*".*"'"$2"'": \([0-9.e+]*\).*|\1|p' \
-		BENCH_core.json | head -1
-}
-
-# Perf gates. Batched SoA solving must not lose to per-call solving
-# (5% tolerance for benchtime noise), and a warm first solve must beat
-# a cold one by at least 10x — the regressions this PR sequence fixed
-# stay fixed, or this script fails loudly.
-batched=$(bench_ns "BenchmarkSolveBatch/batched")
-percall=$(bench_ns "BenchmarkSolveBatch/percall")
-awk -v b="$batched" -v p="$percall" 'BEGIN {
-	if (b == "" || p == "") { print "gate: batch benchmarks missing from BENCH_core.json"; exit 1 }
-	if (b > 1.05 * p) { printf "gate: batched solve %s ns/op slower than per-call %s ns/op\n", b, p; exit 1 }
-	printf "gate ok: batched %s ns/op <= per-call %s ns/op\n", b, p
-}'
-# A neighbour-seeded warm solve must never run more Algorithm 1
-# iterations than the cold solve of the same near-miss instance — the
-# seed approaches the fixed point from above exactly like the cold
-# start, only closer, so extra iterations would mean the seeding or the
-# selection rule regressed.
-coldit=$(bench_metric "BenchmarkNeighborWarmSolve/cold" "iters/op")
-warmit=$(bench_metric "BenchmarkNeighborWarmSolve/warm" "iters/op")
-awk -v c="$coldit" -v w="$warmit" 'BEGIN {
-	if (c == "" || w == "") { print "gate: neighbour-warm benchmarks missing from BENCH_core.json"; exit 1 }
-	if (w > c) { printf "gate: neighbour-warm solve took %s iters/op vs %s cold\n", w, c; exit 1 }
-	printf "gate ok: neighbour-warm solve %s iters/op <= cold %s iters/op\n", w, c
-}'
-
-cold=$(bench_ns "BenchmarkFirstSolve/cold")
-warm=$(bench_ns "BenchmarkFirstSolve/warm")
-awk -v c="$cold" -v w="$warm" 'BEGIN {
-	if (c == "" || w == "") { print "gate: first-solve benchmarks missing from BENCH_core.json"; exit 1 }
-	if (10 * w > c) { printf "gate: warm first solve %s ns/op is under 10x faster than cold %s ns/op\n", w, c; exit 1 }
-	printf "gate ok: warm first solve %s ns/op is >= 10x faster than cold %s ns/op\n", w, c
-}'
 
 # Serving-path benchmark: closed-loop load against the in-process
 # coordinator, reported as throughput plus p50/p99/p99.9 latency.

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Repository check: formatting, vet, build, then tests under the race
 # detector. The race passes matter most for internal/telemetry (shared
-# registry/tracer), internal/coord (instrumented TCP server + solve
-# cache singleflight), and internal/cluster (worker-pool epoch engine).
+# registry/tracer), internal/coord (instrumented TCP server, the
+# coordinator's per-version equilibrium memo, solve cache singleflight),
+# and internal/cluster (worker-pool epoch engine).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,32 +40,16 @@ echo "== go test -race -short ./internal/cluster/..."
 go test -race -short ./internal/cluster/...
 
 # The coordinator's correctness story is concurrency: concurrent
-# requests on one server coalescing into one solve (singleflight), the
-# binary codec's per-connection scratch buffers, and the batch solve.
-# Run those suites under the race detector by name so a rename that
-# silently drops them from this pass is visible here.
-echo "== go test -race -run 'Binary|Batch|Singleflight|Coalesce' ./internal/coord ./internal/core"
-go test -race -run 'Binary|Batch|Singleflight|Coalesce' ./internal/coord ./internal/core
+# requests on one server coalescing into one solve (singleflight),
+# Submits racing fetches against the per-version equilibrium memo, and
+# the binary codec's per-connection scratch buffers. Run those suites
+# under the race detector by name so a rename that silently drops them
+# from this pass is visible here.
+echo "== go test -race -run 'Binary|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh' ./internal/coord ./internal/core"
+go test -race -run 'Binary|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh' ./internal/coord ./internal/core
 
-# The warm-state tiers are shared mutable state by design: spills
-# racing lookups through the store hook, the one admission path shared
-# by misses, Warm and Admit, concurrent Put on one append-only log, and
-# the cluster presolve admitting batches while racks solve lazily. Run
-# the persistence and cache-tier suites under the race detector by name
-# so a rename that drops them from this pass is visible here.
-echo "== go test -race -run 'Spill|Admit|Unconverged|Store|Restart|Log|Packing|Dec' ./internal/core ./internal/persist"
-go test -race -run 'Spill|Admit|Unconverged|Store|Restart|Log|Packing|Dec' ./internal/core ./internal/persist
-
-# The neighbour tier mutates the family index and entry equilibria on
-# the cache's hit path (lazy indexing, warm-seeded inserts, eviction
-# unlinking) while readers hold no lock on the returned equilibrium;
-# the hit/Admit race regression and the whole neighbour suite run under
-# the race detector by name.
-echo "== go test -race -run 'Neighbor|HitAdmitRace' ./internal/core"
-go test -race -run 'Neighbor|HitAdmitRace' ./internal/core
-
-echo "== go test -race -run 'Presolve|AutoWorkers' ./internal/cluster"
-go test -race -run 'Presolve|AutoWorkers' ./internal/cluster
+echo "== go test -race -run AutoWorkers ./internal/cluster"
+go test -race -run AutoWorkers ./internal/cluster
 
 # Fault injection exercises the engine's degraded paths (mid-run rack
 # kills, retries on derived streams, partial aggregation) across worker
@@ -107,25 +92,6 @@ go build -o "$SMOKE/traceview" ./cmd/traceview
 "$SMOKE/traceview" "$SMOKE/bin-spans.jsonl" >"$SMOKE/bin-view.txt"
 grep -q '^slowest trace [0-9a-f]*: coord.client.request' "$SMOKE/bin-view.txt"
 grep -q '^    coord.request ' "$SMOKE/bin-view.txt"
-
-# Restart-warm smoke: the same coordbench pipeline against a warm-state
-# directory, killed and restarted. The cold run spills its solves; the
-# restart must load them back and answer at least 90% of lookups from
-# the reloaded tier without re-running Algorithm 1.
-echo "== warm-restart smoke"
-"$SMOKE/coordbench" -mode closed -concurrency 2 -requests 40 \
-	-classes 2 -agents 64 -cache-dir "$SMOKE/warm" \
-	-out "$SMOKE/cold-bench.json" >"$SMOKE/cold-run.txt"
-grep -q 'warm start: 0 equilibria loaded' "$SMOKE/cold-run.txt"
-"$SMOKE/coordbench" -mode closed -concurrency 2 -requests 40 \
-	-classes 2 -agents 64 -cache-dir "$SMOKE/warm" \
-	-out "$SMOKE/warm-bench.json" >"$SMOKE/warm-run.txt"
-grep 'warm start: [1-9]' "$SMOKE/warm-run.txt"
-rate=$(sed -n 's/.*warm hit rate \([0-9.]*\)%.*/\1/p' "$SMOKE/warm-run.txt" | head -1)
-awk -v r="$rate" 'BEGIN {
-	if (r == "" || r < 90) { printf "restart hit rate %s%% is below 90%%\n", r; exit 1 }
-	printf "restart hit rate %s%%\n", r
-}'
 
 # Same idea for the routing layer: a short policy shootout with span
 # tracing on, then traceview over the capture. Greps pin the span tree
