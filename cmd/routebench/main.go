@@ -28,7 +28,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"runtime"
 	"strings"
+	"time"
 
 	"sprintgame/internal/cluster"
 	"sprintgame/internal/core"
@@ -120,6 +122,7 @@ func main() {
 	report := &Report{
 		Racks: *racks, Chips: *chips, Hetero: *hetero, Epochs: *epochs,
 		Seed: *seed, Load: *load, Arrivals: spec, Sprint: *sprint,
+		Host: hostInfo(),
 	}
 	names := strings.Split(*policies, ",")
 	for _, name := range names {
@@ -132,6 +135,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		start := time.Now()
 		res, err := route.Serve(route.Config{
 			Cluster: cluster.Config{
 				Racks:    specs,
@@ -147,6 +151,7 @@ func main() {
 			Router:    pol,
 			TraceSeed: cluster.MixSeed(*seed, -4) ^ hashName(name),
 		})
+		wall := time.Since(start)
 		if err != nil {
 			fatal(fmt.Errorf("policy %s: %w", name, err))
 		}
@@ -160,6 +165,7 @@ func main() {
 			Unfinished:      res.Unfinished,
 			Rerouted:        res.Rerouted,
 			RacksFailed:     len(res.Failed),
+			WallMS:          float64(wall) / 1e6,
 			Latency: LatencyReport{
 				P50:  res.Latency.P50,
 				P90:  res.Latency.P90,
@@ -177,12 +183,12 @@ func main() {
 	}
 	fmt.Printf("routebench: %d racks (%s) x ~%d chips, %d epochs, load %.2f, arrivals %s, sprint=%s\n",
 		*racks, shape, *chips, *epochs, *load, spec, *sprint)
-	fmt.Printf("%-14s %10s %8s %8s %7s %9s %9s %9s %9s\n",
-		"policy", "units/ep", "done", "undone", "rerte", "p50", "p90", "p99", "p99.9")
+	fmt.Printf("%-14s %10s %8s %8s %7s %9s %9s %9s %9s %9s\n",
+		"policy", "units/ep", "done", "undone", "rerte", "p50", "p90", "p99", "p99.9", "wall")
 	for _, p := range report.Policies {
-		fmt.Printf("%-14s %10.1f %8d %8d %7d %8.1fe %8.1fe %8.1fe %8.1fe\n",
+		fmt.Printf("%-14s %10.1f %8d %8d %7d %8.1fe %8.1fe %8.1fe %8.1fe %7.1fms\n",
 			p.Policy, p.ThroughputUnits, p.Completed, p.Unfinished, p.Rerouted,
-			p.Latency.P50, p.Latency.P90, p.Latency.P99, p.Latency.P999)
+			p.Latency.P50, p.Latency.P90, p.Latency.P99, p.Latency.P999, p.WallMS)
 	}
 
 	if *out != "" {
@@ -264,6 +270,33 @@ type PolicyReport struct {
 	Rerouted        int           `json:"rerouted"`
 	RacksFailed     int           `json:"racks_failed"`
 	Latency         LatencyReport `json:"latency"`
+	// WallMS is the leg's wall-clock serving time, from Serve's call to
+	// its return (rack set-up and equilibrium solves included).
+	WallMS float64 `json:"wall_ms"`
+}
+
+// Host records where a report was measured: wall-clock numbers mean
+// little without the core count and Go version beside them.
+type Host struct {
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+	CPU        string `json:"cpu"`
+}
+
+// hostInfo reads the host facts; CPU is "unknown" where /proc/cpuinfo
+// does not name a model.
+func hostInfo() Host {
+	h := Host{Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Go: runtime.Version(), CPU: "unknown"}
+	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(b), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
 }
 
 // Report is the shootout's JSON output (BENCH_route.json).
@@ -277,6 +310,7 @@ type Report struct {
 	Arrivals string         `json:"arrivals"`
 	Sprint   string         `json:"sprint_policy"`
 	Workers  int            `json:"workers"`
+	Host     Host           `json:"host"`
 	Policies []PolicyReport `json:"policies"`
 }
 

@@ -20,8 +20,20 @@ import (
 type Arrivals interface {
 	// Name identifies the process in results and benchmarks.
 	Name() string
-	// Epoch returns the jobs arriving at the given epoch.
+	// Epoch returns the jobs arriving at the given epoch. The returned
+	// slice is valid only until the next Epoch call: the shipped
+	// processes refill one internal buffer every epoch, and Serve
+	// consumes each epoch's jobs before asking for the next.
 	Epoch(epoch int, rng *stats.RNG) []Job
+}
+
+// fill resizes buf to n jobs, reusing its backing array when it is
+// large enough, and returns it.
+func fill(buf []Job, n int) []Job {
+	if cap(buf) < n {
+		return make([]Job, n)
+	}
+	return buf[:n]
 }
 
 // PoissonArrivals is the classic open-loop model: the number of jobs
@@ -32,6 +44,8 @@ type PoissonArrivals struct {
 	Rate float64
 	// MeanUnits is the mean task-unit demand per job (> 0).
 	MeanUnits float64
+
+	buf []Job
 }
 
 // Name implements Arrivals.
@@ -39,12 +53,11 @@ func (p *PoissonArrivals) Name() string { return "poisson" }
 
 // Epoch implements Arrivals.
 func (p *PoissonArrivals) Epoch(_ int, rng *stats.RNG) []Job {
-	n := rng.Poisson(p.Rate)
-	jobs := make([]Job, n)
-	for i := range jobs {
-		jobs[i].Units = rng.Exp(1 / p.MeanUnits)
+	p.buf = fill(p.buf, rng.Poisson(p.Rate))
+	for i := range p.buf {
+		p.buf[i] = Job{Units: rng.Exp(1 / p.MeanUnits)}
 	}
-	return jobs
+	return p.buf
 }
 
 // DiurnalArrivals modulates a Poisson process with a sinusoidal daily
@@ -74,6 +87,7 @@ type DiurnalArrivals struct {
 	MeanUnits float64
 
 	burstLeft int
+	buf       []Job
 }
 
 // Name implements Arrivals.
@@ -96,12 +110,11 @@ func (d *DiurnalArrivals) Epoch(epoch int, rng *stats.RNG) []Job {
 		d.burstLeft = rng.Geometric(stay)
 		rate *= d.Burst
 	}
-	n := rng.Poisson(rate)
-	jobs := make([]Job, n)
-	for i := range jobs {
-		jobs[i].Units = rng.Exp(1 / d.MeanUnits)
+	d.buf = fill(d.buf, rng.Poisson(rate))
+	for i := range d.buf {
+		d.buf[i] = Job{Units: rng.Exp(1 / d.MeanUnits)}
 	}
-	return jobs
+	return d.buf
 }
 
 // TraceArrivals replays recorded workload traces (cmd/tracegen output)
@@ -117,6 +130,8 @@ type TraceArrivals struct {
 	// tracegen's ~40-60 TPS baseline, Scale ~= Agents/(50*len(Traces))
 	// loads one rack near capacity.
 	Scale float64
+
+	buf []Job
 }
 
 // Name implements Arrivals.
@@ -124,14 +139,14 @@ func (t *TraceArrivals) Name() string { return "trace:" + t.Set.Benchmark }
 
 // Epoch implements Arrivals.
 func (t *TraceArrivals) Epoch(epoch int, _ *stats.RNG) []Job {
-	jobs := make([]Job, 0, len(t.Set.Traces))
+	t.buf = t.buf[:0]
 	for _, tr := range t.Set.Traces {
 		_, tps := tr.At(epoch)
 		if u := t.Scale * tps; u > 0 {
-			jobs = append(jobs, Job{Units: u})
+			t.buf = append(t.buf, Job{Units: u})
 		}
 	}
-	return jobs
+	return t.buf
 }
 
 // ArrivalConfig is a parsed arrival-process spec, the textual form the

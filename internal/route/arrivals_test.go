@@ -3,19 +3,21 @@ package route
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sprintgame/internal/stats"
 	"sprintgame/internal/workload"
 )
 
-// collect materializes an arrival stream's first n epochs.
+// collect materializes an arrival stream's first n epochs, copying each
+// epoch's jobs out of the process's reused buffer.
 func collect(t *testing.T, a Arrivals, seed uint64, n int) [][]Job {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	out := make([][]Job, n)
 	for e := 0; e < n; e++ {
-		out[e] = a.Epoch(e, rng)
+		out[e] = slices.Clone(a.Epoch(e, rng))
 		for i, j := range out[e] {
 			if j.Units <= 0 {
 				t.Fatalf("epoch %d job %d has units %v", e, i, j.Units)

@@ -64,6 +64,10 @@ type Job struct {
 // rack. Snapshots for dead racks have Alive == false; Pick must return
 // an alive rack's index. The engine rejects picks of dead racks rather
 // than silently rerouting: a policy that routes to a corpse is a bug.
+//
+// racks is the engine's live state, not a copy: Pick must treat it as
+// read-only and must not retain it past the call, since the engine
+// updates the entries in place as jobs dispatch and racks step.
 type Policy interface {
 	// Name identifies the policy in results and benchmarks.
 	Name() string

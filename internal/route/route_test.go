@@ -1,6 +1,9 @@
 package route
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"sprintgame/internal/cluster"
@@ -106,5 +109,34 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("fifo", 1); err == nil {
 		t.Error("unknown policy should error")
+	}
+}
+
+// TestPoliciesLeaveSnapshotsUnchanged pins the read-only contract of
+// Policy.Pick: the engine hands every policy its live snapshot slice,
+// so a policy that wrote to it would corrupt the engine's state.
+func TestPoliciesLeaveSnapshotsUnchanged(t *testing.T) {
+	s := snaps(5)
+	s[1].Alive = false
+	s[2].QueueDepth, s[2].BacklogUnits = 7, 30
+	s[3].InRecovery, s[3].RecoveryExit, s[3].UPSCharge = true, 0.2, 0.5
+	s[4].Sprinters, s[4].TripMargin, s[4].RateUnits = 6, 0.4, 3
+	for i := range s {
+		s[i].Name = fmt.Sprintf("rack%d", i)
+	}
+	want := slices.Clone(s)
+	for _, name := range PolicyNames() {
+		pol, err := ByName(name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			if got := pol.Pick(Job{ID: i, Units: float64(i%5 + 1)}, s); got < 0 || got >= len(s) || !s[got].Alive {
+				t.Fatalf("%s: pick %d = rack %d", name, i, got)
+			}
+		}
+		if !reflect.DeepEqual(s, want) {
+			t.Fatalf("%s modified the snapshots it was handed", name)
+		}
 	}
 }

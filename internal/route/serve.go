@@ -1,9 +1,11 @@
 package route
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"sprintgame/internal/cluster"
@@ -112,27 +114,60 @@ type Result struct {
 	Latency LatencySummary
 }
 
-// servedJob is the engine's per-job bookkeeping.
+// servedJob is the engine's per-job bookkeeping. It holds no
+// pointers: the engine keeps jobs in one value slice indexed by job ID,
+// which the garbage collector never has to scan.
 type servedJob struct {
 	epoch     int     // arrival epoch
 	units     float64 // demanded units
 	remaining float64 // units still to produce
 	completed int     // completion epoch, -1 while queued
-	racks     []dispatchRec
 }
 
-// dispatchRec is one (re)dispatch of a job.
+// dispatchRec is one (re)dispatch of a job. The engine logs them only
+// when tracing, for the post-run span tree.
 type dispatchRec struct {
+	job     int
 	rack    int
 	epoch   int
 	reroute bool
 }
 
+// jobQueue is a rack's FIFO of job IDs. Popping advances head instead
+// of reslicing, and a push into a full buffer first slides the live
+// entries to the front, so a queue reuses its buffer once it has grown
+// to the rack's deepest backlog.
+type jobQueue struct {
+	ids  []int
+	head int
+}
+
+func (q *jobQueue) len() int { return len(q.ids) - q.head }
+
+func (q *jobQueue) front() int { return q.ids[q.head] }
+
+func (q *jobQueue) push(id int) {
+	if len(q.ids) == cap(q.ids) && q.head > 0 {
+		q.ids = q.ids[:copy(q.ids, q.ids[q.head:])]
+		q.head = 0
+	}
+	q.ids = append(q.ids, id)
+}
+
+func (q *jobQueue) pop() {
+	q.head++
+	if q.head == len(q.ids) {
+		q.ids, q.head = q.ids[:0], 0
+	}
+}
+
 // rackState is the engine's per-rack live state.
 type rackState struct {
 	stepper *sim.Stepper
-	snap    cluster.RackSnapshot
-	queue   []int // job IDs in FIFO order
+	// snap points at the rack's entry in the engine's snapshot slice,
+	// the one copy of the state Config.Router reads.
+	snap    *cluster.RackSnapshot
+	queue   jobQueue
 	pr      float64
 	jobs    int // completed job count
 	units   float64
@@ -169,7 +204,11 @@ func Serve(cfg Config) (*Result, error) {
 		workers = nRacks
 	}
 
-	racks := make([]*rackState, nRacks)
+	// snaps is the only store of the racks' observable state: each
+	// rackState updates its entry in place and the router reads the
+	// slice directly, so a dispatch copies nothing.
+	snaps := make([]cluster.RackSnapshot, nRacks)
+	racks := make([]rackState, nRacks)
 	for i := range racks {
 		simCfg := cc.RackSimConfig(i)
 		pol, err := cc.Policy(i, cc.Racks[i], simCfg)
@@ -182,23 +221,20 @@ func Serve(cfg Config) (*Result, error) {
 		}
 		nMin, nMax := simCfg.Game.Trip.Bounds()
 		agents := simCfg.Game.N
-		racks[i] = &rackState{
-			stepper: st,
-			pr:      simCfg.Game.Pr,
-			snap: cluster.RackSnapshot{
-				Rack:       i,
-				Name:       cc.RackName(i),
-				Alive:      true,
-				Agents:     agents,
-				UPSCharge:  1,
-				NMin:       nMin,
-				NMax:       nMax,
-				TripMargin: 1 - simCfg.Game.Trip.Ptrip(0),
-				// Until observed: a healthy rack retires ~1 unit per
-				// agent-epoch.
-				RateUnits: float64(agents),
-			},
+		snaps[i] = cluster.RackSnapshot{
+			Rack:       i,
+			Name:       cc.RackName(i),
+			Alive:      true,
+			Agents:     agents,
+			UPSCharge:  1,
+			NMin:       nMin,
+			NMax:       nMax,
+			TripMargin: 1 - simCfg.Game.Trip.Ptrip(0),
+			// Until observed: a healthy rack retires ~1 unit per
+			// agent-epoch.
+			RateUnits: float64(agents),
 		}
+		racks[i] = rackState{stepper: st, snap: &snaps[i], pr: simCfg.Game.Pr}
 	}
 
 	kills := make([]int, nRacks)
@@ -220,7 +256,7 @@ func Serve(cfg Config) (*Result, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			for i := range stepCh {
-				rs := racks[i]
+				rs := &racks[i]
 				rs.last, rs.stepErr = rs.stepper.Step()
 				wg.Done()
 			}
@@ -228,7 +264,12 @@ func Serve(cfg Config) (*Result, error) {
 	}
 	defer close(stepCh)
 
-	var jobs []*servedJob
+	var (
+		jobs []servedJob
+		// dlog records every (re)dispatch for the post-run span tree;
+		// it stays empty when tracing is off.
+		dlog []dispatchRec
+	)
 	var failed []cluster.RackError
 	res := &Result{
 		Policy:   cfg.Router.Name(),
@@ -246,33 +287,29 @@ func Serve(cfg Config) (*Result, error) {
 	latBuckets := telemetry.LinearBuckets(width, width, int(float64(cc.Epochs)/width)+1)
 	latHist := telemetry.NewRegistry().Histogram("route.latency_epochs", latBuckets)
 
-	snaps := make([]cluster.RackSnapshot, nRacks)
 	aliveCount := nRacks
 
 	// dispatch routes one job through the policy and queues it,
 	// updating the target's snapshot so later picks in the same epoch
 	// see the load.
 	dispatch := func(id, epoch int, reroute bool) error {
-		for i := range racks {
-			snaps[i] = racks[i].snap
-		}
-		j := jobs[id]
+		j := &jobs[id]
 		pick := cfg.Router.Pick(Job{ID: id, Epoch: j.epoch, Units: j.units}, snaps)
 		if pick < 0 || pick >= nRacks {
 			return fmt.Errorf("route: policy %s picked rack %d of %d", cfg.Router.Name(), pick, nRacks)
 		}
-		rs := racks[pick]
+		rs := &racks[pick]
 		if !rs.snap.Alive {
 			return fmt.Errorf("route: policy %s routed job %d to dead rack %d", cfg.Router.Name(), id, pick)
 		}
-		rs.queue = append(rs.queue, id)
+		rs.queue.push(id)
 		rs.snap.QueueDepth++
 		rs.snap.BacklogUnits += j.remaining
-		j.racks = append(j.racks, dispatchRec{rack: pick, epoch: epoch, reroute: reroute})
 		if reroute {
 			res.Rerouted++
 		}
 		if tracing {
+			dlog = append(dlog, dispatchRec{job: id, rack: pick, epoch: epoch, reroute: reroute})
 			tracer.Emit("route.dispatch", telemetry.Fields{
 				"job":     id,
 				"rack":    pick,
@@ -289,7 +326,8 @@ func Serve(cfg Config) (*Result, error) {
 		// rack simulates it, exactly like the batch engine's interrupt.
 		// The dead rack's queue reroutes immediately, FIFO order
 		// preserved, partial progress (remaining units) kept.
-		for i, rs := range racks {
+		for i := range racks {
+			rs := &racks[i]
 			if kills[i] != epoch || !rs.snap.Alive {
 				continue
 			}
@@ -301,8 +339,8 @@ func Serve(cfg Config) (*Result, error) {
 				Rack: i, Name: rs.snap.Name, Epoch: epoch, Attempts: 1,
 				Err: fault, Partial: partial,
 			})
-			orphans := rs.queue
-			rs.queue = nil
+			orphans := rs.queue.ids[rs.queue.head:]
+			rs.queue = jobQueue{}
 			rs.snap.QueueDepth = 0
 			rs.snap.BacklogUnits = 0
 			rs.snap.RateUnits = 0
@@ -332,7 +370,7 @@ func Serve(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("route: arrival process %s produced a job of %v units at epoch %d", cfg.Arrivals.Name(), a.Units, epoch)
 			}
 			id := len(jobs)
-			jobs = append(jobs, &servedJob{epoch: epoch, units: a.Units, remaining: a.Units, completed: -1})
+			jobs = append(jobs, servedJob{epoch: epoch, units: a.Units, remaining: a.Units, completed: -1})
 			res.UnitsArrived += a.Units
 			if tracing {
 				tracer.Emit("route.arrival", telemetry.Fields{
@@ -368,7 +406,8 @@ func Serve(cfg Config) (*Result, error) {
 		// units each rack produced this epoch retire its FIFO backlog.
 		// Leftover capacity is idle serving headroom, not banked.
 		completedThisEpoch := 0
-		for i, rs := range racks {
+		for i := range racks {
+			rs := &racks[i]
 			if !rs.snap.Alive {
 				continue
 			}
@@ -378,8 +417,8 @@ func Serve(cfg Config) (*Result, error) {
 			es := rs.last
 			rs.units += es.Units
 			capacity := es.Units
-			for len(rs.queue) > 0 && capacity > 0 {
-				j := jobs[rs.queue[0]]
+			for rs.queue.len() > 0 && capacity > 0 {
+				j := &jobs[rs.queue.front()]
 				if j.remaining > capacity {
 					j.remaining -= capacity
 					rs.snap.BacklogUnits -= capacity
@@ -390,7 +429,7 @@ func Serve(cfg Config) (*Result, error) {
 				rs.snap.BacklogUnits -= j.remaining
 				j.remaining = 0
 				j.completed = epoch
-				rs.queue = rs.queue[1:]
+				rs.queue.pop()
 				rs.snap.QueueDepth--
 				rs.jobs++
 				completedThisEpoch++
@@ -419,9 +458,9 @@ func Serve(cfg Config) (*Result, error) {
 
 		if tracing {
 			queued, backlog := 0, 0.0
-			for _, rs := range racks {
-				queued += rs.snap.QueueDepth
-				backlog += rs.snap.BacklogUnits
+			for i := range snaps {
+				queued += snaps[i].QueueDepth
+				backlog += snaps[i].BacklogUnits
 			}
 			tracer.Emit("route.epoch", telemetry.Fields{
 				"epoch":     epoch,
@@ -437,10 +476,11 @@ func Serve(cfg Config) (*Result, error) {
 	// for the dead.
 	res.Racks = make([]RackServe, nRacks)
 	fi := 0
-	for i, rs := range racks {
+	for i := range racks {
+		rs := &racks[i]
 		r := RackServe{
 			Rack: i, Name: rs.snap.Name, Alive: rs.snap.Alive,
-			Jobs: rs.jobs, Units: rs.units, QueueDepth: len(rs.queue),
+			Jobs: rs.jobs, Units: rs.units, QueueDepth: rs.queue.len(),
 		}
 		if rs.snap.Alive {
 			r.Sim = rs.stepper.Finalize()
@@ -455,8 +495,8 @@ func Serve(cfg Config) (*Result, error) {
 	res.Failed = failed
 
 	res.Arrived = len(jobs)
-	for _, j := range jobs {
-		if j.completed >= 0 {
+	for i := range jobs {
+		if jobs[i].completed >= 0 {
 			res.Completed++
 		} else {
 			res.Unfinished++
@@ -481,14 +521,14 @@ func Serve(cfg Config) (*Result, error) {
 		if traceSeed == 0 {
 			traceSeed = cluster.MixSeed(cc.BaseSeed, -4)
 		}
-		emitServeTrace(tracer, traceSeed, res, jobs)
+		emitServeTrace(tracer, traceSeed, res, jobs, dlog)
 	}
 	return res, nil
 }
 
 // emitServeMetrics folds the serving outcome into the cluster's
 // metrics registry, including the full per-job latency distribution.
-func emitServeMetrics(m *telemetry.Registry, res *Result, jobs []*servedJob, latBuckets []float64) {
+func emitServeMetrics(m *telemetry.Registry, res *Result, jobs []servedJob, latBuckets []float64) {
 	if m == nil {
 		return
 	}
@@ -499,8 +539,8 @@ func emitServeMetrics(m *telemetry.Registry, res *Result, jobs []*servedJob, lat
 	m.Gauge("route.throughput_units").Set(res.Throughput)
 	m.Gauge("route.latency_p99").Set(res.Latency.P99)
 	sink := m.Histogram("route.latency_epochs", latBuckets)
-	for _, j := range jobs {
-		if j.completed >= 0 {
+	for i := range jobs {
+		if j := &jobs[i]; j.completed >= 0 {
 			sink.Observe(float64(j.completed - j.epoch + 1))
 		}
 	}
@@ -512,11 +552,20 @@ func emitServeMetrics(m *telemetry.Registry, res *Result, jobs []*servedJob, lat
 // held the job — the route.arrival → route.dispatch → cluster.rack
 // chain cmd/traceview renders. Spans are emitted post-run in job order,
 // so the stream is byte-identical for every worker count.
-func emitServeTrace(tracer *telemetry.Tracer, traceSeed uint64, res *Result, jobs []*servedJob) {
+//
+// dlog is the run's dispatch log in dispatch order; a stable sort by
+// job groups each job's dispatches while keeping their order.
+func emitServeTrace(tracer *telemetry.Tracer, traceSeed uint64, res *Result, jobs []servedJob, dlog []dispatchRec) {
+	slices.SortStableFunc(dlog, func(a, b dispatchRec) int { return cmp.Compare(a.job, b.job) })
 	root := tracer.StartSpan("route.serve", telemetry.TraceIDFromSeed(traceSeed))
-	for id, j := range jobs {
+	for id := range jobs {
+		j := &jobs[id]
 		arrival := root.Child("route.arrival")
-		for _, d := range j.racks {
+		n := 0
+		for n < len(dlog) && dlog[n].job == id {
+			n++
+		}
+		for _, d := range dlog[:n] {
 			disp := arrival.Child("route.dispatch")
 			rack := disp.Child("cluster.rack")
 			rack.EndWith(telemetry.Fields{
@@ -539,6 +588,7 @@ func emitServeTrace(tracer *telemetry.Tracer, traceSeed uint64, res *Result, job
 			fields["latency"] = j.completed - j.epoch + 1
 		}
 		arrival.EndWith(fields)
+		dlog = dlog[n:]
 	}
 	root.EndWith(telemetry.Fields{
 		"policy":     res.Policy,

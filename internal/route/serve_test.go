@@ -2,6 +2,7 @@ package route
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"runtime"
 	"strings"
@@ -27,7 +28,7 @@ func testGame(n int) core.Config {
 // the decision benchmark under greedy sprinting. With hetero, rack
 // pairs split their chips 1:3 (keeping total capacity), the contended
 // shape where round-robin structurally overloads the small racks.
-func testCluster(t *testing.T, racks, chips, epochs int, hetero bool) cluster.Config {
+func testCluster(t testing.TB, racks, chips, epochs int, hetero bool) cluster.Config {
 	t.Helper()
 	b, err := workload.ByName("decision")
 	if err != nil {
@@ -249,5 +250,103 @@ func TestServeMatchesBatchSimulation(t *testing.T) {
 		if !reflect.DeepEqual(served.Racks[i].Sim, batch.Racks[i].Sim) {
 			t.Errorf("rack %d: serving sim result differs from batch", i)
 		}
+	}
+}
+
+// TestServeTraceKeepsRerouteDispatches: a job rerouted off a killed
+// rack keeps both route.dispatch spans under its route.arrival span, in
+// the order the live route.dispatch events recorded them. The span tree
+// is rebuilt post-run from the engine's flat dispatch log, so this pins
+// that the log's per-job grouping loses and reorders nothing.
+func TestServeTraceKeepsRerouteDispatches(t *testing.T) {
+	cc := testCluster(t, 4, 32, 120, false)
+	plan := &cluster.FaultPlan{Kills: map[int]int{1: 40, 2: 70}}
+	res, trace := serveOnce(t, cc, "least-loaded", 2, plan)
+	if res.Rerouted == 0 {
+		t.Fatal("the kills rerouted nothing")
+	}
+
+	type disp struct {
+		Rack    int  `json:"rack"`
+		Epoch   int  `json:"epoch"`
+		Reroute bool `json:"reroute"`
+	}
+	var line struct {
+		Event  string `json:"event"`
+		Name   string `json:"name"`
+		ID     string `json:"id"`
+		Parent string `json:"parent"`
+		Job    int    `json:"job"`
+		disp
+	}
+	live := map[int][]disp{}       // job -> route.dispatch events
+	spans := map[string][]disp{}   // arrival span ID -> dispatch spans
+	arrivalJob := map[string]int{} // arrival span ID -> job
+	for _, raw := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
+		line.Event, line.Name, line.ID, line.Parent, line.Job, line.disp = "", "", "", "", -1, disp{}
+		if err := json.Unmarshal(raw, &line); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case line.Event == "route.dispatch":
+			live[line.Job] = append(live[line.Job], line.disp)
+		case line.Event == "span" && line.Name == "route.dispatch":
+			spans[line.Parent] = append(spans[line.Parent], line.disp)
+		case line.Event == "span" && line.Name == "route.arrival":
+			arrivalJob[line.ID] = line.Job
+		}
+	}
+	if len(arrivalJob) != res.Arrived {
+		t.Fatalf("%d route.arrival spans, %d jobs arrived", len(arrivalJob), res.Arrived)
+	}
+	rerouted := 0
+	for id, job := range arrivalJob {
+		got, want := spans[id], live[job]
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("job %d: dispatch spans %+v, live dispatches %+v", job, got, want)
+		}
+		if len(got) < 2 {
+			continue
+		}
+		rerouted += len(got) - 1
+		if got[0].Reroute || !got[len(got)-1].Reroute || got[0].Rack == got[1].Rack {
+			t.Errorf("job %d: dispatches %+v, want a first dispatch then reroutes to another rack", job, got)
+		}
+	}
+	if rerouted != res.Rerouted {
+		t.Errorf("spans show %d reroutes, result counts %d", rerouted, res.Rerouted)
+	}
+}
+
+// TestServeAllocationsDoNotGrowWithJobs guards the engine's per-job
+// path: an untraced run at 8x the arrival rate may allocate only the
+// few extra slice growths of its job table and queues, never an object
+// per job.
+func TestServeAllocationsDoNotGrowWithJobs(t *testing.T) {
+	cc := testCluster(t, 4, 32, 200, false)
+	cc.Workers = 2
+	run := func(rate float64) (allocs float64, jobs int) {
+		allocs = testing.AllocsPerRun(3, func() {
+			res, err := Serve(Config{
+				Cluster:  cc,
+				Arrivals: &PoissonArrivals{Rate: rate, MeanUnits: 4},
+				Router:   NewLeastLoaded(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = res.Arrived
+		})
+		return allocs, jobs
+	}
+	lowAllocs, lowJobs := run(4)
+	highAllocs, highJobs := run(32)
+	if highJobs-lowJobs < 5000 {
+		t.Fatalf("rates gave %d and %d jobs; the comparison needs a wide gap", lowJobs, highJobs)
+	}
+	const slack = 64
+	if highAllocs > lowAllocs+slack {
+		t.Errorf("%d jobs: %.0f allocations; %d jobs: %.0f (want at most %d more)",
+			highJobs, highAllocs, lowJobs, lowAllocs, slack)
 	}
 }

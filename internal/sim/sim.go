@@ -138,10 +138,17 @@ func (c Config) Validate() error {
 		return errors.New("sim: need at least one agent group")
 	}
 	total := 0
+	seen := make(map[string]bool, len(c.Groups))
 	for _, g := range c.Groups {
 		if g.Count <= 0 {
 			return fmt.Errorf("sim: group %q needs agents", g.Class)
 		}
+		// Policies and per-class results key on Class, so two groups
+		// sharing one would be indistinguishable.
+		if seen[g.Class] {
+			return fmt.Errorf("sim: duplicate group class %q", g.Class)
+		}
+		seen[g.Class] = true
 		if (g.Bench == nil) == (g.TraceSet == nil) {
 			return fmt.Errorf("sim: group %q needs exactly one of a benchmark or a trace set", g.Class)
 		}
@@ -168,6 +175,7 @@ type utilitySource interface {
 // agent is the per-agent simulation state.
 type agent struct {
 	class string
+	group int // index into Config.Groups (classes are unique)
 	state AgentState
 	trace utilitySource
 }

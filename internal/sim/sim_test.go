@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"sprintgame/internal/core"
@@ -275,6 +276,40 @@ func TestHeterogeneousGroups(t *testing.T) {
 	for _, g := range res.Groups {
 		if g.TaskRate <= 0 {
 			t.Errorf("group %s rate %v", g.Class, g.TaskRate)
+		}
+	}
+}
+
+// TestDuplicateGroupClassRejected: two groups sharing a class would
+// fold the earlier group's tallies into the later one's result, so
+// Validate (and therefore Run and NewStepper) must refuse them.
+func TestDuplicateGroupClassRejected(t *testing.T) {
+	cfg := smallConfig(t, "decision", 10)
+	b := bench(t, "decision")
+	cfg.Groups = []Group{
+		{Class: "decision", Count: 50, Bench: b},
+		{Class: "decision", Count: 50, Bench: b},
+	}
+	err := cfg.Validate()
+	if err == nil || !strings.Contains(err.Error(), `duplicate group class "decision"`) {
+		t.Fatalf("Validate = %v, want a duplicate-class error", err)
+	}
+	if _, err := Run(cfg, policy.NewGreedy(1)); err == nil {
+		t.Error("Run accepted duplicate group classes")
+	}
+	if _, err := NewStepper(cfg, policy.NewGreedy(1)); err == nil {
+		t.Error("NewStepper accepted duplicate group classes")
+	}
+	// The same split under distinct classes runs, and each group's
+	// tallies stay its own.
+	cfg.Groups[1].Class = "decision-b"
+	res, err := Run(cfg, policy.NewGreedy(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range res.Groups {
+		if g.TaskRate <= 0 || math.Abs(g.Shares.Sum()-1) > 1e-9 {
+			t.Errorf("group %s: rate %v, shares sum %v", g.Class, g.TaskRate, g.Shares.Sum())
 		}
 	}
 }

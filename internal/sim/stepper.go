@@ -57,9 +57,8 @@ type runState struct {
 	cfg Config
 	pol policy.Policy
 
-	agents   []agent
-	groupIdx map[string]int
-	rackRNG  *stats.RNG
+	agents  []agent
+	rackRNG *stats.RNG
 
 	res     *Result
 	tallies []tally
@@ -101,9 +100,7 @@ func newRunState(cfg Config, pol policy.Policy) (*runState, error) {
 	st := &runState{cfg: cfg, pol: pol}
 	master := stats.NewRNG(cfg.Seed)
 	st.agents = make([]agent, 0, cfg.Game.N)
-	st.groupIdx = make(map[string]int, len(cfg.Groups))
 	for gi, g := range cfg.Groups {
-		st.groupIdx[g.Class] = gi
 		for i := 0; i < g.Count; i++ {
 			var src utilitySource
 			if g.TraceSet != nil {
@@ -120,7 +117,7 @@ func newRunState(cfg Config, pol policy.Policy) (*runState, error) {
 				}
 				src = gen
 			}
-			st.agents = append(st.agents, agent{class: g.Class, state: Active, trace: src})
+			st.agents = append(st.agents, agent{class: g.Class, group: gi, state: Active, trace: src})
 		}
 	}
 	st.rackRNG = master.Split()
@@ -197,7 +194,7 @@ func (st *runState) step() EpochStats {
 				st.sprinting[i] = true
 				nS++
 				if st.tracing {
-					st.classSprints[st.groupIdx[a.class]]++
+					st.classSprints[a.group]++
 				}
 			}
 		case Recovery:
@@ -262,8 +259,7 @@ func (st *runState) step() EpochStats {
 	epochUnits := 0.0
 	for i := range st.agents {
 		a := &st.agents[i]
-		gi := st.groupIdx[a.class]
-		ta := &st.tallies[gi]
+		ta := &st.tallies[a.group]
 		units := 0.0
 		switch {
 		case st.sprinting[i]:

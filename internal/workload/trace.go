@@ -51,6 +51,8 @@ func (t *Trace) At(epoch int) (utility, baseTPS float64) {
 type TraceGenerator struct {
 	bench *Benchmark
 	rng   *stats.RNG
+	// visits holds each phase's jump weight, fixed for the benchmark.
+	visits []float64
 
 	phase int
 	dwell int
@@ -61,7 +63,13 @@ func NewTraceGenerator(b *Benchmark, seed uint64) (*TraceGenerator, error) {
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	g := &TraceGenerator{bench: b, rng: stats.NewRNG(seed)}
+	g := &TraceGenerator{bench: b, rng: stats.NewRNG(seed), visits: make([]float64, len(b.Phases))}
+	for i, ph := range b.Phases {
+		// Weight is the long-run epoch fraction; visits are weighted by
+		// fraction / dwell so that dwell * visitRate is proportional to
+		// the configured weight.
+		g.visits[i] = ph.Weight / ph.MeanDwell
+	}
 	g.jump()
 	// Random initial dwell offset: agents arrive at random points of
 	// their applications (§5, randomized arrivals).
@@ -71,14 +79,7 @@ func NewTraceGenerator(b *Benchmark, seed uint64) (*TraceGenerator, error) {
 
 // jump selects a new phase by weight and draws its dwell length.
 func (g *TraceGenerator) jump() {
-	ws := make([]float64, len(g.bench.Phases))
-	for i, ph := range g.bench.Phases {
-		// Weight is the long-run epoch fraction; visits are weighted by
-		// fraction / dwell so that dwell * visitRate is proportional to
-		// the configured weight.
-		ws[i] = ph.Weight / ph.MeanDwell
-	}
-	g.phase = g.rng.Choice(ws)
+	g.phase = g.rng.Choice(g.visits)
 	ph := g.bench.Phases[g.phase]
 	stay := 1 - 1/ph.MeanDwell
 	g.dwell = g.rng.Geometric(stay)

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Benchmark baselines: record the cluster epoch-engine / solve-cache
-# benchmarks as BENCH_cluster.json and the core solver benchmarks
+# Benchmark baselines: record the cluster epoch-engine / solve-cache /
+# serving-engine benchmarks as BENCH_cluster.json and the core solver
+# benchmarks
 # (the exact Bellman solve, cold equilibrium solves by class count) as
 # BENCH_core.json — one JSON object per benchmark — so successive PRs
 # can diff scaling behaviour and the solver's perf trajectory.
@@ -39,8 +40,11 @@ json_from_bench() {
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
-# Cluster-scale benchmarks.
+# Cluster-scale benchmarks, plus the serving engine on the route-sim
+# shape (one untraced Serve per policy, with allocs/op: the per-job
+# path allocates nothing, so a jump there is a regression).
 go test -run '^$' -bench 'BenchmarkCluster' -benchtime "$BENCHTIME" ./internal/cluster >"$RAW"
+go test -run '^$' -bench 'BenchmarkServe$' -benchtime "$BENCHTIME" ./internal/route >>"$RAW"
 go test -run '^$' -bench 'BenchmarkSolveCacheHit|BenchmarkFindEquilibriumCold$' \
 	-benchtime "$BENCHTIME" ./internal/core >>"$RAW"
 json_from_bench <"$RAW" >BENCH_cluster.json
