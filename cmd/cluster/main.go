@@ -21,12 +21,14 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 
 	"sprintgame/internal/cluster"
 	"sprintgame/internal/core"
@@ -54,7 +56,7 @@ func main() {
 		arrivals  = flag.String("arrivals", "", "serving mode: arrival spec (poisson:rate=...,units=..., diurnal:..., trace:...)")
 		routeName = flag.String("route", "least-loaded", "serving mode: routing policy (round-robin | random | least-loaded | sprint-aware)")
 		replay    = flag.String("trace-replay", "", "serving mode: trace-set file (cmd/tracegen output) for arrival kind \"trace\"")
-		traceOut  = flag.String("trace", "", "write cluster.epoch/cluster.rack JSONL events to this file ('-' for stdout)")
+		traceOut  = flag.String("trace", "", "write a JSONL span trace (cluster.run with its cluster.rack and cluster.epoch children, or route.serve in serving mode) to this file ('-' for stdout)")
 		metricsTo = flag.String("metrics", "", "write the final metrics registry as JSON to this file ('-' for stdout)")
 		debugAddr = flag.String("debug-addr", "", "serve the debug endpoint (/metrics, /debug/pprof, /debug/vars) on this address while running")
 	)
@@ -69,14 +71,14 @@ func main() {
 		}
 		bw := bufio.NewWriter(f)
 		tracer = telemetry.NewTracer(bw)
+		var once sync.Once
+		var traceErr error
+		finishTrace = func() error {
+			once.Do(func() { traceErr = errors.Join(tracer.Err(), bw.Flush(), closeTrace()) })
+			return traceErr
+		}
 		defer func() {
-			if err := tracer.Err(); err != nil {
-				fatal(fmt.Errorf("trace %s: %w", *traceOut, err))
-			}
-			if err := bw.Flush(); err != nil {
-				fatal(fmt.Errorf("trace %s: %w", *traceOut, err))
-			}
-			if err := closeTrace(); err != nil {
+			if err := finishTrace(); err != nil {
 				fatal(fmt.Errorf("trace %s: %w", *traceOut, err))
 			}
 		}()
@@ -344,7 +346,13 @@ func openSink(path string) (w *os.File, closeFn func() error, err error) {
 	return f, f.Close, nil
 }
 
+// finishTrace flushes and closes the -trace sink; it is safe to call
+// more than once. fatal calls it too, so a failed run's span tree — its
+// failed racks included — still reaches the file whole.
+var finishTrace = func() error { return nil }
+
 func fatal(err error) {
+	_ = finishTrace()
 	fmt.Fprintln(os.Stderr, "cluster:", err)
 	os.Exit(1)
 }

@@ -31,7 +31,7 @@ func main() {
 		serve       = flag.String("serve", "", "serve the coordinator protocol on this TCP address instead")
 		bins        = flag.Int("bins", sim.DensityBins, "utility density bins")
 		connTimeout = flag.Duration("conn-timeout", coord.DefaultConnTimeout, "per-connection read/write deadline in serve mode (negative disables)")
-		traceOut    = flag.String("trace", "", "write a JSONL telemetry trace (solver/coordinator events) to this file ('-' for stdout)")
+		traceOut    = flag.String("trace", "", "write a JSONL span trace (the solve's Algorithm 1 iterations, or one span tree per coordinator request) to this file ('-' for stdout)")
 		debugAddr   = flag.String("debug-addr", "", "serve the debug endpoint (/metrics, /debug/pprof, /debug/vars) on this address")
 	)
 	flag.Parse()
@@ -53,7 +53,7 @@ func main() {
 		bw := bufio.NewWriter(f)
 		tracer = telemetry.NewTracer(bw)
 		if *serve != "" {
-			// Live coordinator events are wall-clock stamped.
+			// Live coordinator spans carry wall-clock timings.
 			tracer.WithClock(time.Now)
 		}
 		defer func() {
@@ -82,7 +82,6 @@ func main() {
 	if *serve != "" {
 		gameCfg := core.DefaultConfig()
 		gameCfg.Metrics = metrics
-		gameCfg.Tracer = tracer
 		// The coordinator keeps its equilibrium between profile changes;
 		// the solve cache remembers earlier workload mixes, so a profile
 		// set that returns to one is not solved again. Its hit/miss
@@ -112,7 +111,6 @@ func main() {
 
 	cfg := core.DefaultConfig()
 	cfg.Metrics = metrics
-	cfg.Tracer = tracer
 	classes := []core.AgentClass{}
 	total := 0
 	for _, spec := range strings.Split(*apps, ",") {
@@ -137,7 +135,14 @@ func main() {
 	}
 	cfg.N = total
 
-	eq, err := core.FindEquilibrium(classes, cfg)
+	// The offline solve has no seed: its trace ID derives from the game
+	// instance itself, so a rerun writes a byte-identical trace. The
+	// solve runs as a core.solve span under the root (a nil cache
+	// solves directly).
+	root := tracer.StartSpan("equilibrium.run", telemetry.TraceIDFromSeed(core.SolveKey(classes, cfg)))
+	cfg.Span = root
+	eq, err := (*core.SolveCache)(nil).FindEquilibrium(classes, cfg)
+	root.End()
 	if err != nil {
 		fatal(err)
 	}

@@ -34,7 +34,7 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "random seed")
 		series    = flag.String("series", "", "write per-epoch sprinter counts as CSV to this file")
 		traces    = flag.String("traces", "", "drive the simulation from a recorded trace set (JSON from tracegen -o) instead of live generation")
-		traceOut  = flag.String("trace", "", "write a JSONL telemetry trace (epoch/trip/recovery/solver events) to this file ('-' for stdout)")
+		traceOut  = flag.String("trace", "", "write a JSONL span trace (the equilibrium solve and every epoch, with trips and recoveries) to this file ('-' for stdout)")
 		metricsTo = flag.String("metrics", "", "write the final metrics registry as JSON to this file ('-' for stdout)")
 		debugAddr = flag.String("debug-addr", "", "serve the debug endpoint (/metrics, /debug/pprof, /debug/vars) on this address while running")
 	)
@@ -48,9 +48,9 @@ func main() {
 	}
 
 	// Telemetry is opt-in: with none of the flags set, the registry and
-	// tracer stay nil and the hot paths skip all instrumentation.
+	// root span stay nil and the hot paths skip all instrumentation.
 	var metrics *telemetry.Registry
-	var tracer *telemetry.Tracer
+	var root *telemetry.Span
 	if *metricsTo != "" || *debugAddr != "" {
 		metrics = telemetry.NewRegistry()
 	}
@@ -60,8 +60,12 @@ func main() {
 			fatal(err)
 		}
 		bw := bufio.NewWriter(f)
-		tracer = telemetry.NewTracer(bw)
+		tracer := telemetry.NewTracer(bw)
+		// One clock-less trace per run, its ID derived from -seed, so a
+		// rerun writes a byte-identical trace.
+		root = tracer.StartSpan("sprintgame.run", telemetry.TraceIDFromSeed(*seed))
 		defer func() {
+			root.End()
 			if err := tracer.Err(); err != nil {
 				fatal(fmt.Errorf("trace %s: %w", *traceOut, err))
 			}
@@ -90,8 +94,8 @@ func main() {
 		game.N = *agents
 	}
 	game.Metrics = metrics
-	game.Tracer = tracer
-	game.Trip = power.Instrument(game.Trip, metrics, nil)
+	game.Span = root
+	game.Trip = power.Instrument(game.Trip, metrics)
 
 	var groups []sim.Group
 	if *traces != "" {
@@ -126,7 +130,7 @@ func main() {
 		Groups:       groups,
 		RecordSeries: *series != "",
 		Metrics:      metrics,
-		Tracer:       tracer,
+		Span:         root,
 	}
 
 	var pol policy.Policy

@@ -46,7 +46,6 @@ func BenchmarkClusterFaultRetries(b *testing.B) {
 		Transient: true,
 	}
 	cfg.MaxRetries = 1
-	cfg.RetryBackoff = -1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := Run(cfg)

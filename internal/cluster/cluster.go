@@ -20,10 +20,9 @@
 //   - policies are constructed per rack by the PolicyFactory, so
 //     stateful policies (e.g. exponential backoff) never share state
 //     across racks;
-//   - racks run with nil per-rack telemetry sinks; cluster metrics,
-//     cluster.epoch / cluster.rack / cluster.done trace events, and the
-//     cluster.run span tree are emitted after all racks complete, in
-//     rack-index order.
+//   - racks run with nil per-rack telemetry sinks; cluster metrics and
+//     the cluster.run span tree are emitted after all racks complete, in
+//     rack-index and then epoch order.
 //
 // Consequently rack i of a cluster run reproduces exactly the results
 // of a standalone sim.Run with the same sim.Config — verified by
@@ -35,11 +34,11 @@
 // Config.BaseSeed, independent of Workers) kills selected racks at
 // chosen epochs; a killed rack returns its partial series inside a
 // typed RackError. Restartable failures are retried up to
-// Config.MaxRetries times with backoff, each attempt on a fresh derived
-// RNG stream. With Config.AllowPartial the run degrades gracefully:
-// aggregates cover surviving racks only and Result.Failed reports every
-// failure; without it, Run joins every rack error via errors.Join so no
-// failure is swallowed. The determinism contract survives both modes.
+// Config.MaxRetries times, each attempt on a fresh derived RNG stream.
+// With Config.AllowPartial the run degrades gracefully: aggregates
+// cover surviving racks only and Result.Failed reports every failure;
+// without it, Run joins every rack error via errors.Join so no failure
+// is swallowed. The determinism contract survives both modes.
 package cluster
 
 import (
@@ -58,7 +57,7 @@ import (
 
 // RackSpec describes one rack of the cluster.
 type RackSpec struct {
-	// Name labels the rack in results and trace events; defaults to
+	// Name labels the rack in results and trace spans; defaults to
 	// "rack<i>".
 	Name string
 	// Seed seeds the rack's RNG stream. Zero derives a seed from the
@@ -96,18 +95,17 @@ type Config struct {
 	// Policy builds each rack's sprinting policy.
 	Policy PolicyFactory
 	// RecordSeries keeps per-epoch series on each rack result. It is
-	// forced on when Tracer is set (cluster.epoch events are built from
+	// forced on when Tracer is set (cluster.epoch spans are built from
 	// the series).
 	RecordSeries bool
 	// Metrics, when non-nil, receives cluster metrics (cluster.racks,
 	// cluster.rack_epochs, cluster.trips, cluster.task_rate, ...).
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives per-epoch cluster.epoch events,
-	// per-rack cluster.rack events, cluster.rack_failed events for any
-	// failed racks, and a final cluster.done event, emitted
-	// deterministically after the run — plus a cluster.run root span
-	// with one cluster.rack child span per rack. Span timings appear
-	// only when the tracer has a clock, so clock-less traces stay
+	// Tracer, when non-nil, receives the run's span tree, emitted
+	// deterministically after the run: a cluster.run root summarizing
+	// the cluster, one cluster.rack child per rack (failed racks
+	// included), and one cluster.epoch child per epoch. Span timings
+	// appear only when the tracer has a clock, so clock-less traces stay
 	// byte-identical for every Workers value.
 	Tracer *telemetry.Tracer
 	// Faults, when active, deterministically kills selected racks
@@ -124,21 +122,10 @@ type Config struct {
 	// Each attempt runs on a fresh RNG stream derived from the rack's
 	// seed and the attempt number, so reruns are byte-identical.
 	// Non-restartable failures (policy construction, configuration) are
-	// never retried.
+	// never retried. A retry re-simulates at once: its outcome depends
+	// only on the derived seed, so there is nothing to wait for.
 	MaxRetries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// subsequent attempt (capped at 1s). Zero selects
-	// DefaultRetryBackoff; negative disables backoff entirely. Backoff
-	// affects wall-clock only, never results.
-	RetryBackoff time.Duration
 }
-
-// DefaultRetryBackoff is the base retry delay when Config.RetryBackoff
-// is zero.
-const DefaultRetryBackoff = 10 * time.Millisecond
-
-// maxRetryBackoff caps the doubling retry delay.
-const maxRetryBackoff = time.Second
 
 // Validate checks the cluster configuration (policy presence and rack
 // shapes; per-rack game validation happens in sim.Run).
@@ -273,7 +260,7 @@ func (c Config) rackConfig(i int) sim.Config {
 		game = *spec.Game
 	}
 	game.Metrics = nil
-	game.Tracer = nil
+	game.Span = nil
 	seed := spec.Seed
 	if seed == 0 {
 		seed = mixSeed(c.BaseSeed, i)
@@ -318,20 +305,13 @@ func (c Config) rackName(i int) string {
 	return fmt.Sprintf("rack%d", i)
 }
 
-// retryDelay is the backoff before retry attempt k (k >= 1).
-func (c Config) retryDelay(attempt int) time.Duration {
-	base := c.RetryBackoff
-	switch {
-	case base < 0:
-		return 0
-	case base == 0:
-		base = DefaultRetryBackoff
+// rackAgents is rack i's chip count.
+func (c Config) rackAgents(i int) int {
+	n := 0
+	for _, g := range c.Racks[i].Groups {
+		n += g.Count
 	}
-	d := base << (attempt - 1)
-	if d > maxRetryBackoff || d < base {
-		d = maxRetryBackoff
-	}
-	return d
+	return n
 }
 
 // runRack runs rack i to its terminal outcome: up to 1+MaxRetries
@@ -381,11 +361,6 @@ func (c Config) runRack(i, killEpoch int) rackOutcome {
 		}
 		last.Epoch = ie.Epoch
 		last.Partial = res
-		if attempt <= c.MaxRetries {
-			if d := c.retryDelay(attempt); d > 0 {
-				time.Sleep(d)
-			}
-		}
 	}
 	return rackOutcome{seed: baseCfg.Seed, attempts: last.Attempts, err: last}
 }
@@ -449,30 +424,28 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	emitFaults(cfg, failed, retries)
-	if len(failed) > 0 {
-		if !cfg.AllowPartial {
-			errs := make([]error, len(failed))
-			for i := range failed {
-				errs[i] = &failed[i]
-			}
-			return nil, errors.Join(errs...)
+	if len(failed) > 0 && (!cfg.AllowPartial || len(failed) == len(cfg.Racks)) {
+		errs := make([]error, len(failed))
+		for i := range failed {
+			errs[i] = &failed[i]
 		}
-		if len(failed) == len(cfg.Racks) {
-			errs := make([]error, len(failed))
-			for i := range failed {
-				errs[i] = &failed[i]
-			}
-			return nil, fmt.Errorf("cluster: all %d racks failed: %w", len(failed), errors.Join(errs...))
+		err := errors.Join(errs...)
+		if cfg.AllowPartial {
+			err = fmt.Errorf("cluster: all %d racks failed: %w", len(failed), err)
 		}
+		emitTrace(cfg, outcomes, nil, retries, runStart)
+		return nil, err
 	}
 
-	return aggregate(cfg, workers, outcomes, failed, retries, runStart), nil
+	out := aggregate(cfg, workers, outcomes, failed, retries)
+	emitTrace(cfg, outcomes, out, retries, runStart)
+	return out, nil
 }
 
 // aggregate folds surviving rack results into the cluster result and
-// emits cluster telemetry, all in deterministic rack-index order.
-// Failed racks (AllowPartial) are excluded from every aggregate.
-func aggregate(cfg Config, workers int, outcomes []rackOutcome, failed []RackError, retries int, runStart time.Time) *Result {
+// emits cluster metrics, all in deterministic rack-index order. Failed
+// racks (AllowPartial) are excluded from every aggregate.
+func aggregate(cfg Config, workers int, outcomes []rackOutcome, failed []RackError, retries int) *Result {
 	out := &Result{
 		Racks:   make([]RackResult, 0, len(outcomes)-len(failed)),
 		Failed:  failed,
@@ -489,10 +462,7 @@ func aggregate(cfg Config, workers int, outcomes []rackOutcome, failed []RackErr
 			continue
 		}
 		res := oc.res
-		agents := 0
-		for _, g := range cfg.Racks[i].Groups {
-			agents += g.Count
-		}
+		agents := cfg.rackAgents(i)
 		out.Racks = append(out.Racks, RackResult{
 			Rack: i, Name: cfg.rackName(i), Seed: oc.seed,
 			Attempts: oc.attempts, Agents: agents, Sim: res,
@@ -526,33 +496,16 @@ func aggregate(cfg Config, workers int, outcomes []rackOutcome, failed []RackErr
 	}
 
 	emitMetrics(cfg, out)
-	emitTrace(cfg, out, outcomes, runStart)
 	return out
 }
 
-// emitFaults reports failures and retries to the cluster's telemetry
-// sinks in deterministic rack-index order. It runs on every Run exit
-// path — degraded aggregation and error returns alike — so no rack
-// failure is ever swallowed silently.
+// emitFaults counts failures and retries in the cluster's metrics. Like
+// emitTrace it runs on every Run exit path — degraded aggregation and
+// error returns alike — so no rack failure is ever swallowed silently.
 func emitFaults(cfg Config, failed []RackError, retries int) {
-	if len(failed) == 0 && retries == 0 {
-		return
-	}
-	if m := cfg.Metrics; m != nil {
+	if m := cfg.Metrics; m != nil && (len(failed) > 0 || retries > 0) {
 		m.Counter("cluster.rack_failures").Add(int64(len(failed)))
 		m.Counter("cluster.retries").Add(int64(retries))
-	}
-	if t := cfg.Tracer; t.Enabled() {
-		for i := range failed {
-			f := &failed[i]
-			t.Emit("cluster.rack_failed", telemetry.Fields{
-				"rack":     f.Rack,
-				"name":     f.Name,
-				"epoch":    f.Epoch,
-				"attempts": f.Attempts,
-				"error":    f.Err.Error(),
-			})
-		}
 	}
 }
 
@@ -580,81 +533,88 @@ func emitMetrics(cfg Config, out *Result) {
 	}
 }
 
-func emitTrace(cfg Config, out *Result, outcomes []rackOutcome, runStart time.Time) {
+// emitTrace writes the run's span tree: a cluster.run root with one
+// cluster.rack child per rack (failed racks included) and then one
+// cluster.epoch child per epoch, all emitted post-run in rack-index and
+// epoch order so the span stream honours the determinism contract. The
+// wall-clock windows captured on the worker goroutines surface only
+// when the tracer has a clock; deterministic clock-less traces omit
+// them. The trace ID derives from BaseSeed (mixed with a sentinel index
+// no rack can occupy) so reruns reproduce it. out is nil when the run
+// failed; the root then carries no cluster aggregates.
+func emitTrace(cfg Config, outcomes []rackOutcome, out *Result, retries int, runStart time.Time) {
 	t := cfg.Tracer
 	if !t.Enabled() {
 		return
 	}
-	for epoch := 0; epoch < out.Epochs; epoch++ {
-		sprinters, recovering := 0, 0
-		for _, r := range out.Racks {
-			sprinters += r.Sim.SprintersPerEpoch[epoch]
-			recovering += r.Sim.RecoveringPerEpoch[epoch]
+	root := t.StartSpan("cluster.run", telemetry.TraceIDFromSeed(mixSeed(cfg.BaseSeed, -2)))
+	failed := 0
+	for i := range outcomes {
+		oc := &outcomes[i]
+		r := RackResult{
+			Rack: i, Name: cfg.rackName(i), Seed: oc.seed,
+			Attempts: oc.attempts, Agents: cfg.rackAgents(i), Sim: oc.res,
 		}
-		t.Emit("cluster.epoch", telemetry.Fields{
+		fields := telemetry.Fields{
+			"rack":      i,
+			"rack_name": r.Name,
+			"seed":      r.Seed,
+			"attempts":  r.Attempts,
+			"agents":    r.Agents,
+			"failed":    oc.err != nil,
+		}
+		if oc.err != nil {
+			failed++
+			fields["epoch"] = oc.err.Epoch
+			fields["error"] = oc.err.Err.Error()
+			r.Sim = oc.err.Partial
+		}
+		if r.Sim != nil {
+			// The nested snapshot is the same observable routing policies
+			// consume live in serving mode, so traceview and route.Policy
+			// read one structure (queue depth is 0 here: batch runs have
+			// no queues). A failed rack's snapshot is taken where its
+			// partial run stopped.
+			snap := cfg.Snapshot(&r)
+			if oc.err != nil {
+				snap.Alive, snap.RateUnits = false, 0
+			}
+			fields["policy"] = r.Sim.Policy
+			fields["task_rate"] = r.Sim.TaskRate
+			fields["trips"] = r.Sim.Trips
+			fields["snapshot"] = snap.Fields()
+		}
+		root.Child("cluster.rack").WithTiming(oc.start, oc.dur).EndWith(fields)
+	}
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		sprinters, recovering := 0, 0
+		for i := range outcomes {
+			if res := outcomes[i].res; res != nil {
+				sprinters += res.SprintersPerEpoch[epoch]
+				recovering += res.RecoveringPerEpoch[epoch]
+			}
+		}
+		root.Child("cluster.epoch").EndWith(telemetry.Fields{
 			"epoch":      epoch,
 			"sprinters":  sprinters,
 			"recovering": recovering,
 		})
 	}
-	for i := range out.Racks {
-		r := &out.Racks[i]
-		// The nested snapshot is the same observable routing policies
-		// consume live in serving mode, so traceview and route.Policy
-		// read one structure (queue depth is 0 here: batch runs have
-		// no queues).
-		t.Emit("cluster.rack", telemetry.Fields{
-			"rack":      r.Rack,
-			"name":      r.Name,
-			"seed":      r.Seed,
-			"attempts":  r.Attempts,
-			"agents":    r.Agents,
-			"policy":    r.Sim.Policy,
-			"task_rate": r.Sim.TaskRate,
-			"trips":     r.Sim.Trips,
-			"snapshot":  cfg.Snapshot(r).Fields(),
-		})
-	}
-	// The pool size is deliberately left out: the trace must be
-	// byte-identical for every Config.Workers value.
-	t.Emit("cluster.done", telemetry.Fields{
-		"racks":                len(out.Racks),
-		"failed":               len(out.Failed),
-		"retries":              out.Retries,
-		"epochs":               out.Epochs,
-		"agents":               out.Agents,
-		"task_rate":            out.TaskRate,
-		"trips":                out.Trips,
-		"trips_per_rack_epoch": out.TripsPerRackEpoch,
-	})
-
-	// Span tree: a cluster.run root with one cluster.rack child per rack
-	// (failed racks included), emitted post-run in rack-index order so
-	// the span stream honours the determinism contract. The wall-clock
-	// windows captured on the worker goroutines surface only when the
-	// tracer has a clock; deterministic clock-less traces omit them. The
-	// trace ID derives from BaseSeed (mixed with a sentinel index no rack
-	// can occupy) so reruns reproduce it.
-	root := t.StartSpan("cluster.run", telemetry.TraceIDFromSeed(mixSeed(cfg.BaseSeed, -2)))
-	for i := range outcomes {
-		oc := &outcomes[i]
-		fields := telemetry.Fields{
-			"rack":      i,
-			"rack_name": cfg.rackName(i),
-			"attempts":  oc.attempts,
-			"failed":    oc.err != nil,
-		}
-		if oc.res != nil {
-			fields["task_rate"] = oc.res.TaskRate
-			fields["trips"] = oc.res.Trips
-		}
-		root.Child("cluster.rack").WithTiming(oc.start, oc.dur).EndWith(fields)
-	}
 	// "failed_racks", not "failed": the rack children use "failed" as a
 	// boolean, and one trace should not overload a key with two types.
-	root.WithTiming(runStart, time.Since(runStart)).EndWith(telemetry.Fields{
-		"racks":        len(out.Racks),
-		"failed_racks": len(out.Failed),
-		"retries":      out.Retries,
-	})
+	// The pool size is deliberately left out: the trace must be
+	// byte-identical for every Config.Workers value.
+	fields := telemetry.Fields{
+		"racks":        len(outcomes) - failed,
+		"failed_racks": failed,
+		"retries":      retries,
+		"epochs":       cfg.Epochs,
+	}
+	if out != nil {
+		fields["agents"] = out.Agents
+		fields["task_rate"] = out.TaskRate
+		fields["trips"] = out.Trips
+		fields["trips_per_rack_epoch"] = out.TripsPerRackEpoch
+	}
+	root.WithTiming(runStart, time.Since(runStart)).EndWith(fields)
 }

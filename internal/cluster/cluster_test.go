@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"sprintgame/internal/core"
+	"sprintgame/internal/policy"
 	"sprintgame/internal/power"
 	"sprintgame/internal/sim"
 	"sprintgame/internal/telemetry"
@@ -187,20 +191,86 @@ func TestClusterTelemetry(t *testing.T) {
 		t.Errorf("cluster.rack_task_rate observations = %d, want 3", got)
 	}
 
-	lines := strings.Split(strings.TrimSpace(trace.String()), "\n")
+	type span struct {
+		Event    string  `json:"event"`
+		Name     string  `json:"name"`
+		Rack     int     `json:"rack"`
+		Seed     uint64  `json:"seed"`
+		Agents   int     `json:"agents"`
+		Policy   string  `json:"policy"`
+		TaskRate float64 `json:"task_rate"`
+		Trips    int     `json:"trips"`
+		Snapshot *struct {
+			Rack  int `json:"rack"`
+			Epoch int `json:"epoch"`
+		} `json:"snapshot"`
+	}
 	counts := map[string]int{}
-	for _, line := range lines {
-		switch {
-		case strings.Contains(line, `"event":"cluster.epoch"`):
-			counts["epoch"]++
-		case strings.Contains(line, `"event":"cluster.rack"`):
-			counts["rack"]++
-		case strings.Contains(line, `"event":"cluster.done"`):
-			counts["done"]++
+	var racks []span
+	var run span
+	for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+		var s span
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if s.Event != "span" {
+			t.Fatalf("non-span trace line %q", line)
+		}
+		counts[s.Name]++
+		switch s.Name {
+		case "cluster.rack":
+			racks = append(racks, s)
+		case "cluster.run":
+			run = s
 		}
 	}
-	if counts["epoch"] != 50 || counts["rack"] != 3 || counts["done"] != 1 {
-		t.Errorf("trace events = %v, want 50 cluster.epoch, 3 cluster.rack, 1 cluster.done", counts)
+	if counts["cluster.epoch"] != 50 || counts["cluster.rack"] != 3 || counts["cluster.run"] != 1 {
+		t.Errorf("trace spans = %v, want 50 cluster.epoch, 3 cluster.rack, 1 cluster.run", counts)
+	}
+	for i, s := range racks {
+		r := res.Racks[i]
+		if s.Rack != r.Rack || s.Seed != r.Seed || s.Agents != r.Agents || s.Policy != r.Sim.Policy ||
+			s.TaskRate != r.Sim.TaskRate || s.Trips != r.Sim.Trips ||
+			s.Snapshot == nil || s.Snapshot.Rack != r.Rack || s.Snapshot.Epoch != r.Sim.Epochs {
+			t.Errorf("cluster.rack span %d = %+v, want rack result %+v", i, s, r)
+		}
+	}
+	if run.TaskRate != res.TaskRate || run.Trips != res.Trips {
+		t.Errorf("cluster.run span = %+v, want task rate %v and %d trips", run, res.TaskRate, res.Trips)
+	}
+}
+
+// TestRackConfigDropsTelemetrySinks pins the determinism contract's
+// first half: neither batch racks nor serving-mode steppers inherit the
+// cluster game's telemetry sinks. A Span reaching the factories would
+// hang concurrent racks' solver.iter spans under one parent, whose
+// child counter would make span IDs depend on the worker count.
+func TestRackConfigDropsTelemetrySinks(t *testing.T) {
+	cfg := testCluster(t, 4, 16, 10)
+	cfg.Game.Metrics = telemetry.NewRegistry()
+	cfg.Game.Span = telemetry.NewTracer(io.Discard).StartSpan("caller", "t")
+	cfg.Workers = 2
+	var mu sync.Mutex
+	leaked := 0
+	inner := cfg.Policy
+	cfg.Policy = func(rack int, spec RackSpec, simCfg sim.Config) (policy.Policy, error) {
+		if simCfg.Game.Span != nil || simCfg.Game.Metrics != nil {
+			mu.Lock()
+			leaked++
+			mu.Unlock()
+		}
+		return inner(rack, spec, simCfg)
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if leaked != 0 {
+		t.Errorf("%d of 4 rack factories saw the cluster game's Span or Metrics", leaked)
+	}
+	for i := range cfg.Racks {
+		if g := cfg.RackSimConfig(i).Game; g.Span != nil || g.Metrics != nil {
+			t.Errorf("RackSimConfig(%d) keeps the cluster game's telemetry sinks", i)
+		}
 	}
 }
 

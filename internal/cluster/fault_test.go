@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"runtime"
@@ -162,7 +163,6 @@ func TestClusterFaultTransientRetryRecovers(t *testing.T) {
 	cfg := testCluster(t, 3, 16, 50)
 	cfg.Faults = &FaultPlan{Kills: map[int]int{0: 5}, Transient: true}
 	cfg.MaxRetries = 2
-	cfg.RetryBackoff = -1
 	metrics := telemetry.NewRegistry()
 	cfg.Metrics = metrics
 	res, err := Run(cfg)
@@ -200,7 +200,6 @@ func TestClusterFaultRetriesExhausted(t *testing.T) {
 	cfg := testCluster(t, 3, 16, 50)
 	cfg.Faults = &FaultPlan{Kills: map[int]int{0: 5}} // permanent: re-fires every attempt
 	cfg.MaxRetries = 2
-	cfg.RetryBackoff = -1
 	cfg.AllowPartial = true
 	res, err := Run(cfg)
 	if err != nil {
@@ -227,7 +226,6 @@ func TestClusterFaultPolicyFactoryFailure(t *testing.T) {
 		return policy.NewGreedy(0), nil
 	}
 	base.MaxRetries = 3 // must not retry a non-restartable failure
-	base.RetryBackoff = -1
 
 	cfg := base
 	_, err := Run(cfg)
@@ -281,18 +279,50 @@ func TestClusterFaultTelemetry(t *testing.T) {
 	if got := metrics.Counter("cluster.racks").Value(); got != int64(len(res.Racks)) {
 		t.Errorf("cluster.racks = %d, want %d survivors", got, len(res.Racks))
 	}
-	out := trace.String()
-	if n := strings.Count(out, `"event":"cluster.rack_failed"`); n != 1 {
-		t.Errorf("cluster.rack_failed events = %d, want 1", n)
+	type span struct {
+		Event    string `json:"event"`
+		Name     string `json:"name"`
+		Rack     int    `json:"rack"`
+		Failed   bool   `json:"failed"`
+		Epoch    *int   `json:"epoch"`
+		Error    string `json:"error"`
+		Snapshot *struct {
+			Alive bool `json:"alive"`
+			Epoch int  `json:"epoch"`
+		} `json:"snapshot"`
+		FailedRacks int `json:"failed_racks"`
 	}
-	if !strings.Contains(out, `"rack":1`) || !strings.Contains(out, "injected fault") {
-		t.Error("cluster.rack_failed event misses the rack index or cause")
+	var racks []span
+	var run span
+	for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+		var s span
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if s.Event != "span" {
+			t.Fatalf("non-span trace line %q", line)
+		}
+		switch s.Name {
+		case "cluster.rack":
+			racks = append(racks, s)
+		case "cluster.run":
+			run = s
+		}
 	}
-	if !strings.Contains(out, `"failed":1`) {
-		t.Error("cluster.done must report the failed-rack count")
+	if len(racks) != 4 {
+		t.Fatalf("cluster.rack spans = %d, want 4 (failed racks included)", len(racks))
 	}
-	if n := strings.Count(out, `"event":"cluster.rack"`); n != len(res.Racks) {
-		t.Errorf("cluster.rack events = %d, want %d (survivors only)", n, len(res.Racks))
+	for i, s := range racks {
+		if s.Failed != (i == 1) || (s.Epoch != nil) != (i == 1) {
+			t.Errorf("rack span %d = %+v, want only rack 1 failed with an epoch", i, s)
+		}
+	}
+	if f := racks[1]; *f.Epoch != 7 || !strings.Contains(f.Error, "injected fault") ||
+		f.Snapshot == nil || f.Snapshot.Alive || f.Snapshot.Epoch != 7 {
+		t.Errorf("failed rack span = %+v, want epoch 7, the injected fault, and a dead snapshot at epoch 7", f)
+	}
+	if run.FailedRacks != 1 {
+		t.Errorf("cluster.run failed_racks = %d, want 1", run.FailedRacks)
 	}
 }
 
@@ -304,7 +334,6 @@ func TestClusterFaultDeterministicAcrossWorkerCounts(t *testing.T) {
 	base.Faults = &FaultPlan{Rate: 0.4, Kills: map[int]int{5: 60}}
 	base.AllowPartial = true
 	base.MaxRetries = 1
-	base.RetryBackoff = -1
 
 	run := func(workers int) (*Result, []byte) {
 		cfg := base

@@ -14,16 +14,15 @@ import (
 	"sprintgame/internal/telemetry"
 )
 
-// TestClusterSpanTraceDeterministicAcrossWorkers asserts the span-
-// annotated trace — cluster.run root, cluster.rack children, plus all
-// flat events — is byte-identical for every worker-pool size, with
-// fault injection and retries active. Clock-less tracers omit span
+// TestClusterSpanTraceDeterministicAcrossWorkers asserts the span
+// trace — cluster.run root, cluster.rack and cluster.epoch children — is
+// byte-identical for every worker-pool size, with fault injection and
+// retries active. Clock-less tracers omit span
 // timings, which is what makes this possible.
 func TestClusterSpanTraceDeterministicAcrossWorkers(t *testing.T) {
 	base := testCluster(t, 8, 16, 200, "decision", "pagerank")
 	base.Faults = &FaultPlan{Kills: map[int]int{2: 50}, Rate: 0.25, Transient: true}
 	base.MaxRetries = 1
-	base.RetryBackoff = -1 // no sleeps in tests
 	base.AllowPartial = true
 
 	run := func(workers int) []byte {
@@ -38,12 +37,12 @@ func TestClusterSpanTraceDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	ref := run(1)
-	if !strings.Contains(string(ref), `"event":"span"`) {
-		t.Fatal("trace has no span events")
+	for _, line := range strings.Split(strings.TrimSpace(string(ref)), "\n") {
+		if !strings.Contains(line, `"event":"span"`) {
+			t.Fatalf("non-span trace line %q", line)
+		}
 	}
-	for _, name := range []string{"cluster.run", "cluster.rack"} {
-		// Only span events carry a name VALUE of "cluster.run"/"cluster.rack"
-		// (flat cluster.rack events put the rack label there instead).
+	for _, name := range []string{"cluster.run", "cluster.rack", "cluster.epoch"} {
 		if !strings.Contains(string(ref), fmt.Sprintf(`"name":%q`, name)) {
 			t.Errorf("trace missing %s span", name)
 		}
@@ -60,8 +59,9 @@ func TestClusterSpanTraceDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestClusterSpanTreeWiring checks the emitted spans form one trace:
-// every cluster.rack span carries the cluster.run span as its parent,
-// and there is exactly one rack span per rack, flagged when failed.
+// every cluster.rack and cluster.epoch span carries the cluster.run
+// span as its parent, there is exactly one rack span per rack, flagged
+// when failed, and one epoch span per epoch, in order.
 func TestClusterSpanTreeWiring(t *testing.T) {
 	cfg := testCluster(t, 4, 16, 100)
 	cfg.Faults = &FaultPlan{Kills: map[int]int{1: 10}}
@@ -81,9 +81,10 @@ func TestClusterSpanTreeWiring(t *testing.T) {
 		Rack     int    `json:"rack"`
 		RackName string `json:"rack_name"`
 		Failed   bool   `json:"failed"`
+		Epoch    int    `json:"epoch"`
 	}
 	var root *span
-	var racks []span
+	var racks, epochs []span
 	for _, line := range bytes.Split(trace.Bytes(), []byte("\n")) {
 		if len(line) == 0 || !bytes.Contains(line, []byte(`"event":"span"`)) {
 			continue
@@ -97,10 +98,20 @@ func TestClusterSpanTreeWiring(t *testing.T) {
 			root = &s
 		case "cluster.rack":
 			racks = append(racks, s)
+		case "cluster.epoch":
+			epochs = append(epochs, s)
 		}
 	}
 	if root == nil {
 		t.Fatal("no cluster.run span")
+	}
+	if len(epochs) != cfg.Epochs {
+		t.Fatalf("got %d cluster.epoch spans, want %d", len(epochs), cfg.Epochs)
+	}
+	for i, s := range epochs {
+		if s.Trace != root.Trace || s.Parent != root.ID || s.Epoch != i {
+			t.Errorf("epoch span %d = %+v, want epoch %d under root %s", i, s, i, root.ID)
+		}
 	}
 	if len(racks) != 4 {
 		t.Fatalf("got %d cluster.rack spans, want 4 (failed racks included)", len(racks))
@@ -144,7 +155,6 @@ func TestClusterMetricsScrapeUnderLoad(t *testing.T) {
 	cfg.Metrics = reg
 	cfg.Faults = &FaultPlan{Rate: 0.3, Transient: true}
 	cfg.MaxRetries = 1
-	cfg.RetryBackoff = -1
 	cfg.AllowPartial = true
 	cfg.Workers = 4
 

@@ -5,7 +5,7 @@ import (
 )
 
 // RackSnapshot is a rack's live observable state: the one structure
-// routing policies (internal/route), cluster.rack trace events, and
+// routing policies (internal/route), cluster.rack trace spans, and
 // cmd/traceview all share. The serving layer rebuilds it every epoch
 // from Stepper stats and queue bookkeeping; batch cluster runs emit a
 // final snapshot per rack so queue depth and sprint pressure are

@@ -70,7 +70,8 @@ type ServeOptions struct {
 	// Metrics, when non-nil, receives server metrics (coord.requests,
 	// coord.request_latency_s, coord.connections, ...).
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives per-request coord.request events.
+	// Tracer, when non-nil, receives one coord.request span tree per
+	// request (parse, dispatch, encode and any solve under it).
 	Tracer *telemetry.Tracer
 	// Cache, when non-nil, is attached to the coordinator
 	// (Coordinator.UseCache): concurrent "strategies" requests for the

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
 	"strings"
 	"testing"
@@ -131,8 +132,35 @@ func TestServerRequestTelemetry(t *testing.T) {
 	if h.Count != 5 {
 		t.Errorf("latency histogram count = %d, want 5", h.Count)
 	}
-	if n := strings.Count(buf.String(), `"event":"coord.request"`); n != 5 {
-		t.Errorf("%d coord.request trace events, want 5", n)
+	types := map[string]int{}
+	errored := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var s struct {
+			Event string `json:"event"`
+			Name  string `json:"name"`
+			Type  string `json:"type"`
+			Error string `json:"error"`
+			Trace string `json:"trace"`
+		}
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if s.Event != "span" {
+			t.Fatalf("non-span trace line %q", line)
+		}
+		if s.Name != "coord.request" {
+			continue
+		}
+		types[s.Type]++
+		if s.Error != "" {
+			errored++
+		}
+		if s.Trace == "" {
+			t.Errorf("coord.request span without a trace ID: %q", line)
+		}
+	}
+	if types["submit"] != 4 || types["strategies"] != 1 || errored != 1 {
+		t.Errorf("coord.request spans by type = %v with %d errors, want 4 submit, 1 strategies, 1 error", types, errored)
 	}
 }
 

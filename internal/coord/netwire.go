@@ -240,29 +240,20 @@ func (e *endpoint) serveConn(conn net.Conn) {
 		encErr := codec.writeResponse(resp)
 		encSpan.End()
 		// The root span's window closes here, right after the response
-		// hits the wire: the metric bookkeeping and flat event below are
-		// server overhead, not request service time, and keeping them
-		// outside the window lets the parse/dispatch/encode children
-		// account for (nearly) all of the root's duration.
+		// hits the wire: the metric bookkeeping below is server overhead,
+		// not request service time, and keeping it outside the window
+		// lets the parse/dispatch/encode children account for (nearly)
+		// all of the root's duration.
 		rootDur := time.Since(res.start)
 		root.WithTiming(res.start, rootDur).EndWith(telemetry.Fields{
 			"type":  req.Type,
 			"error": resp.Error,
 		})
-		latency := rootDur.Seconds()
-		latencyHist.Observe(latency)
+		latencyHist.Observe(rootDur.Seconds())
 		e.metrics.Counter("coord.requests").Inc()
 		e.metrics.Counter("coord.requests." + req.Type).Inc()
 		if resp.Error != "" {
 			e.metrics.Counter("coord.request_errors").Inc()
-		}
-		if e.tracer.Enabled() {
-			e.tracer.Emit("coord.request", telemetry.Fields{
-				"type":      req.Type,
-				"error":     resp.Error,
-				"latency_s": latency,
-				"trace":     root.TraceID(),
-			})
 		}
 		if encErr != nil {
 			return

@@ -47,14 +47,12 @@ type Config struct {
 	// solver.iterations, solver.residual, ...). Nil disables metrics at
 	// negligible cost.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives per-iteration solver.step events
-	// and a final solver.done event as JSONL. Nil disables tracing.
-	Tracer *telemetry.Tracer
-	// Span, when non-nil, is the parent span for this solve: each outer
-	// Algorithm 1 iteration is emitted as a solver.iter child span
-	// through the span's own tracer. Like Metrics and Tracer it is a
-	// telemetry sink, not a game parameter, and is excluded from
-	// SolveKey.
+	// Span, when non-nil, is the parent span for this solve:
+	// FindEquilibrium emits each outer Algorithm 1 iteration as a
+	// solver.iter child through the span's own tracer, and
+	// SolveCache.FindEquilibrium puts its cache.lookup and core.solve
+	// spans under it. Like Metrics it is a telemetry sink, not a game
+	// parameter, and is excluded from SolveKey.
 	Span *telemetry.Span
 }
 

@@ -73,12 +73,18 @@ func TestSolverTelemetry(t *testing.T) {
 	cfg := testConfig()
 	cfg.Metrics = telemetry.NewRegistry()
 	var buf bytes.Buffer
-	cfg.Tracer = telemetry.NewTracer(&buf)
+	tr := telemetry.NewTracer(&buf)
+	root := tr.StartSpan("test", telemetry.TraceIDFromSeed(1))
+	cfg.Span = root
 
-	eq, err := SingleClass("decision", density(t, "decision"), cfg)
+	// A nil cache solves directly; with a nil parent the core.solve span
+	// hangs under cfg.Span.
+	eq, err := (*SolveCache)(nil).FindEquilibrium(
+		[]AgentClass{{Name: "decision", Count: cfg.N, Density: density(t, "decision")}}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	root.End()
 	if got := cfg.Metrics.Counter("solver.runs").Value(); got != 1 {
 		t.Errorf("solver.runs = %d", got)
 	}
@@ -93,37 +99,61 @@ func TestSolverTelemetry(t *testing.T) {
 		t.Errorf("solver.residual gauge = %v, want final residual %v", g, eq.Residuals[len(eq.Residuals)-1])
 	}
 
-	// The JSONL trace must contain one solver.step per iteration, with
-	// residuals matching Equilibrium.Residuals, then one solver.done.
-	type step struct {
-		Event    string  `json:"event"`
-		Iter     int     `json:"iter"`
-		Residual float64 `json:"residual"`
+	// The span trace must hold one core.solve under the root carrying
+	// the outcome, and under it one solver.iter per iteration whose
+	// residuals match Equilibrium.Residuals and whose iterates chain:
+	// each iteration starts from the previous one's damped update.
+	type span struct {
+		Event      string  `json:"event"`
+		Name       string  `json:"name"`
+		ID         string  `json:"id"`
+		Parent     string  `json:"parent"`
+		Iter       int     `json:"iter"`
+		Residual   float64 `json:"residual"`
+		Ptrip      float64 `json:"ptrip"`
+		Next       float64 `json:"next"`
+		Sprinters  float64 `json:"sprinters"`
+		Iterations int     `json:"iterations"`
+		Converged  bool    `json:"converged"`
 	}
-	var steps []step
-	var done int
+	var iters, solves []span
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
-		var s step
+		var s span
 		if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
 			t.Fatalf("bad trace line %q: %v", sc.Text(), err)
 		}
-		switch s.Event {
-		case "solver.step":
-			steps = append(steps, s)
-		case "solver.done":
-			done++
+		if s.Event != "span" {
+			t.Fatalf("non-span trace line %q", sc.Text())
+		}
+		switch s.Name {
+		case "solver.iter":
+			iters = append(iters, s)
+		case "core.solve":
+			solves = append(solves, s)
 		}
 	}
-	if len(steps) != eq.Iterations {
-		t.Fatalf("%d solver.step events for %d iterations", len(steps), eq.Iterations)
+	if len(solves) != 1 {
+		t.Fatalf("%d core.solve spans, want 1", len(solves))
 	}
-	if done != 1 {
-		t.Errorf("%d solver.done events", done)
+	solve := solves[0]
+	if solve.Parent != root.SpanID() {
+		t.Errorf("core.solve parent = %q, want the cfg.Span root %q", solve.Parent, root.SpanID())
 	}
-	for i, s := range steps {
-		if s.Iter != i+1 || s.Residual != eq.Residuals[i] {
-			t.Errorf("step %d = %+v, want iter %d residual %v", i, s, i+1, eq.Residuals[i])
+	if solve.Iterations != eq.Iterations || !solve.Converged || solve.Ptrip != eq.Ptrip || solve.Sprinters != eq.Sprinters {
+		t.Errorf("core.solve = %+v, want iterations %d ptrip %v sprinters %v converged", solve, eq.Iterations, eq.Ptrip, eq.Sprinters)
+	}
+	if len(iters) != eq.Iterations {
+		t.Fatalf("%d solver.iter spans for %d iterations", len(iters), eq.Iterations)
+	}
+	prev := 1.0 // Algorithm 1 starts from Ptrip = 1
+	for i, s := range iters {
+		if s.Parent != solve.ID || s.Iter != i+1 || s.Residual != eq.Residuals[i] || s.Ptrip != prev {
+			t.Errorf("iter %d = %+v, want parent %s iter %d residual %v ptrip %v", i, s, solve.ID, i+1, eq.Residuals[i], prev)
 		}
+		prev += cfg.Damping * (s.Next - prev)
+	}
+	if last := iters[len(iters)-1]; last.Ptrip != eq.Ptrip || last.Sprinters != eq.Sprinters {
+		t.Errorf("last iter = %+v, want ptrip %v sprinters %v", last, eq.Ptrip, eq.Sprinters)
 	}
 }

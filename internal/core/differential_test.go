@@ -350,7 +350,7 @@ func TestEquilibriumIsLargestFixedPoint(t *testing.T) {
 // rises, on every catalog density × Pc {.4,.5,.6} × Pr {.8,.88,.95}.
 func TestDescentNeverRises(t *testing.T) {
 	type step struct {
-		Event string  `json:"event"`
+		Name  string  `json:"name"`
 		Ptrip float64 `json:"ptrip"`
 		Next  float64 `json:"next"`
 	}
@@ -361,7 +361,7 @@ func TestDescentNeverRises(t *testing.T) {
 				var buf bytes.Buffer
 				cfg := DefaultConfig()
 				cfg.Pc, cfg.Pr = pc, pr
-				cfg.Tracer = telemetry.NewTracer(&buf)
+				cfg.Span = telemetry.NewTracer(&buf).StartSpan("test", "t")
 				eq, err := SingleClass(name, f, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -376,7 +376,7 @@ func TestDescentNeverRises(t *testing.T) {
 					if err := dec.Decode(&s); err != nil {
 						t.Fatal(err)
 					}
-					if s.Event == "solver.step" && s.Next > s.Ptrip {
+					if s.Name == "solver.iter" && s.Next > s.Ptrip {
 						t.Errorf("%s pc=%v pr=%v: iterate rose from %v to %v", name, pc, pr, s.Ptrip, s.Next)
 					}
 				}

@@ -130,17 +130,14 @@ func FindEquilibrium(classes []AgentClass, cfg Config) (*Equilibrium, error) {
 		eq.Iterations = iter
 		eq.Residuals = append(eq.Residuals, residual)
 		residualGauge.Set(residual)
-		if cfg.Tracer.Enabled() {
-			cfg.Tracer.Emit("solver.step", telemetry.Fields{
+		if iterSpan != nil {
+			iterSpan.EndWith(telemetry.Fields{
 				"iter":      iter,
 				"ptrip":     ptrip,
 				"next":      next,
 				"residual":  residual,
 				"sprinters": nS,
 			})
-		}
-		if iterSpan != nil {
-			iterSpan.EndWith(telemetry.Fields{"iter": iter, "residual": residual})
 		}
 		if residual < cfg.FixedPointTol {
 			eq.Ptrip = ptrip
@@ -182,14 +179,6 @@ func finishSolve(cfg Config, eq *Equilibrium) {
 		cfg.Metrics.Counter("solver.converged").Inc()
 	} else {
 		cfg.Metrics.Counter("solver.unconverged").Inc()
-	}
-	if cfg.Tracer.Enabled() {
-		cfg.Tracer.Emit("solver.done", telemetry.Fields{
-			"iterations": eq.Iterations,
-			"converged":  eq.Converged,
-			"ptrip":      eq.Ptrip,
-			"sprinters":  eq.Sprinters,
-		})
 	}
 }
 

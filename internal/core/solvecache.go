@@ -126,7 +126,8 @@ func (c *SolveCache) FindEquilibrium(classes []AgentClass, cfg Config) (*Equilib
 }
 
 // FindEquilibriumSpanned is FindEquilibrium with span tracing under the
-// given parent span (nil disables it): the lookup is emitted as a
+// given parent span, or under cfg.Span when parent is nil (both nil
+// disables it): the lookup is emitted as a
 // cache.lookup child whose outcome field reports hit, miss, or
 // coalesced — a coalesced lookup's duration is the time spent waiting
 // on the in-flight solve — and a miss's actual solve as a core.solve
@@ -134,6 +135,9 @@ func (c *SolveCache) FindEquilibrium(classes []AgentClass, cfg Config) (*Equilib
 func (c *SolveCache) FindEquilibriumSpanned(classes []AgentClass, cfg Config, parent *telemetry.Span) (*Equilibrium, error) {
 	// Span payloads are built behind nil checks so unspanned lookups do
 	// not pay a Fields allocation.
+	if parent == nil {
+		parent = cfg.Span
+	}
 	if c == nil {
 		return solveSpanned(classes, cfg, parent)
 	}
@@ -224,6 +228,8 @@ func solveFields(eq *Equilibrium, err error) telemetry.Fields {
 	return telemetry.Fields{
 		"iterations": eq.Iterations,
 		"converged":  eq.Converged,
+		"ptrip":      eq.Ptrip,
+		"sprinters":  eq.Sprinters,
 	}
 }
 
@@ -238,7 +244,7 @@ const tripFingerprintSamples = 17
 
 // SolveKey returns the canonical FNV-1a hash of a game instance: the
 // classes (name, count, density atoms) and the semantic fields of cfg.
-// Telemetry sinks (cfg.Metrics, cfg.Tracer, cfg.Span) are deliberately
+// Telemetry sinks (cfg.Metrics, cfg.Span) are deliberately
 // excluded — they do not affect the solution.
 func SolveKey(classes []AgentClass, cfg Config) uint64 {
 	h := fnv.New64a()

@@ -49,7 +49,7 @@ func TestSolveKeyCanonical(t *testing.T) {
 	// A functionally identical trip model (instrumented wrapper) keys
 	// the same.
 	wrapped := cfg
-	wrapped.Trip = power.Instrument(cfg.Trip, telemetry.NewRegistry(), nil)
+	wrapped.Trip = power.Instrument(cfg.Trip, telemetry.NewRegistry())
 	if SolveKey(classes, wrapped) != k1 {
 		t.Error("instrumented trip model changed the key")
 	}

@@ -2,26 +2,24 @@ package power
 
 import "sprintgame/internal/telemetry"
 
-// InstrumentedTripModel wraps a TripModel with telemetry: every Ptrip
-// evaluation bumps power.ptrip_evals, publishes the evaluated
-// probability as the power.ptrip gauge, and — when the probability is
-// nonzero — emits a power.risk trace event. The sim and solver both
+// InstrumentedTripModel wraps a TripModel with metrics: every Ptrip
+// evaluation bumps power.ptrip_evals and publishes the evaluated
+// probability as the power.ptrip gauge. The sim and solver both
 // evaluate the trip model on their hot paths, so wrapping is opt-in;
-// Instrument with a nil registry and tracer returns the model unwrapped.
+// Instrument with a nil registry returns the model unwrapped.
 type InstrumentedTripModel struct {
 	Model   TripModel
 	Metrics *telemetry.Registry
-	Tracer  *telemetry.Tracer
 }
 
-// Instrument wraps m with telemetry sinks. If both sinks are nil the
-// model is returned as-is, keeping the disabled path allocation- and
+// Instrument wraps m with a metrics registry. A nil registry returns
+// the model as-is, keeping the disabled path allocation- and
 // indirection-free.
-func Instrument(m TripModel, reg *telemetry.Registry, tr *telemetry.Tracer) TripModel {
-	if reg == nil && tr == nil {
+func Instrument(m TripModel, reg *telemetry.Registry) TripModel {
+	if reg == nil {
 		return m
 	}
-	return InstrumentedTripModel{Model: m, Metrics: reg, Tracer: tr}
+	return InstrumentedTripModel{Model: m, Metrics: reg}
 }
 
 // Ptrip evaluates the wrapped model and records the result.
@@ -29,12 +27,6 @@ func (m InstrumentedTripModel) Ptrip(nSprinters float64) float64 {
 	p := m.Model.Ptrip(nSprinters)
 	m.Metrics.Counter("power.ptrip_evals").Inc()
 	m.Metrics.Gauge("power.ptrip").Set(p)
-	if p > 0 && m.Tracer.Enabled() {
-		m.Tracer.Emit("power.risk", telemetry.Fields{
-			"sprinters": nSprinters,
-			"ptrip":     p,
-		})
-	}
 	return p
 }
 

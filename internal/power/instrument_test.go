@@ -1,8 +1,6 @@
 package power
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"sprintgame/internal/telemetry"
@@ -10,17 +8,15 @@ import (
 
 func TestInstrumentPassthroughWhenDisabled(t *testing.T) {
 	m := PaperTripModel()
-	got := Instrument(m, nil, nil)
+	got := Instrument(m, nil)
 	if got != TripModel(m) {
-		t.Errorf("Instrument with nil sinks should return the model unchanged, got %T", got)
+		t.Errorf("Instrument with a nil registry should return the model unchanged, got %T", got)
 	}
 }
 
 func TestInstrumentedTripModelRecords(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	var buf bytes.Buffer
-	tr := telemetry.NewTracer(&buf)
-	m := Instrument(PaperTripModel(), reg, tr)
+	m := Instrument(PaperTripModel(), reg)
 
 	if p := m.Ptrip(0); p != 0 {
 		t.Errorf("Ptrip(0) = %v", p)
@@ -34,11 +30,6 @@ func TestInstrumentedTripModelRecords(t *testing.T) {
 	if got := reg.Gauge("power.ptrip").Value(); got != 0.5 {
 		t.Errorf("ptrip gauge = %v", got)
 	}
-	// Only the nonzero-risk evaluation traces.
-	if tr.Count() != 1 || !strings.Contains(buf.String(), `"event":"power.risk"`) {
-		t.Errorf("trace = %q (count %d)", buf.String(), tr.Count())
-	}
-
 	lo, hi := m.Bounds()
 	if lo != 250 || hi != 750 {
 		t.Errorf("bounds = %v, %v", lo, hi)

@@ -19,9 +19,9 @@ type Config struct {
 	// Cluster shapes the datacenter: racks, epochs, game parameters,
 	// seeds, worker pool, sprint-policy factory, fault plan, and
 	// telemetry sinks. Serving mode ignores the batch-only fields
-	// AllowPartial, MaxRetries, and RetryBackoff: a killed rack is
-	// permanent and its queue is rerouted to survivors, which *is* the
-	// recovery mechanism.
+	// AllowPartial and MaxRetries: a killed rack is permanent and its
+	// queue is rerouted to survivors, which *is* the recovery
+	// mechanism.
 	Cluster cluster.Config
 	// Arrivals generates the offered load.
 	Arrivals Arrivals
@@ -190,7 +190,7 @@ const ewmaAlpha = 0.25
 //
 // Serve errors if every rack dies (nothing can serve) or if any
 // internal invariant — job conservation above all — breaks.
-func Serve(cfg Config) (*Result, error) {
+func Serve(cfg Config) (_ *Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -245,8 +245,24 @@ func Serve(cfg Config) (*Result, error) {
 		kills = cc.Faults.Schedule(cc.BaseSeed, nRacks, cc.Epochs)
 	}
 	arrivalRNG := stats.NewRNG(cluster.MixSeed(cc.BaseSeed, -3))
-	tracer := cc.Tracer
-	tracing := tracer.Enabled()
+
+	// The route.serve root opens before the loop: its route.rack_dead and
+	// route.epoch children are emitted live (the loop is single-threaded,
+	// so their birth order is deterministic), the per-job spans post-run.
+	var root *telemetry.Span
+	if cc.Tracer.Enabled() {
+		traceSeed := cfg.TraceSeed
+		if traceSeed == 0 {
+			traceSeed = cluster.MixSeed(cc.BaseSeed, -4)
+		}
+		root = cc.Tracer.StartSpan("route.serve", telemetry.TraceIDFromSeed(traceSeed))
+		defer func() {
+			if err != nil {
+				root.EndWith(telemetry.Fields{"error": err.Error()})
+			}
+		}()
+	}
+	tracing := root != nil
 
 	// The persistent stepping pool: rack indices in, barrier via wg.
 	// Each stepper owns its RNG stream and has nil telemetry sinks, so
@@ -310,13 +326,6 @@ func Serve(cfg Config) (*Result, error) {
 		}
 		if tracing {
 			dlog = append(dlog, dispatchRec{job: id, rack: pick, epoch: epoch, reroute: reroute})
-			tracer.Emit("route.dispatch", telemetry.Fields{
-				"job":     id,
-				"rack":    pick,
-				"epoch":   epoch,
-				"units":   j.units,
-				"reroute": reroute,
-			})
 		}
 		return nil
 	}
@@ -345,7 +354,7 @@ func Serve(cfg Config) (*Result, error) {
 			rs.snap.BacklogUnits = 0
 			rs.snap.RateUnits = 0
 			if tracing {
-				tracer.Emit("route.rack_dead", telemetry.Fields{
+				root.Child("route.rack_dead").EndWith(telemetry.Fields{
 					"rack":     i,
 					"name":     rs.snap.Name,
 					"epoch":    epoch,
@@ -372,13 +381,6 @@ func Serve(cfg Config) (*Result, error) {
 			id := len(jobs)
 			jobs = append(jobs, servedJob{epoch: epoch, units: a.Units, remaining: a.Units, completed: -1})
 			res.UnitsArrived += a.Units
-			if tracing {
-				tracer.Emit("route.arrival", telemetry.Fields{
-					"job":   id,
-					"epoch": epoch,
-					"units": a.Units,
-				})
-			}
 			if err := dispatch(id, epoch, false); err != nil {
 				return nil, err
 			}
@@ -462,7 +464,7 @@ func Serve(cfg Config) (*Result, error) {
 				queued += snaps[i].QueueDepth
 				backlog += snaps[i].BacklogUnits
 			}
-			tracer.Emit("route.epoch", telemetry.Fields{
+			root.Child("route.epoch").EndWith(telemetry.Fields{
 				"epoch":     epoch,
 				"arrived":   len(arrived),
 				"completed": completedThisEpoch,
@@ -517,11 +519,7 @@ func Serve(cfg Config) (*Result, error) {
 
 	emitServeMetrics(cc.Metrics, res, jobs, latBuckets)
 	if tracing {
-		traceSeed := cfg.TraceSeed
-		if traceSeed == 0 {
-			traceSeed = cluster.MixSeed(cc.BaseSeed, -4)
-		}
-		emitServeTrace(tracer, traceSeed, res, jobs, dlog)
+		emitServeTrace(root, res, jobs, dlog)
 	}
 	return res, nil
 }
@@ -546,18 +544,18 @@ func emitServeMetrics(m *telemetry.Registry, res *Result, jobs []servedJob, latB
 	}
 }
 
-// emitServeTrace writes the serving span tree: a route.serve root with
-// one route.arrival span per job, each with a route.dispatch child per
-// (re)dispatch, each with a cluster.rack child naming the rack that
-// held the job — the route.arrival → route.dispatch → cluster.rack
-// chain cmd/traceview renders. Spans are emitted post-run in job order,
-// so the stream is byte-identical for every worker count.
+// emitServeTrace completes the serving span tree under the route.serve
+// root: one route.arrival span per job, each with a route.dispatch
+// child per (re)dispatch, each with a cluster.rack child naming the
+// rack that held the job — the route.arrival → route.dispatch →
+// cluster.rack chain cmd/traceview renders — and then the root itself,
+// summarizing the run. Spans are emitted post-run in job order, so the
+// stream is byte-identical for every worker count.
 //
 // dlog is the run's dispatch log in dispatch order; a stable sort by
 // job groups each job's dispatches while keeping their order.
-func emitServeTrace(tracer *telemetry.Tracer, traceSeed uint64, res *Result, jobs []servedJob, dlog []dispatchRec) {
+func emitServeTrace(root *telemetry.Span, res *Result, jobs []servedJob, dlog []dispatchRec) {
 	slices.SortStableFunc(dlog, func(a, b dispatchRec) int { return cmp.Compare(a.job, b.job) })
-	root := tracer.StartSpan("route.serve", telemetry.TraceIDFromSeed(traceSeed))
 	for id := range jobs {
 		j := &jobs[id]
 		arrival := root.Child("route.arrival")
@@ -591,15 +589,6 @@ func emitServeTrace(tracer *telemetry.Tracer, traceSeed uint64, res *Result, job
 		dlog = dlog[n:]
 	}
 	root.EndWith(telemetry.Fields{
-		"policy":     res.Policy,
-		"arrivals":   res.Arrivals,
-		"arrived":    res.Arrived,
-		"completed":  res.Completed,
-		"unfinished": res.Unfinished,
-		"rerouted":   res.Rerouted,
-		"throughput": res.Throughput,
-	})
-	tracer.Emit("route.done", telemetry.Fields{
 		"policy":       res.Policy,
 		"arrivals":     res.Arrivals,
 		"arrived":      res.Arrived,

@@ -147,15 +147,54 @@ func TestServeReroutesOffDeadRacks(t *testing.T) {
 	if res.Racks[1].Sim.Epochs != 120 || res.Racks[2].Sim.Epochs != 120 {
 		t.Error("survivors should complete all epochs")
 	}
-	// A round-robin policy never routes to the corpse after the kill:
-	// the trace records every dispatch.
-	s := string(trace)
-	if !strings.Contains(s, `"route.rack_dead"`) {
-		t.Error("trace missing route.rack_dead event")
+	// The trace is spans only: the route.serve root carries the run's
+	// latency quantiles, and the kill and every epoch are its children.
+	var line struct {
+		Event      string  `json:"event"`
+		Name       string  `json:"name"`
+		ID         string  `json:"id"`
+		Parent     string  `json:"parent"`
+		Rack       int     `json:"rack"`
+		Epoch      int     `json:"epoch"`
+		Requeued   int     `json:"requeued"`
+		LatencyP99 float64 `json:"latency_p99"`
 	}
-	for _, ev := range []string{`"route.arrival"`, `"route.dispatch"`, `"route.epoch"`, `"route.done"`, `"route.serve"`} {
-		if !strings.Contains(s, ev) {
-			t.Errorf("trace missing %s", ev)
+	counts := map[string]int{}
+	var rootID string
+	parents := map[string][]string{} // span name -> parent IDs
+	for _, raw := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
+		line.Event, line.Name, line.Parent = "", "", ""
+		if err := json.Unmarshal(raw, &line); err != nil {
+			t.Fatal(err)
+		}
+		if line.Event != "span" {
+			t.Fatalf("non-span trace line %s", raw)
+		}
+		counts[line.Name]++
+		parents[line.Name] = append(parents[line.Name], line.Parent)
+		switch line.Name {
+		case "route.serve":
+			rootID = line.ID
+			if line.LatencyP99 != res.Latency.P99 {
+				t.Errorf("route.serve latency_p99 = %v, result %v", line.LatencyP99, res.Latency.P99)
+			}
+		case "route.rack_dead":
+			if line.Rack != 0 || line.Epoch != 60 || line.Requeued == 0 {
+				t.Errorf("route.rack_dead span = %+v, want rack 0 at epoch 60 with a requeued backlog", line)
+			}
+		}
+	}
+	want := map[string]int{"route.serve": 1, "route.rack_dead": 1, "route.epoch": cc.Epochs, "route.arrival": res.Arrived}
+	for name, n := range want {
+		if counts[name] != n {
+			t.Errorf("%d %s spans, want %d", counts[name], name, n)
+		}
+	}
+	for _, name := range []string{"route.rack_dead", "route.epoch", "route.arrival"} {
+		for _, p := range parents[name] {
+			if p != rootID {
+				t.Fatalf("%s span parented under %q, not the route.serve root %q", name, p, rootID)
+			}
 		}
 	}
 }
@@ -254,10 +293,13 @@ func TestServeMatchesBatchSimulation(t *testing.T) {
 }
 
 // TestServeTraceKeepsRerouteDispatches: a job rerouted off a killed
-// rack keeps both route.dispatch spans under its route.arrival span, in
-// the order the live route.dispatch events recorded them. The span tree
-// is rebuilt post-run from the engine's flat dispatch log, so this pins
-// that the log's per-job grouping loses and reorders nothing.
+// rack keeps every route.dispatch span under its route.arrival span, in
+// dispatch order. The span tree is rebuilt post-run from the engine's
+// flat dispatch log, so this pins that the log's per-job grouping loses
+// and reorders nothing, against references independent of the log: a
+// job's first dispatch is at its arrival epoch, each reroute happens at
+// the fault schedule's kill epoch of the rack that held the job, and
+// the reroutes add up to Result.Rerouted.
 func TestServeTraceKeepsRerouteDispatches(t *testing.T) {
 	cc := testCluster(t, 4, 32, 120, false)
 	plan := &cluster.FaultPlan{Kills: map[int]int{1: 40, 2: 70}}
@@ -265,6 +307,7 @@ func TestServeTraceKeepsRerouteDispatches(t *testing.T) {
 	if res.Rerouted == 0 {
 		t.Fatal("the kills rerouted nothing")
 	}
+	kills := plan.Schedule(cc.BaseSeed, len(cc.Racks), cc.Epochs)
 
 	type disp struct {
 		Rack    int  `json:"rack"`
@@ -279,38 +322,40 @@ func TestServeTraceKeepsRerouteDispatches(t *testing.T) {
 		Job    int    `json:"job"`
 		disp
 	}
-	live := map[int][]disp{}       // job -> route.dispatch events
-	spans := map[string][]disp{}   // arrival span ID -> dispatch spans
-	arrivalJob := map[string]int{} // arrival span ID -> job
+	spans := map[string][]disp{} // arrival span ID -> dispatch spans
+	type arrival struct{ job, epoch int }
+	arrivals := map[string]arrival{} // arrival span ID -> job and arrival epoch
 	for _, raw := range bytes.Split(bytes.TrimSpace(trace), []byte("\n")) {
 		line.Event, line.Name, line.ID, line.Parent, line.Job, line.disp = "", "", "", "", -1, disp{}
 		if err := json.Unmarshal(raw, &line); err != nil {
 			t.Fatal(err)
 		}
-		switch {
-		case line.Event == "route.dispatch":
-			live[line.Job] = append(live[line.Job], line.disp)
-		case line.Event == "span" && line.Name == "route.dispatch":
+		switch line.Name {
+		case "route.dispatch":
 			spans[line.Parent] = append(spans[line.Parent], line.disp)
-		case line.Event == "span" && line.Name == "route.arrival":
-			arrivalJob[line.ID] = line.Job
+		case "route.arrival":
+			arrivals[line.ID] = arrival{line.Job, line.Epoch}
 		}
 	}
-	if len(arrivalJob) != res.Arrived {
-		t.Fatalf("%d route.arrival spans, %d jobs arrived", len(arrivalJob), res.Arrived)
+	if len(arrivals) != res.Arrived {
+		t.Fatalf("%d route.arrival spans, %d jobs arrived", len(arrivals), res.Arrived)
 	}
 	rerouted := 0
-	for id, job := range arrivalJob {
-		got, want := spans[id], live[job]
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("job %d: dispatch spans %+v, live dispatches %+v", job, got, want)
+	for id, arr := range arrivals {
+		job, got := arr.job, spans[id]
+		if len(got) == 0 {
+			t.Fatalf("job %d has no dispatch span", job)
 		}
-		if len(got) < 2 {
-			continue
+		if got[0].Epoch != arr.epoch || got[0].Reroute {
+			t.Errorf("job %d arrived at epoch %d but was first dispatched %+v", job, arr.epoch, got[0])
 		}
-		rerouted += len(got) - 1
-		if got[0].Reroute || !got[len(got)-1].Reroute || got[0].Rack == got[1].Rack {
-			t.Errorf("job %d: dispatches %+v, want a first dispatch then reroutes to another rack", job, got)
+		for k := 1; k < len(got); k++ {
+			rerouted++
+			held := got[k-1].Rack
+			if !got[k].Reroute || got[k].Epoch != kills[held] || got[k].Rack == held {
+				t.Errorf("job %d dispatch %d = %+v after rack %d (killed at %d), want a reroute off it at its kill epoch",
+					job, k, got[k], held, kills[held])
+			}
 		}
 	}
 	if rerouted != res.Rerouted {

@@ -86,17 +86,11 @@ type Config struct {
 	// sim.sprinters_per_epoch, power.trips, ...). Nil disables metrics
 	// at negligible cost.
 	Metrics *telemetry.Registry
-	// Tracer, when non-nil, receives per-epoch sim.epoch events (with
-	// sprint decisions aggregated per class), sim.trip / sim.recovery
-	// events, and a final sim.done event as JSONL — plus a sim.run span
-	// with per-epoch sim.epoch child spans. Nil disables tracing.
-	Tracer *telemetry.Tracer
-	// Span, when non-nil, parents the run's sim.run span so a caller
-	// (e.g. a benchmark harness) can stitch the simulation into its own
-	// trace; the span's tracer then carries the run's span events. When
-	// nil but Tracer is set, Run roots a fresh trace derived from Seed.
-	// Like Metrics and Tracer, Span is a telemetry sink and never
-	// affects results.
+	// Span, when non-nil, traces the run: a sim.run child span whose
+	// end fields summarize the run, with one sim.epoch child per epoch
+	// carrying the epoch's sprinters (total and per class), recovering
+	// agents, and trip and recovery transitions. Nil disables tracing.
+	// Like Metrics, Span is a telemetry sink and never affects results.
 	Span *telemetry.Span
 	// Interrupt, when non-nil, is consulted at the start of every epoch
 	// with the epoch index about to run. A non-nil return halts the run:

@@ -78,9 +78,8 @@ type runState struct {
 	tripCounter     *telemetry.Counter
 	recoveryCounter *telemetry.Counter
 	sprinterHist    *telemetry.Histogram
-	tracing         bool
-	classSprints    []int
 	runSpan         *telemetry.Span
+	classSprints    []int // per-group sprinters this epoch, kept only when tracing
 
 	completed int
 }
@@ -156,13 +155,9 @@ func newRunState(cfg Config, pol policy.Policy) (*runState, error) {
 	st.recoveryCounter = cfg.Metrics.Counter("sim.recoveries")
 	st.sprinterHist = cfg.Metrics.Histogram("sim.sprinters_per_epoch",
 		telemetry.LinearBuckets(0, float64(cfg.Game.N)/10, 11))
-	st.tracing = cfg.Tracer.Enabled()
-	if st.tracing {
-		st.classSprints = make([]int, len(cfg.Groups))
-	}
 	st.runSpan = cfg.Span.Child("sim.run")
-	if st.runSpan == nil && st.tracing {
-		st.runSpan = cfg.Tracer.StartSpan("sim.run", telemetry.TraceIDFromSeed(cfg.Seed))
+	if st.runSpan != nil {
+		st.classSprints = make([]int, len(cfg.Groups))
 	}
 	return st, nil
 }
@@ -177,11 +172,7 @@ func (st *runState) step() EpochStats {
 	// Phase 1: utilities and sprint decisions.
 	nS := 0
 	nRecover := 0
-	if st.tracing {
-		for gi := range st.classSprints {
-			st.classSprints[gi] = 0
-		}
-	}
+	clear(st.classSprints)
 	for i := range st.agents {
 		a := &st.agents[i]
 		st.utilities[i] = a.trace.Next()
@@ -193,7 +184,7 @@ func (st *runState) step() EpochStats {
 			}) {
 				st.sprinting[i] = true
 				nS++
-				if st.tracing {
+				if st.classSprints != nil {
 					st.classSprints[a.group]++
 				}
 			}
@@ -223,33 +214,6 @@ func (st *runState) step() EpochStats {
 			depth = float64(nS) / st.nMin
 		}
 		st.recoveryExit = (1 - cfg.Game.Pr) / depth
-	}
-	if st.tracing {
-		byClass := make(map[string]int, len(cfg.Groups))
-		for gi, g := range cfg.Groups {
-			byClass[g.Class] = st.classSprints[gi]
-		}
-		cfg.Tracer.Emit("sim.epoch", telemetry.Fields{
-			"epoch":      epoch,
-			"sprinters":  nS,
-			"recovering": nRecover,
-			"tripped":    tripped,
-			"by_class":   byClass,
-		})
-		if tripped {
-			cfg.Tracer.Emit("sim.trip", telemetry.Fields{
-				"epoch":         epoch,
-				"sprinters":     nS,
-				"ptrip":         ptrip,
-				"recovery_exit": st.recoveryExit,
-			})
-		}
-		if recoveryEnds {
-			cfg.Tracer.Emit("sim.recovery", telemetry.Fields{
-				"epoch":      epoch,
-				"recovering": nRecover,
-			})
-		}
 	}
 	if recoveryEnds {
 		st.recoveryCounter.Inc()
@@ -317,11 +281,25 @@ func (st *runState) step() EpochStats {
 	if epochSpan != nil {
 		// Built behind the nil check so unspanned runs do not pay a
 		// Fields allocation per epoch.
-		epochSpan.EndWith(telemetry.Fields{
-			"epoch":     epoch,
-			"sprinters": nS,
-			"tripped":   tripped,
-		})
+		byClass := make(map[string]int, len(cfg.Groups))
+		for gi, g := range cfg.Groups {
+			byClass[g.Class] = st.classSprints[gi]
+		}
+		fields := telemetry.Fields{
+			"epoch":      epoch,
+			"sprinters":  nS,
+			"recovering": nRecover,
+			"tripped":    tripped,
+			"by_class":   byClass,
+		}
+		if tripped {
+			fields["ptrip"] = ptrip
+			fields["recovery_exit"] = st.recoveryExit
+		}
+		if recoveryEnds {
+			fields["recovery_ended"] = true
+		}
+		epochSpan.EndWith(fields)
 	}
 	st.completed++
 	exit := 0.0
@@ -394,14 +372,6 @@ func (st *runState) finalize() *Result {
 		res.AgentSprints = st.agentSprints
 	}
 	cfg.Metrics.Gauge("sim.task_rate").Set(res.TaskRate)
-	if st.tracing {
-		cfg.Tracer.Emit("sim.done", telemetry.Fields{
-			"policy":    res.Policy,
-			"epochs":    res.Epochs,
-			"task_rate": res.TaskRate,
-			"trips":     res.Trips,
-		})
-	}
 	st.runSpan.EndWith(telemetry.Fields{
 		"policy":    res.Policy,
 		"epochs":    res.Epochs,

@@ -22,14 +22,14 @@ func TestStepperMatchesRun(t *testing.T) {
 
 	var runBuf, stepBuf bytes.Buffer
 	runCfg := cfg
-	runCfg.Tracer = telemetry.NewTracer(&runBuf)
+	runCfg.Span = telemetry.NewTracer(&runBuf).StartSpan("test", "t")
 	want, err := Run(runCfg, policy.NewGreedy(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	stepCfg := cfg
-	stepCfg.Tracer = telemetry.NewTracer(&stepBuf)
+	stepCfg.Span = telemetry.NewTracer(&stepBuf).StartSpan("test", "t")
 	st, err := NewStepper(stepCfg, policy.NewGreedy(1))
 	if err != nil {
 		t.Fatal(err)

@@ -29,62 +29,72 @@ func telemetryConfig(t *testing.T, epochs int) Config {
 }
 
 // TestTraceMatchesSeries is the acceptance check of the telemetry layer:
-// the JSONL trace's per-epoch sprinter counts must agree exactly with
-// the Result's recorded series, and the per-class aggregation must sum
-// to the rack total.
+// the sim.epoch spans' per-epoch sprinter and recovering counts must
+// agree exactly with the Result's recorded series, the per-class
+// aggregation must sum to the rack total, trip fields must appear on
+// exactly the Result's trips, and the sim.run span must summarize the
+// Result.
 func TestTraceMatchesSeries(t *testing.T) {
 	cfg := telemetryConfig(t, 50)
 	cfg.Metrics = telemetry.NewRegistry()
 	var buf bytes.Buffer
-	cfg.Tracer = telemetry.NewTracer(&buf)
+	tr := telemetry.NewTracer(&buf)
+	cfg.Span = tr.StartSpan("test", telemetry.TraceIDFromSeed(cfg.Seed))
 
 	res, err := Run(cfg, policy.NewGreedy(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.Tracer.Err(); err != nil {
+	if err := tr.Err(); err != nil {
 		t.Fatalf("tracer error: %v", err)
 	}
 
-	type epochEvent struct {
-		Event      string         `json:"event"`
-		Epoch      int            `json:"epoch"`
-		Sprinters  int            `json:"sprinters"`
-		Recovering int            `json:"recovering"`
-		Tripped    bool           `json:"tripped"`
-		ByClass    map[string]int `json:"by_class"`
+	type span struct {
+		Event         string         `json:"event"`
+		Name          string         `json:"name"`
+		Epoch         int            `json:"epoch"`
+		Sprinters     int            `json:"sprinters"`
+		Recovering    int            `json:"recovering"`
+		Tripped       bool           `json:"tripped"`
+		ByClass       map[string]int `json:"by_class"`
+		Ptrip         *float64       `json:"ptrip"`
+		RecoveryExit  *float64       `json:"recovery_exit"`
+		RecoveryEnded bool           `json:"recovery_ended"`
+		Policy        string         `json:"policy"`
+		Epochs        int            `json:"epochs"`
+		TaskRate      float64        `json:"task_rate"`
+		Trips         int            `json:"trips"`
 	}
-	var epochs []epochEvent
-	trips, recoveries, dones := 0, 0, 0
+	var epochs, runs []span
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
-		var e epochEvent
+		var e span
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			t.Fatalf("bad trace line %q: %v", sc.Text(), err)
 		}
-		switch e.Event {
+		if e.Event != "span" {
+			t.Fatalf("non-span trace line %q", sc.Text())
+		}
+		switch e.Name {
 		case "sim.epoch":
 			epochs = append(epochs, e)
-		case "sim.trip":
-			trips++
-		case "sim.recovery":
-			recoveries++
-		case "sim.done":
-			dones++
+		case "sim.run":
+			runs = append(runs, e)
 		}
 	}
 	if len(epochs) != cfg.Epochs {
-		t.Fatalf("%d sim.epoch events, want %d", len(epochs), cfg.Epochs)
+		t.Fatalf("%d sim.epoch spans, want %d", len(epochs), cfg.Epochs)
 	}
-	if dones != 1 {
-		t.Errorf("%d sim.done events", dones)
+	if len(runs) != 1 {
+		t.Fatalf("%d sim.run spans, want 1", len(runs))
 	}
-	if trips != res.Trips {
-		t.Errorf("%d sim.trip events, result reports %d trips", trips, res.Trips)
+	if r := runs[0]; r.Policy != res.Policy || r.Epochs != res.Epochs || r.TaskRate != res.TaskRate || r.Trips != res.Trips {
+		t.Errorf("sim.run span %+v does not summarize the result %+v", r, res)
 	}
+	trips, recoveries := 0, 0
 	for i, e := range epochs {
 		if e.Epoch != i {
-			t.Fatalf("epoch event %d reports epoch %d", i, e.Epoch)
+			t.Fatalf("epoch span %d reports epoch %d", i, e.Epoch)
 		}
 		if e.Sprinters != res.SprintersPerEpoch[i] {
 			t.Errorf("epoch %d: trace sprinters %d != series %d", i, e.Sprinters, res.SprintersPerEpoch[i])
@@ -99,6 +109,27 @@ func TestTraceMatchesSeries(t *testing.T) {
 		if sum != e.Sprinters {
 			t.Errorf("epoch %d: by_class sums to %d, sprinters %d", i, sum, e.Sprinters)
 		}
+		if e.Tripped != (e.Ptrip != nil) || e.Tripped != (e.RecoveryExit != nil) {
+			t.Errorf("epoch %d: tripped=%v but ptrip=%v recovery_exit=%v", i, e.Tripped, e.Ptrip, e.RecoveryExit)
+		}
+		if e.Tripped {
+			trips++
+			if want := cfg.Game.Trip.Ptrip(float64(e.Sprinters)); *e.Ptrip != want {
+				t.Errorf("epoch %d: trace ptrip %v, trip model gives %v", i, *e.Ptrip, want)
+			}
+		}
+		if e.RecoveryEnded {
+			recoveries++
+		}
+	}
+	if trips == 0 {
+		t.Fatal("the greedy run never tripped; the trip fields went unchecked")
+	}
+	if trips != res.Trips {
+		t.Errorf("%d tripped epochs in the trace, result reports %d trips", trips, res.Trips)
+	}
+	if want := cfg.Metrics.Counter("sim.recoveries").Value(); int64(recoveries) != want {
+		t.Errorf("%d recovery_ended epochs in the trace, sim.recoveries = %d", recoveries, want)
 	}
 }
 
@@ -143,7 +174,7 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	cfg := telemetryConfig(t, 60)
 	cfg.Metrics = telemetry.NewRegistry()
 	var buf bytes.Buffer
-	cfg.Tracer = telemetry.NewTracer(&buf)
+	cfg.Span = telemetry.NewTracer(&buf).StartSpan("test", "t")
 	traced, err := Run(cfg, policy.NewGreedy(3))
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package telemetry is the repository's observability substrate: a
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
-// histograms), a structured JSONL event tracer, and an opt-in HTTP debug
+// histograms), span tracing over a JSONL sink, and an opt-in HTTP debug
 // endpoint exposing the registry alongside pprof and expvar.
 //
 // Everything is nil-safe by design: a nil *Registry hands out nil
@@ -115,10 +115,13 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
+	// The moments land before the count, and Snapshot reads the counts
+	// first: a snapshot that counts this observation also sees its
+	// min and max, never the ±Inf sentinels (which JSON cannot encode).
 	casAccumulate(&h.sumBits, v, func(old, v float64) float64 { return old + v })
 	casAccumulate(&h.minBits, v, math.Min)
 	casAccumulate(&h.maxBits, v, math.Max)
+	h.counts[i].Add(1)
 }
 
 // HistogramBucket is one bucket of a histogram snapshot. Le is the
@@ -180,11 +183,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	s := HistogramSnapshot{
-		Sum: math.Float64frombits(h.sumBits.Load()),
-		Min: math.Float64frombits(h.minBits.Load()),
-		Max: math.Float64frombits(h.maxBits.Load()),
-	}
+	var s HistogramSnapshot
 	s.Buckets = make([]HistogramBucket, len(h.counts))
 	for i := range h.counts {
 		le := math.Inf(1)
@@ -195,6 +194,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Buckets[i] = HistogramBucket{Le: le, Count: c}
 		s.Count += c
 	}
+	s.Sum = math.Float64frombits(h.sumBits.Load())
+	s.Min = math.Float64frombits(h.minBits.Load())
+	s.Max = math.Float64frombits(h.maxBits.Load())
 	if s.Count > 0 {
 		s.Mean = s.Sum / float64(s.Count)
 	} else {

@@ -298,3 +298,28 @@ func TestHistogramQuantilesBatch(t *testing.T) {
 		t.Errorf("quantiles not monotone: %v", qs)
 	}
 }
+
+// TestHistogramSnapshotNeverSeesSentinels: a snapshot racing a
+// histogram's first Observe either misses the observation or sees its
+// min and max — never a count with the ±Inf sentinels, which would make
+// the /metrics JSON encoding fail.
+func TestHistogramSnapshotNeverSeesSentinels(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		h := NewRegistry().Histogram("h", nil)
+		done := make(chan struct{})
+		go func() {
+			h.Observe(1)
+			close(done)
+		}()
+		for {
+			s := h.Snapshot()
+			if s.Count > 0 {
+				if math.IsInf(s.Min, 0) || math.IsInf(s.Max, 0) {
+					t.Fatalf("iteration %d: snapshot counts %d observations with min %v max %v", i, s.Count, s.Min, s.Max)
+				}
+				break
+			}
+		}
+		<-done
+	}
+}

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// Spans add causality to the flat JSONL tracer: a Span is one named
-// operation inside a trace, with an ID, an optional parent, and — on
+// Spans are the one trace record: a Span is one named operation inside
+// a trace, with an ID, an optional parent, its payload fields, and — on
 // tracers with a wall clock — a start timestamp and duration. Ending a
 // span emits one "span" event through the owning Tracer:
 //

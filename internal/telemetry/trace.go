@@ -15,11 +15,13 @@ type Fields map[string]any
 // Tracer writes structured events as JSON Lines to a pluggable sink,
 // one object per line:
 //
-//	{"event":"sim.trip","epoch":17,"sprinters":312,"ptrip":0.124}
+//	{"event":"span","name":"sim.epoch","epoch":17,"sprinters":312,...}
 //
 // The "event" key names the event type; remaining keys are the payload.
-// A nil *Tracer is a valid disabled tracer: Emit no-ops and Enabled
-// reports false, so callers can skip building payloads entirely.
+// Instrumented code records spans (see Span), which end by emitting one
+// "span" event each; Emit is the low-level write they share. A nil
+// *Tracer is a valid disabled tracer: Emit no-ops and Enabled reports
+// false, so callers can skip building payloads entirely.
 //
 // Tracer is safe for concurrent use; each Emit writes one full line
 // under a lock. Write errors are sticky: the first error stops further

@@ -81,6 +81,16 @@ go build -o "$SMOKE/traceview" ./cmd/traceview
 	-classes 2 -agents 64 -trace "$SMOKE/spans.jsonl" -out "$SMOKE/bench.json" >/dev/null
 "$SMOKE/traceview" "$SMOKE/spans.jsonl" | grep -q 'coord.request'
 
+# Spans are the only trace record: every smoke trace must consist of
+# span lines alone, so a flat event cannot creep back in.
+spans_only() {
+	if grep -v '"event":"span"' "$1"; then
+		echo "non-span trace lines in $1" >&2
+		exit 1
+	fi
+}
+spans_only "$SMOKE/spans.jsonl"
+
 # Binary smoke: the same pipeline over the binary protocol. The greps
 # pin that the trace and parent IDs the binary codec carries stitch the
 # server's coord.request under the client's span in one trace tree
@@ -92,10 +102,12 @@ go build -o "$SMOKE/traceview" ./cmd/traceview
 "$SMOKE/traceview" "$SMOKE/bin-spans.jsonl" >"$SMOKE/bin-view.txt"
 grep -q '^slowest trace [0-9a-f]*: coord.client.request' "$SMOKE/bin-view.txt"
 grep -q '^    coord.request ' "$SMOKE/bin-view.txt"
+spans_only "$SMOKE/bin-spans.jsonl"
 
 # Same idea for the routing layer: a short policy shootout with span
 # tracing on, then traceview over the capture. Greps pin the span tree
-# (route.dispatch under route.arrival) and the per-epoch events.
+# (route.dispatch under route.arrival) and the per-epoch route.epoch
+# spans.
 echo "== routebench/traceview smoke"
 go build -o "$SMOKE/routebench" ./cmd/routebench
 "$SMOKE/routebench" -racks 4 -chips 16 -epochs 60 \
@@ -105,5 +117,38 @@ go build -o "$SMOKE/routebench" ./cmd/routebench
 grep -q 'route.serve' "$SMOKE/route-view.txt"
 grep -q 'route.dispatch' "$SMOKE/route-view.txt"
 grep -q 'cluster.rack' "$SMOKE/route-view.txt"
+grep -q 'route.epoch' "$SMOKE/route-view.txt"
+spans_only "$SMOKE/route-spans.jsonl"
+
+# Clock-less smoke: the deterministic simulators trace without a wall
+# clock. The greps pin the Algorithm 1 solve (core.solve with its
+# solver.iter children) and the rack epochs in a sprintgame trace, and
+# the per-rack spans of a batch cluster run that loses a rack.
+echo "== sprintgame/cluster/traceview smoke"
+go build -o "$SMOKE/sprintgame" ./cmd/sprintgame
+go build -o "$SMOKE/cluster" ./cmd/cluster
+"$SMOKE/sprintgame" -policy equilibrium -epochs 100 -trace "$SMOKE/sim-spans.jsonl" >/dev/null
+"$SMOKE/traceview" "$SMOKE/sim-spans.jsonl" >"$SMOKE/sim-view.txt"
+grep -q 'core.solve' "$SMOKE/sim-view.txt"
+grep -q 'solver.iter' "$SMOKE/sim-view.txt"
+grep -q 'sim.epoch' "$SMOKE/sim-view.txt"
+spans_only "$SMOKE/sim-spans.jsonl"
+"$SMOKE/cluster" -racks 4 -chips 64 -epochs 50 -faults 1@10 -allow-partial \
+	-trace "$SMOKE/cluster-spans.jsonl" >/dev/null
+"$SMOKE/traceview" "$SMOKE/cluster-spans.jsonl" >"$SMOKE/cluster-view.txt"
+grep -q 'cluster.rack' "$SMOKE/cluster-view.txt"
+grep -q 'cluster.epoch' "$SMOKE/cluster-view.txt"
+spans_only "$SMOKE/cluster-spans.jsonl"
+# Without -allow-partial the same run fails, and its span tree — the
+# failed rack's span with the fault's epoch and error — must still
+# reach the trace file whole.
+if "$SMOKE/cluster" -racks 4 -chips 64 -epochs 50 -faults 1@10 \
+	-trace "$SMOKE/failed-spans.jsonl" >/dev/null 2>&1; then
+	echo "cluster run with a killed rack and no -allow-partial succeeded" >&2
+	exit 1
+fi
+grep -q '"epoch":10,"error":"[^"]*injected fault' "$SMOKE/failed-spans.jsonl"
+grep -q '"name":"cluster.run"' "$SMOKE/failed-spans.jsonl"
+spans_only "$SMOKE/failed-spans.jsonl"
 
 echo "ok"
