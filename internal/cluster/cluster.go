@@ -73,9 +73,11 @@ type RackSpec struct {
 
 // PolicyFactory builds the sprinting policy for one rack. It is called
 // from worker goroutines, potentially concurrently across racks, so it
-// must be safe for concurrent use; the returned policy is used by a
-// single rack only. simCfg is the rack's fully resolved simulation
-// configuration (seed, game, groups).
+// must be safe for concurrent use. The returned policy is used by a
+// single rack only and called from one goroutine at a time, so it
+// needs no lock, and never after Run (or route.Serve) returns. simCfg
+// is the rack's fully resolved simulation configuration (seed, game,
+// groups).
 type PolicyFactory func(rack int, spec RackSpec, simCfg sim.Config) (policy.Policy, error)
 
 // Config configures a cluster run.
@@ -92,7 +94,9 @@ type Config struct {
 	// Workers bounds the worker pool; <= 0 selects runtime.NumCPU().
 	// Results are identical for every value.
 	Workers int
-	// Policy builds each rack's sprinting policy.
+	// Policy builds each rack's sprinting policy. A rack's policy is
+	// called from one goroutine at a time and never after the run
+	// returns; see PolicyFactory.
 	Policy PolicyFactory
 	// RecordSeries keeps per-epoch series on each rack result. It is
 	// forced on when Tracer is set (cluster.epoch spans are built from

@@ -24,8 +24,10 @@
 // value, including under an active cluster.FaultPlan:
 //
 //   - each rack steps its own sim.Stepper on its own RNG stream
-//     (cluster.MixSeed discipline), in parallel, with a barrier per
-//     epoch;
+//     (cluster.MixSeed discipline). A rack's epochs depend on its
+//     agents' draws and its breaker, never on routing, so the racks
+//     step in parallel, up to a fixed number of epochs ahead of the
+//     dispatcher, which takes their epochs in rack-index order;
 //   - arrivals draw from a dedicated stream, MixSeed(BaseSeed, -3),
 //     that no rack uses;
 //   - dispatch and queue drain are single-threaded, in arrival order

@@ -115,13 +115,43 @@ type Result struct {
 }
 
 // servedJob is the engine's per-job bookkeeping. It holds no
-// pointers: the engine keeps jobs in one value slice indexed by job ID,
-// which the garbage collector never has to scan.
+// pointers, so the job table's pages are never scanned by the garbage
+// collector.
 type servedJob struct {
 	epoch     int     // arrival epoch
 	units     float64 // demanded units
 	remaining float64 // units still to produce
 	completed int     // completion epoch, -1 while queued
+}
+
+// The job table's page length, in jobs.
+const (
+	jobPageBits = 12
+	jobPageSize = 1 << jobPageBits
+)
+
+// jobTable holds the run's jobs indexed by ID in fixed-size pages:
+// adding a job never moves the ones before it, and a run allocates one
+// page per jobPageSize jobs instead of regrowing one slice.
+type jobTable struct {
+	pages []*[jobPageSize]servedJob
+	n     int
+}
+
+// add appends j and returns its ID.
+func (t *jobTable) add(j servedJob) int {
+	id := t.n
+	if id&(jobPageSize-1) == 0 {
+		t.pages = append(t.pages, new([jobPageSize]servedJob))
+	}
+	*t.at(id) = j
+	t.n++
+	return id
+}
+
+// at returns job id's entry.
+func (t *jobTable) at(id int) *servedJob {
+	return &t.pages[id>>jobPageBits][id&(jobPageSize-1)]
 }
 
 // dispatchRec is one (re)dispatch of a job. The engine logs them only
@@ -163,17 +193,33 @@ func (q *jobQueue) pop() {
 
 // rackState is the engine's per-rack live state.
 type rackState struct {
+	// stepper is driven by the rack's owning worker until the
+	// dispatcher has received the rack's last epoch; only then does the
+	// dispatcher finalize it.
 	stepper *sim.Stepper
+	// steps carries the rack's epochs, in order, from its worker to
+	// the dispatcher.
+	steps chan stepResult
 	// snap points at the rack's entry in the engine's snapshot slice,
 	// the one copy of the state Config.Router reads.
-	snap    *cluster.RackSnapshot
-	queue   jobQueue
-	pr      float64
-	jobs    int // completed job count
-	units   float64
-	last    sim.EpochStats
-	stepErr error
+	snap  *cluster.RackSnapshot
+	queue jobQueue
+	pr    float64
+	jobs  int // completed job count
+	units float64
 }
+
+// stepResult is one rack epoch as its worker hands it over.
+type stepResult struct {
+	stats sim.EpochStats
+	err   error
+}
+
+// runAhead is how many epochs a rack's simulation may run ahead of the
+// dispatcher. A few epochs of slack keep the workers busy while the
+// dispatcher routes; a deeper buffer gave no more throughput and a
+// longer per-epoch tail.
+const runAhead = 4
 
 // ewmaAlpha smooths each rack's observed production into
 // RackSnapshot.RateUnits: high enough to track recovery transitions
@@ -183,13 +229,16 @@ const ewmaAlpha = 0.25
 
 // Serve runs the event-driven serving loop: per epoch, fault kills
 // fire and their queues reroute, new arrivals are dispatched one at a
-// time through Config.Router against live snapshots, every alive rack
-// steps its sprinting game concurrently (barrier per epoch), and each
-// rack's queue drains FIFO against the units the rack actually
-// produced. See the package comment for the determinism contract.
+// time through Config.Router against live snapshots, and each alive
+// rack's queue drains FIFO against the units the rack actually produced
+// that epoch. The racks' sprinting games do not depend on routing, so
+// worker goroutines step them up to runAhead epochs ahead of this loop.
+// See the package comment for the determinism contract.
 //
 // Serve errors if every rack dies (nothing can serve) or if any
-// internal invariant — job conservation above all — breaks.
+// internal invariant — job conservation above all — breaks. It returns,
+// on every path, only after every stepping goroutine has exited, so no
+// rack policy is called after Serve returns.
 func Serve(cfg Config) (_ *Result, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -234,7 +283,12 @@ func Serve(cfg Config) (_ *Result, err error) {
 			// agent-epoch.
 			RateUnits: float64(agents),
 		}
-		racks[i] = rackState{stepper: st, snap: &snaps[i], pr: simCfg.Game.Pr}
+		racks[i] = rackState{
+			stepper: st,
+			steps:   make(chan stepResult, runAhead),
+			snap:    &snaps[i],
+			pr:      simCfg.Game.Pr,
+		}
 	}
 
 	kills := make([]int, nRacks)
@@ -264,24 +318,48 @@ func Serve(cfg Config) (_ *Result, err error) {
 	}
 	tracing := root != nil
 
-	// The persistent stepping pool: rack indices in, barrier via wg.
-	// Each stepper owns its RNG stream and has nil telemetry sinks, so
-	// stepping order across workers cannot affect results.
-	stepCh := make(chan int)
+	// The stepping workers: worker w owns racks w, w+workers, ... and
+	// steps them epoch by epoch, never a rack at or past its kill epoch,
+	// so a killed rack's stepper holds exactly the epochs before its
+	// kill when the dispatcher finalizes it. Each stepper owns its RNG
+	// stream and has nil telemetry sinks, so how far a worker runs ahead
+	// cannot affect results. stop ends the workers early when Serve
+	// returns an error; the deferred Wait keeps any of them from
+	// outliving Serve.
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 	for w := 0; w < workers; w++ {
+		wg.Add(1)
 		go func() {
-			for i := range stepCh {
-				rs := &racks[i]
-				rs.last, rs.stepErr = rs.stepper.Step()
-				wg.Done()
+			defer wg.Done()
+			for epoch := 0; epoch < cc.Epochs; epoch++ {
+				for i := w; i < nRacks; i += workers {
+					if kills[i] >= 0 && epoch >= kills[i] {
+						continue
+					}
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					rs := &racks[i]
+					es, err := rs.stepper.Step()
+					select {
+					case rs.steps <- stepResult{es, err}:
+					case <-stop:
+						return
+					}
+				}
 			}
 		}()
 	}
-	defer close(stepCh)
 
 	var (
-		jobs []servedJob
+		jobs jobTable
 		// dlog records every (re)dispatch for the post-run span tree;
 		// it stays empty when tracing is off.
 		dlog []dispatchRec
@@ -309,7 +387,7 @@ func Serve(cfg Config) (_ *Result, err error) {
 	// updating the target's snapshot so later picks in the same epoch
 	// see the load.
 	dispatch := func(id, epoch int, reroute bool) error {
-		j := &jobs[id]
+		j := jobs.at(id)
 		pick := cfg.Router.Pick(Job{ID: id, Epoch: j.epoch, Units: j.units}, snaps)
 		if pick < 0 || pick >= nRacks {
 			return fmt.Errorf("route: policy %s picked rack %d of %d", cfg.Router.Name(), pick, nRacks)
@@ -378,34 +456,16 @@ func Serve(cfg Config) (_ *Result, err error) {
 			if a.Units <= 0 {
 				return nil, fmt.Errorf("route: arrival process %s produced a job of %v units at epoch %d", cfg.Arrivals.Name(), a.Units, epoch)
 			}
-			id := len(jobs)
-			jobs = append(jobs, servedJob{epoch: epoch, units: a.Units, remaining: a.Units, completed: -1})
+			id := jobs.add(servedJob{epoch: epoch, units: a.Units, remaining: a.Units, completed: -1})
 			res.UnitsArrived += a.Units
 			if err := dispatch(id, epoch, false); err != nil {
 				return nil, err
 			}
 		}
 
-		// 3. Step every alive rack's sprinting game concurrently;
-		// barrier before any queue drains.
-		stepped := 0
-		for i := range racks {
-			if racks[i].snap.Alive {
-				wg.Add(1)
-				stepped++
-			}
-		}
-		for i := range racks {
-			if racks[i].snap.Alive {
-				stepCh <- i
-			}
-		}
-		if stepped > 0 {
-			wg.Wait()
-		}
-
-		// 4. Drain queues single-threaded in rack-index order: the
-		// units each rack produced this epoch retire its FIFO backlog.
+		// 3. Take each alive rack's epoch from its worker, in
+		// rack-index order, and drain its queue single-threaded: the
+		// units the rack produced this epoch retire its FIFO backlog.
 		// Leftover capacity is idle serving headroom, not banked.
 		completedThisEpoch := 0
 		for i := range racks {
@@ -413,14 +473,15 @@ func Serve(cfg Config) (_ *Result, err error) {
 			if !rs.snap.Alive {
 				continue
 			}
-			if rs.stepErr != nil {
-				return nil, fmt.Errorf("route: rack %d step: %w", i, rs.stepErr)
+			step := <-rs.steps
+			if step.err != nil {
+				return nil, fmt.Errorf("route: rack %d step: %w", i, step.err)
 			}
-			es := rs.last
+			es := step.stats
 			rs.units += es.Units
 			capacity := es.Units
 			for rs.queue.len() > 0 && capacity > 0 {
-				j := &jobs[rs.queue.front()]
+				j := jobs.at(rs.queue.front())
 				if j.remaining > capacity {
 					j.remaining -= capacity
 					rs.snap.BacklogUnits -= capacity
@@ -442,7 +503,7 @@ func Serve(cfg Config) (_ *Result, err error) {
 				rs.snap.BacklogUnits = 0
 			}
 
-			// 5. Fold the epoch's observables into the rack's snapshot:
+			// 4. Fold the epoch's observables into the rack's snapshot:
 			// what the router sees next epoch.
 			rs.snap.Epoch = epoch + 1
 			rs.snap.Sprinters = es.Sprinters
@@ -496,9 +557,9 @@ func Serve(cfg Config) (_ *Result, err error) {
 	}
 	res.Failed = failed
 
-	res.Arrived = len(jobs)
-	for i := range jobs {
-		if jobs[i].completed >= 0 {
+	res.Arrived = jobs.n
+	for id := 0; id < jobs.n; id++ {
+		if jobs.at(id).completed >= 0 {
 			res.Completed++
 		} else {
 			res.Unfinished++
@@ -517,16 +578,16 @@ func Serve(cfg Config) (_ *Result, err error) {
 		Mean: snap.Mean, Max: snap.Max,
 	}
 
-	emitServeMetrics(cc.Metrics, res, jobs, latBuckets)
+	emitServeMetrics(cc.Metrics, res, &jobs, latBuckets)
 	if tracing {
-		emitServeTrace(root, res, jobs, dlog)
+		emitServeTrace(root, res, &jobs, dlog)
 	}
 	return res, nil
 }
 
 // emitServeMetrics folds the serving outcome into the cluster's
 // metrics registry, including the full per-job latency distribution.
-func emitServeMetrics(m *telemetry.Registry, res *Result, jobs []servedJob, latBuckets []float64) {
+func emitServeMetrics(m *telemetry.Registry, res *Result, jobs *jobTable, latBuckets []float64) {
 	if m == nil {
 		return
 	}
@@ -537,8 +598,8 @@ func emitServeMetrics(m *telemetry.Registry, res *Result, jobs []servedJob, latB
 	m.Gauge("route.throughput_units").Set(res.Throughput)
 	m.Gauge("route.latency_p99").Set(res.Latency.P99)
 	sink := m.Histogram("route.latency_epochs", latBuckets)
-	for i := range jobs {
-		if j := &jobs[i]; j.completed >= 0 {
+	for id := 0; id < jobs.n; id++ {
+		if j := jobs.at(id); j.completed >= 0 {
 			sink.Observe(float64(j.completed - j.epoch + 1))
 		}
 	}
@@ -554,10 +615,10 @@ func emitServeMetrics(m *telemetry.Registry, res *Result, jobs []servedJob, latB
 //
 // dlog is the run's dispatch log in dispatch order; a stable sort by
 // job groups each job's dispatches while keeping their order.
-func emitServeTrace(root *telemetry.Span, res *Result, jobs []servedJob, dlog []dispatchRec) {
+func emitServeTrace(root *telemetry.Span, res *Result, jobs *jobTable, dlog []dispatchRec) {
 	slices.SortStableFunc(dlog, func(a, b dispatchRec) int { return cmp.Compare(a.job, b.job) })
-	for id := range jobs {
-		j := &jobs[id]
+	for id := 0; id < jobs.n; id++ {
+		j := jobs.at(id)
 		arrival := root.Child("route.arrival")
 		n := 0
 		for n < len(dlog) && dlog[n].job == id {

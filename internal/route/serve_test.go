@@ -6,10 +6,13 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sprintgame/internal/cluster"
 	"sprintgame/internal/core"
+	"sprintgame/internal/policy"
 	"sprintgame/internal/power"
 	"sprintgame/internal/sim"
 	"sprintgame/internal/telemetry"
@@ -88,7 +91,7 @@ func serveOnce(t *testing.T, cc cluster.Config, policyName string, workers int, 
 
 // TestServeDeterministicAcrossWorkers is the tentpole contract: for
 // every shipped policy, serving results and traces are byte-identical
-// for Workers in {1, 4, NumCPU} — with and without an active fault
+// for Workers in {1, 2, 4, NumCPU} — with and without an active fault
 // plan killing racks mid-run.
 func TestServeDeterministicAcrossWorkers(t *testing.T) {
 	plans := map[string]*cluster.FaultPlan{
@@ -100,7 +103,7 @@ func TestServeDeterministicAcrossWorkers(t *testing.T) {
 			cc := testCluster(t, 4, 32, 150, false)
 			baseRes, baseTrace := serveOnce(t, cc, polName, 1, plan)
 			baseRes.Workers = 0 // the one field allowed to differ
-			for _, w := range []int{4, runtime.NumCPU()} {
+			for _, w := range []int{2, 4, runtime.NumCPU()} {
 				res, trace := serveOnce(t, cc, polName, w, plan)
 				res.Workers = 0
 				if !reflect.DeepEqual(res, baseRes) {
@@ -292,6 +295,135 @@ func TestServeMatchesBatchSimulation(t *testing.T) {
 	}
 }
 
+// TestServeKilledRacksStopAtKillEpoch pins each killed rack's partial
+// simulation against an independent reference: a fresh stepper built
+// from the rack's config and policy factory that steps exactly the
+// epochs before the kill and then finalizes. Kills land at epoch 0,
+// mid-run and at the last epoch, the edges where stepping one epoch too
+// far or too few shows.
+func TestServeKilledRacksStopAtKillEpoch(t *testing.T) {
+	cc := testCluster(t, 4, 32, 80, false)
+	// serveOnce traces, which records per-epoch series; record them in
+	// the reference too, so they are compared as well.
+	cc.RecordSeries = true
+	plan := &cluster.FaultPlan{Kills: map[int]int{0: 0, 1: 37, 3: cc.Epochs - 1}}
+	kills := plan.Schedule(cc.BaseSeed, len(cc.Racks), cc.Epochs)
+	for _, w := range []int{1, 2, 4} {
+		res, _ := serveOnce(t, cc, "least-loaded", w, plan)
+		for i, k := range kills {
+			if k < 0 {
+				continue
+			}
+			simCfg := cc.RackSimConfig(i)
+			pol, err := cc.Policy(i, cc.Racks[i], simCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := sim.NewStepper(simCfg, pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := 0; e < k; e++ {
+				if _, err := ref.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := res.Racks[i]
+			if got.Alive || got.Epochs != k {
+				t.Errorf("workers=%d rack %d: alive=%v after %d epochs, want killed at %d", w, i, got.Alive, got.Epochs, k)
+			}
+			if !reflect.DeepEqual(got.Sim, ref.Finalize()) {
+				t.Errorf("workers=%d rack %d: partial sim differs from %d reference epochs", w, i, k)
+			}
+		}
+	}
+}
+
+// lateCalls wraps a rack's sprint policy and records any call still
+// in progress after Serve has returned. From epoch slowFrom on, each
+// EpochEnd first sleeps, so a stepping goroutine is mid-Step when the
+// run fails.
+type lateCalls struct {
+	policy.Policy
+	slowFrom       int
+	returned, late *atomic.Bool
+}
+
+func (p *lateCalls) Decide(ctx policy.Context) bool {
+	if p.returned.Load() {
+		p.late.Store(true)
+	}
+	return p.Policy.Decide(ctx)
+}
+
+func (p *lateCalls) EpochEnd(epoch, sprinters int, tripped bool) {
+	if epoch >= p.slowFrom {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if p.returned.Load() {
+		p.late.Store(true)
+	}
+	p.Policy.EpochEnd(epoch, sprinters, tripped)
+}
+
+// failFrom routes normally until the first job of epoch from, then
+// returns a rack index past the end.
+type failFrom struct {
+	Policy
+	from int
+}
+
+func (p *failFrom) Pick(job Job, racks []cluster.RackSnapshot) int {
+	if job.Epoch >= p.from {
+		return len(racks)
+	}
+	return p.Policy.Pick(job, racks)
+}
+
+// TestServeShutdownOnError fails a run mid-way with a bad router pick
+// while the workers are stepping ahead. Serve must return only after
+// every stepping goroutine has exited: no rack policy is still being
+// called afterwards, and the goroutine count comes back to its
+// baseline.
+func TestServeShutdownOnError(t *testing.T) {
+	const failEpoch = 20
+	cc := testCluster(t, 4, 32, 200, false)
+	var returned, late atomic.Bool
+	inner := cc.Policy
+	cc.Policy = func(rack int, spec cluster.RackSpec, simCfg sim.Config) (policy.Policy, error) {
+		pol, err := inner(rack, spec, simCfg)
+		if err != nil {
+			return nil, err
+		}
+		return &lateCalls{Policy: pol, slowFrom: failEpoch, returned: &returned, late: &late}, nil
+	}
+	for _, w := range []int{1, 2, 4} {
+		cc.Workers = w
+		returned.Store(false)
+		baseline := runtime.NumGoroutine()
+		_, err := Serve(Config{
+			Cluster:  cc,
+			Arrivals: contendedArrivals(4*32, 0.5),
+			Router:   &failFrom{Policy: NewRoundRobin(), from: failEpoch},
+		})
+		returned.Store(true)
+		if err == nil || !strings.Contains(err.Error(), "picked rack 4 of 4") {
+			t.Fatalf("workers=%d: want an out-of-range pick error, got %v", w, err)
+		}
+		// A goroutine that has signalled its exit may still be
+		// unwinding; give the count a moment to settle.
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > baseline && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Errorf("workers=%d: %d goroutines after Serve returned, %d before", w, n, baseline)
+		}
+		if late.Load() {
+			t.Fatalf("workers=%d: a rack policy was still called after Serve returned", w)
+		}
+	}
+}
+
 // TestServeTraceKeepsRerouteDispatches: a job rerouted off a killed
 // rack keeps every route.dispatch span under its route.arrival span, in
 // dispatch order. The span tree is rebuilt post-run from the engine's
@@ -365,8 +497,8 @@ func TestServeTraceKeepsRerouteDispatches(t *testing.T) {
 
 // TestServeAllocationsDoNotGrowWithJobs guards the engine's per-job
 // path: an untraced run at 8x the arrival rate may allocate only the
-// few extra slice growths of its job table and queues, never an object
-// per job.
+// extra 4096-job pages of its job table and slice growths of its
+// queues, never an object per job.
 func TestServeAllocationsDoNotGrowWithJobs(t *testing.T) {
 	cc := testCluster(t, 4, 32, 200, false)
 	cc.Workers = 2

@@ -64,6 +64,14 @@ go test -race -run Fault ./internal/cluster
 echo "== go test -race ./internal/route"
 go test -race ./internal/route
 
+# Serve steps each rack on its owner goroutine several epochs ahead of
+# the dispatcher, which finalizes killed racks and, on an error, stops
+# the workers mid-step. One pass schedules the two sides only one way;
+# repeating the worker-count, batch-equivalence and shutdown tests gives
+# the race detector more interleavings of that handoff.
+echo "== go test -race -count 3 -run 'DeterministicAcrossWorkers|MatchesBatch|Shutdown' ./internal/route"
+go test -race -count 3 -run 'DeterministicAcrossWorkers|MatchesBatch|Shutdown' ./internal/route
+
 echo "== go test -race ./..."
 go test -race ./...
 
