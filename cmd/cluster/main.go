@@ -26,13 +26,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 
 	"sprintgame/internal/cluster"
 	"sprintgame/internal/core"
-	"sprintgame/internal/power"
 	"sprintgame/internal/route"
 	"sprintgame/internal/sim"
 	"sprintgame/internal/telemetry"
@@ -44,7 +42,7 @@ func main() {
 		racks     = flag.Int("racks", 8, "number of racks in the cluster")
 		chips     = flag.Int("chips", 256, "chips (agents) per rack")
 		epochs    = flag.Int("epochs", 1000, "epochs to simulate per rack")
-		workers   = flag.String("workers", "0", "worker goroutines: a count (0 = NumCPU) or \"auto\" to size the pool from a short calibration run's rack task-rate histogram; results are identical for any value")
+		workers   = flag.Int("workers", 0, "worker goroutines (0 = NumCPU); results are identical for any value")
 		apps      = flag.String("app", "decision", "comma-separated benchmark names for each rack's mix")
 		rotate    = flag.Bool("rotate", false, "rotate the app mix per rack for a heterogeneous cluster")
 		polName   = flag.String("policy", "equilibrium", "greedy | backoff | equilibrium | never")
@@ -93,13 +91,7 @@ func main() {
 	}
 
 	// Scale the paper's rack (N=1000, Nmin=250, Nmax=750) to -chips.
-	game := core.DefaultConfig()
-	if *chips != game.N {
-		nmin, nmax := game.Trip.Bounds()
-		f := float64(*chips) / float64(game.N)
-		game.Trip = power.LinearTripModel{NMin: nmin * f, NMax: nmax * f}
-		game.N = *chips
-	}
+	game := core.DefaultConfig().Scaled(*chips)
 
 	names := strings.Split(*apps, ",")
 	for i, n := range names {
@@ -145,18 +137,7 @@ func main() {
 		Faults:       faults,
 		AllowPartial: *partial,
 		MaxRetries:   *retries,
-	}
-
-	switch *workers {
-	case "auto":
-		ccfg.Workers = autoSizeWorkers(ccfg)
-		fmt.Printf("workers: auto-sized to %d from the rack task-rate histogram\n", ccfg.Workers)
-	default:
-		n, err := strconv.Atoi(*workers)
-		if err != nil {
-			fatal(fmt.Errorf("-workers %q: want a count or \"auto\"", *workers))
-		}
-		ccfg.Workers = n
+		Workers:      *workers,
 	}
 
 	if *arrivals != "" {
@@ -212,33 +193,6 @@ func printCacheStats(cache *core.SolveCache) {
 	st := cache.Stats()
 	fmt.Printf("solve cache: %d solves, %d hits, %d coalesced (hit rate %.0f%%)\n",
 		st.Misses, st.Hits, st.Coalesced, 100*st.HitRate())
-}
-
-// calibrationEpochs bounds the -workers auto probe run: enough epochs
-// to observe per-rack task rates, cheap next to a production run.
-const calibrationEpochs = 50
-
-// autoSizeWorkers sizes the pool for -workers auto: a short calibration
-// prefix of the full cluster populates a private registry's
-// cluster.rack_task_rate histogram, and cluster.AutoWorkers turns the
-// observed cross-rack skew into a pool size. The probe shares the solve
-// cache through ccfg.Policy, so its equilibrium solves are not wasted —
-// the real run starts warm.
-func autoSizeWorkers(ccfg cluster.Config) int {
-	calib := telemetry.NewRegistry()
-	probe := ccfg
-	if probe.Epochs > calibrationEpochs {
-		probe.Epochs = calibrationEpochs
-	}
-	probe.Metrics = calib
-	probe.Tracer = nil
-	probe.Workers = 0
-	probe.Faults = nil // faults are scheduled against the real epoch count
-	if _, err := cluster.Run(probe); err != nil {
-		// Calibration is best-effort: fall back to CPU-count sizing.
-		return cluster.AutoWorkers(nil, len(ccfg.Racks))
-	}
-	return cluster.AutoWorkers(calib, len(ccfg.Racks))
 }
 
 // serve runs the event-driven serving mode: arrivals fire during

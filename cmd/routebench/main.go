@@ -34,7 +34,6 @@ import (
 
 	"sprintgame/internal/cluster"
 	"sprintgame/internal/core"
-	"sprintgame/internal/power"
 	"sprintgame/internal/route"
 	"sprintgame/internal/sim"
 	"sprintgame/internal/telemetry"
@@ -141,7 +140,7 @@ func main() {
 				Racks:    specs,
 				Epochs:   *epochs,
 				BaseSeed: *seed,
-				Game:     scaledGame(*chips),
+				Game:     core.DefaultConfig().Scaled(*chips),
 				Workers:  *workers,
 				Policy:   factory,
 				Faults:   faults,
@@ -205,19 +204,6 @@ func main() {
 	}
 }
 
-// scaledGame scales the paper's rack (N=1000, Nmin=250, Nmax=750) to n
-// chips.
-func scaledGame(n int) core.Config {
-	game := core.DefaultConfig()
-	if n != game.N {
-		nmin, nmax := game.Trip.Bounds()
-		f := float64(n) / float64(game.N)
-		game.Trip = power.LinearTripModel{NMin: nmin * f, NMax: nmax * f}
-		game.N = n
-	}
-	return game
-}
-
 // rackSpecs builds the cluster's racks. Heterogeneous mode splits each
 // rack pair's chips 1:3 (total capacity preserved), so uniform routing
 // structurally overloads every even-indexed rack under contention.
@@ -232,7 +218,7 @@ func rackSpecs(racks, chips int, hetero bool, bench *workload.Benchmark) []clust
 				n = chips + chips/2
 			}
 		}
-		game := scaledGame(n)
+		game := core.DefaultConfig().Scaled(n)
 		specs[i] = cluster.RackSpec{
 			Groups: []sim.Group{{Class: bench.Name, Count: n, Bench: bench}},
 			Game:   &game,

@@ -86,13 +86,7 @@ func main() {
 		fmt.Printf("debug endpoint: %s (metrics at /metrics, profiles at /debug/pprof/)\n", dbg.URL())
 	}
 
-	game := core.DefaultConfig()
-	if *agents != game.N {
-		nmin, nmax := game.Trip.Bounds()
-		f := float64(*agents) / float64(game.N)
-		game.Trip = power.LinearTripModel{NMin: nmin * f, NMax: nmax * f}
-		game.N = *agents
-	}
+	game := core.DefaultConfig().Scaled(*agents)
 	game.Metrics = metrics
 	game.Span = root
 	game.Trip = power.Instrument(game.Trip, metrics)

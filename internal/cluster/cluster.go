@@ -122,9 +122,9 @@ type Config struct {
 	// rack fails still errors — there is nothing to aggregate.
 	AllowPartial bool
 	// MaxRetries bounds retry attempts per rack for restartable
-	// failures (mid-run interrupts, e.g. transient injected faults).
-	// Each attempt runs on a fresh RNG stream derived from the rack's
-	// seed and the attempt number, so reruns are byte-identical.
+	// failures (injected FaultPlan kills). Each attempt runs on a fresh
+	// RNG stream derived from the rack's seed and the attempt number, so
+	// reruns are byte-identical.
 	// Non-restartable failures (policy construction, configuration) are
 	// never retried. A retry re-simulates at once: its outcome depends
 	// only on the derived seed, so there is nothing to wait for.
@@ -132,7 +132,7 @@ type Config struct {
 }
 
 // Validate checks the cluster configuration (policy presence and rack
-// shapes; per-rack game validation happens in sim.Run).
+// shapes; per-rack game validation happens in sim.NewStepper).
 func (c Config) Validate() error {
 	if len(c.Racks) == 0 {
 		return errors.New("cluster: need at least one rack")
@@ -320,9 +320,11 @@ func (c Config) rackAgents(i int) int {
 
 // runRack runs rack i to its terminal outcome: up to 1+MaxRetries
 // attempts, each on its own derived RNG stream, with killEpoch >= 0
-// injecting a FaultPlan kill. Everything here is a pure function of
-// the configuration and the rack index, so outcomes are identical for
-// every worker count.
+// injecting a FaultPlan kill. A killed attempt steps its sim.Stepper up
+// to the kill epoch and no further, exactly as route.Serve stops a dead
+// rack, so both engines report the same RackError. Everything here is a
+// pure function of the configuration and the rack index, so outcomes
+// are identical for every worker count.
 func (c Config) runRack(i, killEpoch int) rackOutcome {
 	baseCfg := c.rackConfig(i)
 	name := c.rackName(i)
@@ -334,37 +336,39 @@ func (c Config) runRack(i, killEpoch int) rackOutcome {
 			// the doomed attempt's draws.
 			simCfg.Seed = retrySeed(baseCfg.Seed, attempt-1)
 		}
-		if killEpoch >= 0 && (attempt == 1 || !c.Faults.Transient) {
-			fault := &RackFault{Rack: i, Epoch: killEpoch}
-			simCfg.Interrupt = func(epoch int) error {
-				if epoch == fault.Epoch {
-					return fault
-				}
-				return nil
-			}
-		} else {
-			simCfg.Interrupt = nil
+		killed := killEpoch >= 0 && (attempt == 1 || !c.Faults.Transient)
+		end := c.Epochs
+		if killed {
+			end = killEpoch
+		}
+		// Policy construction and configuration failures are not
+		// restartable, and neither is a stepper error.
+		fail := func(epoch int, err error) rackOutcome {
+			return rackOutcome{seed: simCfg.Seed, attempts: attempt, err: &RackError{
+				Rack: i, Name: name, Epoch: epoch, Attempts: attempt, Err: err,
+			}}
 		}
 		pol, err := c.Policy(i, c.Racks[i], simCfg)
 		if err != nil {
-			// Policy construction failures are not restartable.
-			return rackOutcome{seed: simCfg.Seed, attempts: attempt, err: &RackError{
-				Rack: i, Name: name, Epoch: -1, Attempts: attempt,
-				Err: fmt.Errorf("policy: %w", err),
-			}}
+			return fail(-1, fmt.Errorf("policy: %w", err))
 		}
-		res, err := sim.Run(simCfg, pol)
-		if err == nil {
+		st, err := sim.NewStepper(simCfg, pol)
+		if err != nil {
+			return fail(-1, err)
+		}
+		for st.Completed() < end {
+			if _, err := st.Step(); err != nil {
+				return fail(st.Completed(), err)
+			}
+		}
+		res := st.Finalize()
+		if !killed {
 			return rackOutcome{seed: simCfg.Seed, attempts: attempt, res: res}
 		}
-		last = &RackError{Rack: i, Name: name, Epoch: -1, Attempts: attempt, Err: err}
-		var ie *sim.InterruptError
-		if !errors.As(err, &ie) {
-			// Configuration/validation failures are not restartable.
-			return rackOutcome{seed: simCfg.Seed, attempts: attempt, err: last}
+		last = &RackError{
+			Rack: i, Name: name, Epoch: end, Attempts: attempt,
+			Err: &RackFault{Rack: i, Epoch: end}, Partial: res,
 		}
-		last.Epoch = ie.Epoch
-		last.Partial = res
 	}
 	return rackOutcome{seed: baseCfg.Seed, attempts: last.Attempts, err: last}
 }

@@ -15,9 +15,9 @@ import (
 // independent of Config.Workers and of the racks' own RNG streams: a
 // run with faults is byte-identical for every pool size.
 type FaultPlan struct {
-	// Kills maps rack index -> kill epoch: the rack is interrupted
-	// immediately before simulating that epoch, so its partial result
-	// covers exactly that many epochs.
+	// Kills maps rack index -> kill epoch: the rack stops immediately
+	// before simulating that epoch, so its partial result covers exactly
+	// that many epochs.
 	Kills map[int]int
 	// Rate additionally selects each rack for a kill with this
 	// probability, at a uniformly drawn epoch. Draws come from a
@@ -117,7 +117,8 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 }
 
 // RackFault is the cause injected by a FaultPlan kill; it surfaces to
-// callers wrapped in a sim.InterruptError inside a RackError.
+// callers as the Err of a RackError, in the batch engine and the
+// serving layer alike.
 type RackFault struct {
 	// Rack is the killed rack's index.
 	Rack int

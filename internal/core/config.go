@@ -71,6 +71,22 @@ func DefaultConfig() Config {
 	}
 }
 
+// Scaled rescales the configuration to a rack of n chips: N becomes n
+// and the trip model becomes a LinearTripModel whose bounds scale by
+// n/N, so the breaker trips at the same share of the rack (the paper's
+// N=1000, Nmin=250, Nmax=750 at 256 chips is Nmin=64, Nmax=192). A
+// configuration already at n chips is returned unchanged.
+func (c Config) Scaled(n int) Config {
+	if n == c.N {
+		return c
+	}
+	nmin, nmax := c.Trip.Bounds()
+	f := float64(n) / float64(c.N)
+	c.Trip = power.LinearTripModel{NMin: nmin * f, NMax: nmax * f}
+	c.N = n
+	return c
+}
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.N <= 0 {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"sprintgame/internal/core"
-	"sprintgame/internal/power"
 	"sprintgame/internal/sim"
 	"sprintgame/internal/stats"
 	"sprintgame/internal/workload"
@@ -24,19 +23,9 @@ func simScale(opts Options) (int, core.Config) {
 			epochs = 250
 		}
 		const quickN = 200
-		// Rescale the trip bounds before shrinking N: the scale factor is
-		// quickN relative to the paper-scale rack.
-		game.Trip = scaledTrip(game, quickN)
-		game.N = quickN
+		game = game.Scaled(quickN)
 	}
 	return epochs, game
-}
-
-// scaledTrip rescales the Table 2 trip bounds to a smaller rack.
-func scaledTrip(base core.Config, n int) power.LinearTripModel {
-	nmin, nmax := base.Trip.Bounds()
-	f := float64(n) / float64(base.N)
-	return power.LinearTripModel{NMin: nmin * f, NMax: nmax * f}
 }
 
 // singleAppConfig builds a homogeneous rack for one benchmark.

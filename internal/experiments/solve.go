@@ -9,8 +9,8 @@ import (
 
 // singleClass is core.SingleClass routed through Options.Cache: the many
 // experiments that solve the same (density, game) instance — every
-// figure starts from the Table 2 configuration — share one solution, and
-// a disk-warmed cache answers them without running Algorithm 1 at all.
+// figure starts from the Table 2 configuration — share one solution
+// instead of each running Algorithm 1.
 func (o Options) singleClass(name string, density *dist.Discrete, cfg core.Config) (*core.Equilibrium, error) {
 	return o.Cache.FindEquilibrium(
 		[]core.AgentClass{{Name: name, Count: cfg.N, Density: density}}, cfg)

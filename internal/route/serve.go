@@ -410,7 +410,7 @@ func Serve(cfg Config) (_ *Result, err error) {
 
 	for epoch := 0; epoch < cc.Epochs; epoch++ {
 		// 1. Faults: kills scheduled for this epoch fire before the
-		// rack simulates it, exactly like the batch engine's interrupt.
+		// rack simulates it, exactly as the batch engine stops a rack.
 		// The dead rack's queue reroutes immediately, FIFO order
 		// preserved, partial progress (remaining units) kept.
 		for i := range racks {

@@ -295,6 +295,37 @@ func TestServeMatchesBatchSimulation(t *testing.T) {
 	}
 }
 
+// TestServeKillsMatchesBatch: a fault kill is one value in both engines.
+// The batch engine and the serving layer stop a killed rack's stepper at
+// the kill epoch and report the same RackError — rack, name, epoch,
+// attempts, the bare RackFault and the partial result, series included.
+// With TestServeKilledRacksStopAtKillEpoch pinning the serving partial
+// to a fresh stepper, this pins the batch partial too.
+func TestServeKillsMatchesBatch(t *testing.T) {
+	cc := testCluster(t, 4, 32, 80, false)
+	cc.RecordSeries = true
+	cc.Faults = &cluster.FaultPlan{Kills: map[int]int{0: 0, 1: 37, 3: cc.Epochs - 1}}
+	pol, _ := ByName("round-robin", 1)
+	served, err := Serve(Config{Cluster: cc, Arrivals: contendedArrivals(128, 0.5), Router: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc.AllowPartial = true
+	batch, err := cluster.Run(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Failed) != 3 || len(served.Failed) != len(batch.Failed) {
+		t.Fatalf("failed racks: batch %d, serving %d, want 3 each", len(batch.Failed), len(served.Failed))
+	}
+	for j := range batch.Failed {
+		b, s := batch.Failed[j], served.Failed[j]
+		if !reflect.DeepEqual(b, s) {
+			t.Errorf("failure %d differs:\n batch   %+v (%v)\n serving %+v (%v)", j, b, b.Err, s, s.Err)
+		}
+	}
+}
+
 // TestServeKilledRacksStopAtKillEpoch pins each killed rack's partial
 // simulation against an independent reference: a fresh stepper built
 // from the rack's config and policy factory that steps exactly the

@@ -92,33 +92,7 @@ type Config struct {
 	// agents, and trip and recovery transitions. Nil disables tracing.
 	// Like Metrics, Span is a telemetry sink and never affects results.
 	Span *telemetry.Span
-	// Interrupt, when non-nil, is consulted at the start of every epoch
-	// with the epoch index about to run. A non-nil return halts the run:
-	// Run aggregates the epochs completed so far and returns the partial
-	// Result together with an *InterruptError wrapping the cause. The
-	// hook must be deterministic (a pure function of the epoch index)
-	// for the run to stay reproducible; the cluster layer uses it for
-	// seeded rack fault injection.
-	Interrupt func(epoch int) error
 }
-
-// InterruptError reports a run halted early by Config.Interrupt. Run
-// returns it alongside a non-nil partial Result whose aggregates and
-// series cover exactly Epoch completed epochs.
-type InterruptError struct {
-	// Epoch is the number of epochs completed before the halt (the
-	// epoch index at which the interrupt fired).
-	Epoch int
-	// Cause is what the Interrupt hook returned.
-	Cause error
-}
-
-func (e *InterruptError) Error() string {
-	return fmt.Sprintf("sim: interrupted after %d epochs: %v", e.Epoch, e.Cause)
-}
-
-// Unwrap exposes the interrupt cause to errors.Is / errors.As.
-func (e *InterruptError) Unwrap() error { return e.Cause }
 
 // Validate checks the simulation configuration.
 func (c Config) Validate() error {
@@ -223,33 +197,20 @@ type Result struct {
 	AgentSprints map[int]int
 }
 
-// Run simulates the rack under the given policy. If Config.Interrupt
-// halts the run mid-way, Run returns the partial Result (aggregated
-// over the completed epochs) together with a non-nil *InterruptError;
-// every other error path returns a nil Result.
+// Run simulates the rack under the given policy.
 //
 // Run is a driver over the same epoch machine as Stepper: it loops
 // step() to completion in one call. Callers that need to interleave
-// work between epochs (the serving layer's arrival-time routing) use
-// a Stepper instead.
+// work between epochs, or to stop a rack early (the serving layer's
+// arrival-time routing, a cluster rack killed by a fault), use a
+// Stepper instead.
 func Run(cfg Config, pol policy.Policy) (*Result, error) {
 	st, err := newRunState(cfg, pol)
 	if err != nil {
 		return nil, err
 	}
-	var interrupted *InterruptError
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.Interrupt != nil {
-			if cause := cfg.Interrupt(epoch); cause != nil {
-				interrupted = &InterruptError{Epoch: epoch, Cause: cause}
-				break
-			}
-		}
 		st.step()
 	}
-	res := st.finalize()
-	if interrupted != nil {
-		return res, interrupted
-	}
-	return res, nil
+	return st.finalize(), nil
 }

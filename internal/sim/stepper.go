@@ -320,8 +320,7 @@ func (st *runState) step() EpochStats {
 
 // finalize aggregates the completed epochs into the Result: completed
 // equals cfg.Epochs for a full run, or the prefix length when stepping
-// stopped early (an interrupted run, or a serving-mode rack killed
-// mid-run). A zero-epoch partial reports zero rates, not NaN.
+// stopped early (a rack killed mid-run). A zero-epoch partial reports zero rates, not NaN.
 func (st *runState) finalize() *Result {
 	cfg, res, completed := st.cfg, st.res, st.completed
 	res.Epochs = completed
@@ -386,12 +385,14 @@ func (st *runState) finalize() *Result {
 // internal/route interleaves job arrivals and routing decisions with
 // epoch execution, which a run-to-completion sim.Run cannot express —
 // the batch-dispatch-then-run shape is exactly what makes load-aware
-// routing degenerate.
+// routing degenerate. It is also the one way to stop a rack early: both
+// internal/cluster and internal/route end a killed rack by not stepping
+// it again and calling Finalize.
 //
 // A Stepper over a Config produces byte-identical per-epoch behaviour
 // to sim.Run with the same Config (they share the epoch implementation
-// and the RNG stream discipline); Finalize after k steps matches an
-// interrupted Run's partial Result over k epochs.
+// and the RNG stream discipline); Finalize after k steps matches Run's
+// Result with Epochs = k.
 //
 // A Stepper is not safe for concurrent use; the serving layer gives
 // each rack its own.
@@ -400,13 +401,9 @@ type Stepper struct {
 	finalized bool
 }
 
-// NewStepper builds a ready-to-step simulation. Config.Interrupt is
-// rejected: the caller owns the epoch loop, so interruption is simply
-// not calling Step again.
+// NewStepper builds a ready-to-step simulation. The caller owns the
+// epoch loop, so stopping a rack early is simply not calling Step again.
 func NewStepper(cfg Config, pol policy.Policy) (*Stepper, error) {
-	if cfg.Interrupt != nil {
-		return nil, errors.New("sim: Stepper does not take an Interrupt hook; stop calling Step instead")
-	}
 	st, err := newRunState(cfg, pol)
 	if err != nil {
 		return nil, err

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -64,26 +62,30 @@ func TestStepperMatchesRun(t *testing.T) {
 }
 
 // TestStepperPartialMatchesInterruptedRun: Finalize after k steps equals
-// an interrupted Run's partial Result over the same k epochs.
+// Run's Result over a k-epoch Config, series included. A killed rack's
+// partial is therefore exactly the run it would have had with k epochs.
 func TestStepperPartialMatchesInterruptedRun(t *testing.T) {
 	const k = 60
 	cfg := smallConfig(t, "pagerank", 200)
 	cfg.RecordSeries = true
 
-	intCfg := cfg
-	cause := errors.New("halt")
-	intCfg.Interrupt = func(epoch int) error {
-		if epoch >= k {
-			return cause
-		}
-		return nil
-	}
-	want, err := Run(intCfg, policy.NewGreedy(1))
-	var ie *InterruptError
-	if !errors.As(err, &ie) || ie.Epoch != k {
-		t.Fatalf("expected interrupt at %d, got %v", k, err)
+	short := cfg
+	short.Epochs = k
+	want, err := Run(short, policy.NewGreedy(1))
+	if err != nil {
+		t.Fatal(err)
 	}
 
+	got := stepPartial(t, cfg, k)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("partial results differ:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// stepPartial steps a fresh Stepper over cfg k times under a greedy
+// policy and finalizes it.
+func stepPartial(t *testing.T, cfg Config, k int) *Result {
+	t.Helper()
 	st, err := NewStepper(cfg, policy.NewGreedy(1))
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +95,53 @@ func TestStepperPartialMatchesInterruptedRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := st.Finalize()
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-		t.Errorf("partial results differ:\n got %+v\nwant %+v", got, want)
+	return st.Finalize()
+}
+
+// TestStepperPartialIsRunPrefix: stopping early must not perturb any RNG
+// draw, so the partial series is the prefix of the full run's.
+func TestStepperPartialIsRunPrefix(t *testing.T) {
+	const k = 80
+	cfg := smallConfig(t, "decision", 200)
+	cfg.RecordSeries = true
+	ref, err := Run(cfg, policy.NewGreedy(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res := stepPartial(t, cfg, k)
+	if res.Epochs != k {
+		t.Errorf("partial epochs = %d, want %d", res.Epochs, k)
+	}
+	if !reflect.DeepEqual(res.SprintersPerEpoch, ref.SprintersPerEpoch[:k]) ||
+		!reflect.DeepEqual(res.RecoveringPerEpoch, ref.RecoveringPerEpoch[:k]) {
+		t.Errorf("partial series are not the first %d epochs of the full run", k)
+	}
+	if s := res.Shares.Sum(); s < 0.999 || s > 1.001 {
+		t.Errorf("partial shares sum to %v, want 1", s)
+	}
+}
+
+// TestStepperFinalizeAfterZeroSteps: a rack killed before its first
+// epoch reports zero rates and empty series, never NaN.
+func TestStepperFinalizeAfterZeroSteps(t *testing.T) {
+	cfg := smallConfig(t, "decision", 50)
+	cfg.RecordSeries = true
+	cfg.TrackAgents = []int{0}
+	res := stepPartial(t, cfg, 0)
+	if res.Epochs != 0 {
+		t.Fatalf("zero-step partial epochs = %d, want 0", res.Epochs)
+	}
+	if res.TaskRate != 0 || res.Shares.Sum() != 0 {
+		t.Errorf("zero-epoch partial must report zero rates, got rate=%v shares=%v",
+			res.TaskRate, res.Shares)
+	}
+	if got := res.AgentRates[0]; got != 0 {
+		t.Errorf("tracked agent rate = %v, want 0", got)
+	}
+	if len(res.SprintersPerEpoch) != 0 || len(res.RecoveringPerEpoch) != 0 {
+		t.Errorf("series lengths = %d/%d, want 0",
+			len(res.SprintersPerEpoch), len(res.RecoveringPerEpoch))
 	}
 }
 
@@ -103,11 +149,6 @@ func TestStepperErrors(t *testing.T) {
 	cfg := smallConfig(t, "decision", 3)
 	if _, err := NewStepper(Config{}, policy.NewGreedy(1)); err == nil {
 		t.Error("invalid config should fail")
-	}
-	bad := cfg
-	bad.Interrupt = func(int) error { return nil }
-	if _, err := NewStepper(bad, policy.NewGreedy(1)); err == nil {
-		t.Error("Interrupt hook should be rejected")
 	}
 	st, err := NewStepper(cfg, policy.NewGreedy(1))
 	if err != nil {
