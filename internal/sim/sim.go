@@ -135,9 +135,11 @@ func (c Config) Validate() error {
 
 // utilitySource is an epoch utility stream; satisfied by both
 // workload.TraceGenerator (synthesis) and workload.Replayer (recorded
-// traces).
+// traces). Each epoch calls exactly one of the two: Next when the agent
+// reads its utility, Skip when it does not.
 type utilitySource interface {
 	Next() float64
+	Skip()
 }
 
 // agent is the per-agent simulation state.

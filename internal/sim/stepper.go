@@ -162,9 +162,9 @@ func newRunState(cfg Config, pol policy.Policy) (*runState, error) {
 	return st, nil
 }
 
-// step simulates one epoch: utility draws and sprint decisions, the
-// breaker, task accounting, and state transitions. The caller must not
-// step past cfg.Epochs.
+// step simulates one epoch: utility draws and sprint decisions for the
+// agents that decide, the breaker, task accounting, and state
+// transitions. The caller must not step past cfg.Epochs.
 func (st *runState) step() EpochStats {
 	cfg, pol := st.cfg, st.pol
 	epoch := st.completed
@@ -175,21 +175,26 @@ func (st *runState) step() EpochStats {
 	clear(st.classSprints)
 	for i := range st.agents {
 		a := &st.agents[i]
-		st.utilities[i] = a.trace.Next()
 		st.sprinting[i] = false
-		switch a.state {
-		case Active:
-			if epoch >= st.holdUntil[i] && pol.Decide(policy.Context{
-				AgentID: i, Class: a.class, Epoch: epoch, Utility: st.utilities[i],
-			}) {
-				st.sprinting[i] = true
-				nS++
-				if st.classSprints != nil {
-					st.classSprints[a.group]++
-				}
+		// Only an active agent past its wake-up hold decides, so only
+		// it draws a utility; every other agent just advances its
+		// source. utilities[i] is read only for this epoch's sprinters.
+		if a.state != Active || epoch < st.holdUntil[i] {
+			a.trace.Skip()
+			if a.state == Recovery {
+				nRecover++
 			}
-		case Recovery:
-			nRecover++
+			continue
+		}
+		st.utilities[i] = a.trace.Next()
+		if pol.Decide(policy.Context{
+			AgentID: i, Class: a.class, Epoch: epoch, Utility: st.utilities[i],
+		}) {
+			st.sprinting[i] = true
+			nS++
+			if st.classSprints != nil {
+				st.classSprints[a.group]++
+			}
 		}
 	}
 

@@ -13,9 +13,6 @@ import "math"
 // valid; use NewRNG.
 type RNG struct {
 	s [4]uint64
-	// cached second normal variate for the Box-Muller transform
-	hasGauss bool
-	gauss    float64
 }
 
 // splitmix64 advances the given state and returns the next value. It is
@@ -92,25 +89,83 @@ func (r *RNG) Range(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Norm returns a standard normal variate using the Box-Muller transform.
-func (r *RNG) Norm() float64 {
-	if r.hasGauss {
-		r.hasGauss = false
-		return r.gauss
+// Ziggurat tables for Norm: Marsaglia and Tsang's 128-layer ziggurat
+// for the unnormalized density f(x) = exp(-x²/2). zigR is the start of
+// the tail and zigV the common area of every layer. Layer i covers
+// |x| < zigW[i]·2³¹; a draw whose 31-bit magnitude is below zigK[i]
+// lies inside the rectangle under the curve and is returned at once.
+const (
+	zigR = 3.442619855899
+	zigV = 9.91256303526217e-3
+)
+
+var (
+	zigK [128]uint32
+	zigW [128]float64
+	zigF [128]float64
+)
+
+func init() {
+	const m = 1 << 31
+	dn, tn := zigR, zigR
+	q := zigV / math.Exp(-0.5*dn*dn)
+	// zigK[1] stays 0: the top layer has no inner rectangle, so every
+	// draw there takes the wedge test.
+	zigK[0] = uint32(dn / q * m)
+	zigW[0] = q / m
+	zigW[127] = dn / m
+	zigF[0] = 1
+	zigF[127] = math.Exp(-0.5 * dn * dn)
+	for i := 126; i >= 1; i-- {
+		dn = math.Sqrt(-2 * math.Log(zigV/dn+math.Exp(-0.5*dn*dn)))
+		zigK[i+1] = uint32(dn / tn * m)
+		tn = dn
+		zigF[i] = math.Exp(-0.5 * dn * dn)
+		zigW[i] = dn / m
 	}
-	var u, v, s float64
+}
+
+// Norm returns a standard normal variate by the ziggurat method. The
+// layer index and the signed 32-bit abscissa come from disjoint bits of
+// one Uint64. Draws outside a layer's inner rectangle take the exact
+// wedge test, and the base layer's overhang past zigR is sampled by
+// Marsaglia's exponential tail method, so the result is exactly normal
+// up to the 32-bit resolution of the abscissa.
+func (r *RNG) Norm() float64 {
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
-		if s > 0 && s < 1 {
-			break
+		u := r.Uint64()
+		i := u & 127
+		j := int32(u >> 32)
+		x := float64(j) * zigW[i]
+		if abs32(j) < zigK[i] {
+			return x
+		}
+		if i == 0 {
+			// Tail beyond zigR.
+			for {
+				tx := -math.Log(1-r.Float64()) / zigR
+				ty := -math.Log(1 - r.Float64())
+				if ty+ty >= tx*tx {
+					if j < 0 {
+						return -zigR - tx
+					}
+					return zigR + tx
+				}
+			}
+		}
+		// Wedge between the layer's rectangle and the curve.
+		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-0.5*x*x) {
+			return x
 		}
 	}
-	f := math.Sqrt(-2 * math.Log(s) / s)
-	r.gauss = v * f
-	r.hasGauss = true
-	return u * f
+}
+
+// abs32 returns |j| without overflowing at math.MinInt32.
+func abs32(j int32) uint32 {
+	if j < 0 {
+		return uint32(-int64(j))
+	}
+	return uint32(j)
 }
 
 // NormAt returns a normal variate with the given mean and standard

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +116,72 @@ func TestNormMoments(t *testing.T) {
 		t.Fatalf("normal stddev = %v, want ~1", acc.StdDev())
 	}
 }
+
+// TestNormKS checks the ziggurat normal's whole distribution, not just
+// its moments: over 1e6 draws per seed, the Kolmogorov-Smirnov distance
+// to Φ stays under the 1% critical value 1.63/√n, and the mass beyond
+// the ziggurat's tail start zigR (sampled by a separate path) is within
+// 4σ of 2(1 − Φ(zigR)). KS is blind to the ziggurat's small local
+// defects (accepting every wedge draw moves D by only 5e-4), so a
+// chi-square over 256 equiprobable bins must also stay under its 0.1%
+// critical value.
+func TestNormKS(t *testing.T) {
+	const (
+		n    = 1000000
+		bins = 256
+		// chi-square 0.999 quantile at bins-1 = 255 degrees of freedom.
+		chiCrit = 330.5
+	)
+	phi := func(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
+	crit := 1.63 / math.Sqrt(n)
+	pTail := 2 * (1 - phi(zigR))
+	sdTail := math.Sqrt(n * pTail * (1 - pTail))
+	xs := make([]float64, n)
+	for _, seed := range []uint64{1, 2, 3} {
+		r := NewRNG(seed)
+		tail := 0
+		var counts [bins]float64
+		for i := range xs {
+			xs[i] = r.Norm()
+			if math.Abs(xs[i]) > zigR {
+				tail++
+			}
+			counts[min(int(phi(xs[i])*bins), bins-1)]++
+		}
+		chi := 0.0
+		for _, c := range counts {
+			chi += (c - n/bins) * (c - n/bins) / (n / bins)
+		}
+		if chi >= chiCrit {
+			t.Errorf("seed %d: chi-square %.1f over %d equiprobable bins, want < %v", seed, chi, bins, chiCrit)
+		}
+		sort.Float64s(xs)
+		d := 0.0
+		for i, x := range xs {
+			f := phi(x)
+			d = math.Max(d, math.Max(float64(i+1)/n-f, f-float64(i)/n))
+		}
+		t.Logf("seed %d: D = %.5f (bound %.5f), chi-square %.1f, tail %d (want %.0f ± %.0f)",
+			seed, d, crit, chi, tail, n*pTail, 4*sdTail)
+		if d >= crit {
+			t.Errorf("seed %d: KS D = %v, want < %v", seed, d, crit)
+		}
+		if math.Abs(float64(tail)-n*pTail) > 4*sdTail {
+			t.Errorf("seed %d: %d draws beyond ±%v, want %.0f ± %.0f", seed, tail, zigR, n*pTail, 4*sdTail)
+		}
+	}
+}
+
+func BenchmarkNorm(b *testing.B) {
+	r := NewRNG(1)
+	s := 0.0
+	for i := 0; i < b.N; i++ {
+		s += r.Norm()
+	}
+	sink = s
+}
+
+var sink float64
 
 func TestNormAt(t *testing.T) {
 	r := NewRNG(17)

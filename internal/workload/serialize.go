@@ -91,7 +91,8 @@ func LoadTraceSet(r io.Reader) (*TraceSet, error) {
 
 // Replayer replays a recorded trace as an epoch utility stream, looping
 // when the trace is shorter than the simulation. It satisfies the same
-// Next() contract as TraceGenerator.
+// Next()/Skip() contract as TraceGenerator; replay is index-based, so
+// skipping an epoch reads the same later values as reading it would.
 type Replayer struct {
 	trace *Trace
 	pos   int
@@ -111,8 +112,13 @@ func NewReplayer(tr *Trace, offset int) (*Replayer, error) {
 // Next returns the next epoch's utility.
 func (r *Replayer) Next() float64 {
 	u := r.trace.Utilities[r.pos]
-	r.pos = (r.pos + 1) % r.trace.Len()
+	r.Skip()
 	return u
+}
+
+// Skip advances one epoch without reading its utility.
+func (r *Replayer) Skip() {
+	r.pos = (r.pos + 1) % r.trace.Len()
 }
 
 // Density histograms the full trace set into a Discrete utility density —

@@ -85,12 +85,23 @@ func (g *TraceGenerator) jump() {
 	g.dwell = g.rng.Geometric(stay)
 }
 
-// Next returns the utility for the next epoch.
-func (g *TraceGenerator) Next() float64 {
+// Skip advances the phase clock by one epoch without drawing that
+// epoch's utility: the dwell counts down, and a new phase is chosen when
+// it runs out. Consumers that read only some epochs (the rack simulator
+// reads a utility only when an agent decides whether to sprint) skip the
+// rest; the utilities they do read have the same distribution as if
+// every epoch had been drawn, because draws within a phase are i.i.d.
+func (g *TraceGenerator) Skip() {
 	if g.dwell <= 0 {
 		g.jump()
 	}
 	g.dwell--
+}
+
+// Next advances one epoch and returns its utility, drawn from the
+// current phase's distribution.
+func (g *TraceGenerator) Next() float64 {
+	g.Skip()
 	return g.bench.Phases[g.phase].Utility.Sample(g.rng)
 }
 

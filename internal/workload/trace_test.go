@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"sprintgame/internal/dist"
@@ -93,6 +94,93 @@ func TestTraceTemporalCorrelation(t *testing.T) {
 	}
 }
 
+// ksDistance sorts xs and returns its Kolmogorov-Smirnov distance to
+// cdf.
+func ksDistance(xs []float64, cdf func(float64) float64) float64 {
+	sort.Float64s(xs)
+	n := float64(len(xs))
+	d := 0.0
+	for i, x := range xs {
+		f := cdf(x)
+		d = math.Max(d, math.Max(float64(i+1)/n-f, f-float64(i)/n))
+	}
+	return d
+}
+
+// TestTraceGeneratorMarginal checks that the utilities a reader draws
+// follow Benchmark.Density even when it skips epochs: 1000 generators
+// per benchmark each give 1000 reads, with 40% of epochs skipped at
+// seeded random. Single-phase benchmarks draw i.i.d., so they must pass
+// the 1% KS critical value 1.63/√n; phase persistence correlates the
+// multi-phase draws, which inflates D, so those get a bound of 0.01.
+func TestTraceGeneratorMarginal(t *testing.T) {
+	const gens, reads = 1000, 1000
+	crit := 1.63 / math.Sqrt(gens*reads)
+	xs := make([]float64, 0, gens*reads)
+	for _, b := range Catalog() {
+		skips := stats.NewRNG(5)
+		xs = xs[:0]
+		for k := 0; k < gens; k++ {
+			g, err := NewTraceGenerator(b, uint64(k)+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; n < reads; {
+				if skips.Bool(0.4) {
+					g.Skip()
+					continue
+				}
+				xs = append(xs, g.Next())
+				n++
+			}
+		}
+		d := ksDistance(xs, b.Density().CDF)
+		bound := 0.01
+		if len(b.Phases) == 1 {
+			bound = crit
+		}
+		t.Logf("%s: D = %.5f (bound %.5f)", b.Name, d, bound)
+		if d >= bound {
+			t.Errorf("%s: KS D = %v against Density, want < %v", b.Name, d, bound)
+		}
+	}
+}
+
+// TestTraceGeneratorPhaseOccupancy checks the phase clock: the share of
+// epochs spent in each phase matches Phase.Weight whether the reader
+// only skips or mixes skips with reads (a read draws from the same RNG
+// as the phase jumps, so it must not bias which phase comes next).
+func TestTraceGeneratorPhaseOccupancy(t *testing.T) {
+	const gens, epochs = 1000, 2000
+	for _, b := range Catalog() {
+		for _, readShare := range []float64{0, 0.6} {
+			reads := stats.NewRNG(9)
+			occ := make([]float64, len(b.Phases))
+			for k := 0; k < gens; k++ {
+				g, err := NewTraceGenerator(b, uint64(k)+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for e := 0; e < epochs; e++ {
+					if reads.Bool(readShare) {
+						g.Next()
+					} else {
+						g.Skip()
+					}
+					occ[g.phase]++
+				}
+			}
+			for i, ph := range b.Phases {
+				share := occ[i] / (gens * epochs)
+				if math.Abs(share-ph.Weight) > 0.01 {
+					t.Errorf("%s, read share %v: phase %q occupies %.4f of epochs, want weight %v",
+						b.Name, readShare, ph.Label, share, ph.Weight)
+				}
+			}
+		}
+	}
+}
+
 func TestGenerate(t *testing.T) {
 	b, _ := ByName("svm")
 	g, _ := NewTraceGenerator(b, 3)
@@ -179,3 +267,19 @@ func TestTraceAt(t *testing.T) {
 	}()
 	(&Trace{}).At(0)
 }
+
+func BenchmarkTraceGeneratorNext(b *testing.B) {
+	bench, _ := ByName("decision")
+	g, err := NewTraceGenerator(bench, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	s := 0.0
+	for i := 0; i < b.N; i++ {
+		s += g.Next()
+	}
+	benchSink = s
+}
+
+var benchSink float64

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Benchmark baselines: record the cluster epoch-engine / solve-cache /
-# serving-engine benchmarks as BENCH_cluster.json and the core solver
+# serving-engine benchmarks and the rack simulator's draw costs as
+# BENCH_cluster.json and the core solver
 # benchmarks
 # (the exact Bellman solve, cold equilibrium solves by class count) as
 # BENCH_core.json — one JSON object per benchmark — so successive PRs
@@ -45,6 +46,10 @@ trap 'rm -f "$RAW"' EXIT
 # path allocates nothing, so a jump there is a regression).
 go test -run '^$' -bench 'BenchmarkCluster' -benchtime "$BENCHTIME" ./internal/cluster >"$RAW"
 go test -run '^$' -bench 'BenchmarkServe$' -benchtime "$BENCHTIME" ./internal/route >>"$RAW"
+# The rack simulator's per-draw costs under Serve: one ziggurat normal
+# and one trace-generator utility (a truncated-normal draw in a phase).
+go test -run '^$' -bench 'BenchmarkNorm$' -benchtime "$BENCHTIME" ./internal/stats >>"$RAW"
+go test -run '^$' -bench 'BenchmarkTraceGeneratorNext$' -benchtime "$BENCHTIME" ./internal/workload >>"$RAW"
 go test -run '^$' -bench 'BenchmarkSolveCacheHit|BenchmarkFindEquilibriumCold$' \
 	-benchtime "$BENCHTIME" ./internal/core >>"$RAW"
 json_from_bench <"$RAW" >BENCH_cluster.json

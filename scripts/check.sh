@@ -72,14 +72,31 @@ go test -race -count 3 -run 'DeterministicAcrossWorkers|MatchesBatch|Shutdown' .
 echo "== go test -race ./..."
 go test -race ./...
 
+# The rack simulator's random streams are checked statistically, not
+# byte for byte: the ziggurat normal against Φ (KS, chi-square, tail
+# mass), the trace generator's marginal against Benchmark.Density with
+# skipped epochs, and its phase occupancy against the phase weights.
+# They are run by name, and each must report PASS, so a rename cannot
+# silently drop them. They are single-goroutine, so they run without
+# the race detector.
+SMOKE=$(mktemp -d)
+trap 'rm -rf "$SMOKE"' EXIT
+echo "== go test -run 'NormKS|Marginal|PhaseOccupancy' ./internal/stats ./internal/workload"
+if ! go test -count 1 -v -run 'NormKS|Marginal|PhaseOccupancy' \
+	./internal/stats ./internal/workload >"$SMOKE/dist.txt"; then
+	cat "$SMOKE/dist.txt" >&2
+	exit 1
+fi
+for name in TestNormKS TestTraceGeneratorMarginal TestTraceGeneratorPhaseOccupancy; do
+	grep -q -- "--- PASS: $name " "$SMOKE/dist.txt"
+done
+
 # Smoke the serving-path observability pipeline end to end: a short
 # closed-loop coordbench run against an in-process server with span
 # tracing on, then traceview over the captured trace. This catches
 # wiring regressions (spans that stop nesting, phases that vanish)
 # that unit tests on individual spans would miss.
 echo "== coordbench/traceview smoke"
-SMOKE=$(mktemp -d)
-trap 'rm -rf "$SMOKE"' EXIT
 go build -o "$SMOKE/coordbench" ./cmd/coordbench
 go build -o "$SMOKE/traceview" ./cmd/traceview
 "$SMOKE/coordbench" -mode closed -concurrency 2 -requests 40 \
@@ -156,5 +173,20 @@ fi
 grep -q '"epoch":10,"error":"injected fault: rack 1 killed at epoch 10"' "$SMOKE/failed-spans.jsonl"
 grep -q '"name":"cluster.run"' "$SMOKE/failed-spans.jsonl"
 spans_only "$SMOKE/failed-spans.jsonl"
+
+# A batch cluster run's stdout is reproducible at a fixed seed and
+# worker count, the solve-cache line included, even when racks sharing
+# a mix race to build the same equilibrium. Batch mode prints no timing
+# lines, so the two runs must match byte for byte.
+"$SMOKE/cluster" -racks 6 -chips 128 -epochs 300 -app decision,pagerank,svm -rotate \
+	-workers 4 >"$SMOKE/cluster-a.txt"
+"$SMOKE/cluster" -racks 6 -chips 128 -epochs 300 -app decision,pagerank,svm -rotate \
+	-workers 4 >"$SMOKE/cluster-b.txt"
+grep -q '^solve cache: ' "$SMOKE/cluster-a.txt"
+if ! cmp -s "$SMOKE/cluster-a.txt" "$SMOKE/cluster-b.txt"; then
+	echo "cluster stdout differs between two identical runs:" >&2
+	diff "$SMOKE/cluster-a.txt" "$SMOKE/cluster-b.txt" >&2
+	exit 1
+fi
 
 echo "ok"
