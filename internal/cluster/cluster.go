@@ -221,19 +221,6 @@ type Result struct {
 	Sprinters SprinterDist
 }
 
-// FailureErr joins every failed rack's error (nil when no rack
-// failed), mirroring what Run returns when AllowPartial is off.
-func (r *Result) FailureErr() error {
-	if len(r.Failed) == 0 {
-		return nil
-	}
-	errs := make([]error, len(r.Failed))
-	for i := range r.Failed {
-		errs[i] = &r.Failed[i]
-	}
-	return errors.Join(errs...)
-}
-
 // MixSeed derives the seed for stream idx from the cluster base seed
 // with a SplitMix64 finalizer, so derived streams are decorrelated even
 // for adjacent base seeds and indices. Racks use idx >= 0; negative

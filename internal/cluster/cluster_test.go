@@ -156,7 +156,7 @@ func TestClusterAggregates(t *testing.T) {
 	if res.TripsPerRackEpoch != wantTPRE {
 		t.Errorf("trips/rack-epoch = %v, want %v", res.TripsPerRackEpoch, wantTPRE)
 	}
-	if s := res.Shares.Sum(); s < 0.999 || s > 1.001 {
+	if s := res.Shares.Sprinting + res.Shares.ActiveIdle + res.Shares.Cooling + res.Shares.Recovery; s < 0.999 || s > 1.001 {
 		t.Errorf("cluster shares sum to %v, want 1", s)
 	}
 	if res.Sprinters.Min > res.Sprinters.Mean || res.Sprinters.Mean > res.Sprinters.Max {
@@ -187,7 +187,7 @@ func TestClusterTelemetry(t *testing.T) {
 	if got := metrics.Gauge("cluster.task_rate").Value(); got != res.TaskRate {
 		t.Errorf("cluster.task_rate = %v, want %v", got, res.TaskRate)
 	}
-	if got := metrics.Histogram("cluster.rack_task_rate", nil).Count(); got != 3 {
+	if got := metrics.Histogram("cluster.rack_task_rate", nil).Snapshot().Count; got != 3 {
 		t.Errorf("cluster.rack_task_rate observations = %d, want 3", got)
 	}
 

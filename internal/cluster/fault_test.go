@@ -154,8 +154,8 @@ func TestClusterFaultAllowPartialAggregatesSurvivors(t *testing.T) {
 	if want := float64(trips) / float64(3*res.Epochs); res.TripsPerRackEpoch != want {
 		t.Errorf("trips/rack-epoch = %v, want %v over survivors", res.TripsPerRackEpoch, want)
 	}
-	if res.FailureErr() == nil || !strings.Contains(res.FailureErr().Error(), "rack 2") {
-		t.Errorf("FailureErr = %v, want rack 2 reported", res.FailureErr())
+	if len(res.Failed) != 1 || !strings.Contains(res.Failed[0].Error(), "rack 2") {
+		t.Errorf("failed = %+v, want rack 2 reported", res.Failed)
 	}
 }
 

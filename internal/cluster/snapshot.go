@@ -57,12 +57,6 @@ type RackSnapshot struct {
 	RateUnits float64
 }
 
-// Headroom returns the sprint slots left under the breaker's safe
-// bound, NMin - Sprinters (negative when the rack sprints past NMin).
-func (s RackSnapshot) Headroom() float64 {
-	return s.NMin - float64(s.Sprinters)
-}
-
 // Fields renders the snapshot as a trace-event payload. Keys are
 // stable: cmd/traceview and tests key off them.
 func (s RackSnapshot) Fields() telemetry.Fields {

@@ -137,12 +137,6 @@ func (a *Agent) Assign(s Strategy) error {
 	return nil
 }
 
-// Assigned reports whether the agent has a strategy.
-func (a *Agent) Assigned() bool { return a.assigned }
-
-// Threshold returns the assigned threshold.
-func (a *Agent) Threshold() float64 { return a.threshold }
-
 // Step advances one epoch: the trace produces the epoch's true utility,
 // the predictor estimates it, and the agent sprints if the estimate
 // exceeds the assigned threshold. It returns the decision and the true

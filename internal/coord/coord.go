@@ -126,13 +126,6 @@ func (c *Coordinator) Submit(p Profile) error {
 	return nil
 }
 
-// AgentCount returns the number of registered agents.
-func (c *Coordinator) AgentCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.profiles)
-}
-
 // poolBins bounds the pooled class density's support size so the game's
 // dynamic program stays fast regardless of how many agents report.
 const poolBins = 250

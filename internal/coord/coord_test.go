@@ -21,7 +21,11 @@ func profileFor(t *testing.T, id, class string, seed uint64, epochs int) Profile
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := workload.EmpiricalDensity(b, seed, epochs, 60)
+	g, err := workload.NewTraceGenerator(b, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := dist.FromSamples(g.SampleDensity(epochs), 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +77,8 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.AgentCount() != 1000 {
-		t.Fatalf("agent count = %d", c.AgentCount())
+	if len(c.profiles) != 1000 {
+		t.Fatalf("agent count = %d", len(c.profiles))
 	}
 	strategies, eq, err := c.ComputeStrategies()
 	if err != nil {
@@ -181,8 +185,8 @@ func TestSubmitReplacesProfile(t *testing.T) {
 	if err := c.Submit(p); err != nil {
 		t.Fatal(err)
 	}
-	if c.AgentCount() != 1 {
-		t.Errorf("resubmission duplicated the agent: %d", c.AgentCount())
+	if len(c.profiles) != 1 {
+		t.Errorf("resubmission duplicated the agent: %d", len(c.profiles))
 	}
 	if err := c.Submit(Profile{}); err == nil {
 		t.Error("invalid profile should be rejected")
@@ -264,7 +268,7 @@ func TestAgentLifecycle(t *testing.T) {
 	if sprint, _ := a.Step(); sprint {
 		t.Error("unassigned agent sprinted")
 	}
-	if a.Assigned() {
+	if a.assigned {
 		t.Error("agent should not report a strategy yet")
 	}
 	// Wrong class strategy rejected.
@@ -274,7 +278,7 @@ func TestAgentLifecycle(t *testing.T) {
 	if err := a.Assign(Strategy{Class: "decision", Threshold: 3.3}); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Assigned() || a.Threshold() != 3.3 {
+	if !a.assigned || a.threshold != 3.3 {
 		t.Error("assignment not recorded")
 	}
 	// With an oracle predictor, decisions exactly implement the

@@ -120,9 +120,3 @@ func ActiveFraction(sprintProb, pc float64) float64 {
 	}
 	return (1 - pc) / (1 - pc + sprintProb)
 }
-
-// ExpectedSprinters is Eq. (10): nS = ps * pA * N.
-func ExpectedSprinters(f *dist.Discrete, threshold, pc float64, n int) float64 {
-	ps := SprintProbability(f, threshold)
-	return ps * ActiveFraction(ps, pc) * float64(n)
-}

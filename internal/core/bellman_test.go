@@ -242,12 +242,31 @@ func TestActiveFractionIdentity(t *testing.T) {
 }
 
 func TestExpectedSprintersEq10(t *testing.T) {
-	f := uniformDensity(1, 5, 100)
 	// Threshold at median: ps = 0.5, pA = 0.5, N = 1000 => nS = 250.
-	got := ExpectedSprinters(f, 3, 0.5, 1000)
-	if !almost(got, 250, 5) {
+	if got := expectedSprinters(uniformDensity(1, 5, 100), 3, 0.5, 1000); !almost(got, 250, 5) {
 		t.Errorf("nS = %v, want ~250", got)
 	}
+	// The solver's per-class outcome obeys Eq. (10) at its own threshold.
+	cfg := testConfig()
+	class := AgentClass{Name: "u", Count: 400, Density: uniformDensity(1, 5, 100)}
+	var out ClassOutcome
+	if err := solveClass(&class, 0.1, cfg, &out); err != nil {
+		t.Fatal(err)
+	}
+	ps := class.Density.TailProb(out.Threshold)
+	if out.SprintProb != ps || out.ActiveFrac != ActiveFraction(ps, cfg.Pc) {
+		t.Errorf("ps, pA = %v, %v; want %v, %v", out.SprintProb, out.ActiveFrac, ps, ActiveFraction(ps, cfg.Pc))
+	}
+	if want := expectedSprinters(class.Density, out.Threshold, cfg.Pc, class.Count); out.ExpectedSprinters != want {
+		t.Errorf("class nS = %v, want %v", out.ExpectedSprinters, want)
+	}
+}
+
+// expectedSprinters is Eq. (10), nS = ps * pA * N, computed from a
+// density and threshold independently of the solver.
+func expectedSprinters(f *dist.Discrete, threshold, pc float64, n int) float64 {
+	ps := f.TailProb(threshold)
+	return ps * ActiveFraction(ps, pc) * float64(n)
 }
 
 // Property: the Bellman threshold is always within the density's utility

@@ -59,17 +59,3 @@ func BestResponseCurve(f *dist.Discrete, cfg Config, beliefs []float64) ([]BestR
 	}
 	return out, nil
 }
-
-// NoTripEquilibriumExists reports whether a belief of "the breaker never
-// trips" is self-consistent: it is iff best responses to Ptrip = 0 keep
-// the expected sprinters strictly below Nmin. When recovery is ruinous
-// (pr -> 1) and this returns false, the game is the §6.4 Prisoner's
-// Dilemma: every equilibrium involves tripping the breaker.
-func NoTripEquilibriumExists(f *dist.Discrete, cfg Config) (bool, BestResponsePoint, error) {
-	pts, err := BestResponseCurve(f, cfg, []float64{0})
-	if err != nil {
-		return false, BestResponsePoint{}, err
-	}
-	nmin, _ := cfg.Trip.Bounds()
-	return pts[0].Sprinters < nmin, pts[0], nil
-}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"sprintgame/internal/dist"
 )
 
 func TestBestResponseCurveValidation(t *testing.T) {
@@ -60,15 +62,27 @@ func TestBestResponseCurveShape(t *testing.T) {
 	}
 }
 
+// noTripSelfConsistent is §6.4's check: a belief that the breaker never
+// trips is self-consistent iff best responses to Ptrip = 0 keep the
+// expected sprinters strictly below Nmin. When recovery is ruinous
+// (pr -> 1) and it is not, every equilibrium involves tripping the
+// breaker: the Prisoner's Dilemma.
+func noTripSelfConsistent(t *testing.T, f *dist.Discrete, cfg Config) (bool, BestResponsePoint) {
+	t.Helper()
+	pts, err := BestResponseCurve(f, cfg, []float64{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nmin, _ := cfg.Trip.Bounds()
+	return pts[0].Sprinters < nmin, pts[0]
+}
+
 func TestNoTripEquilibriumDecisionTree(t *testing.T) {
 	// For Decision Tree under Table 2 defaults, best responses to a
 	// no-trip world sprint beyond Nmin: no trip-free equilibrium exists,
 	// matching Figure 6's occasional emergencies.
 	f := density(t, "decision")
-	ok, pt, err := NoTripEquilibriumExists(f, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok, pt := noTripSelfConsistent(t, f, testConfig())
 	if ok {
 		t.Errorf("expected no trip-free equilibrium; best response to P=0 yields %v sprinters", pt.Sprinters)
 	}
@@ -79,10 +93,7 @@ func TestNoTripEquilibriumPageRank(t *testing.T) {
 	// even at P=0: a trip-free equilibrium exists (Figure 6's E-T panel
 	// for such workloads shows no emergencies).
 	f := density(t, "pagerank")
-	ok, pt, err := NoTripEquilibriumExists(f, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok, pt := noTripSelfConsistent(t, f, testConfig())
 	if !ok {
 		t.Errorf("expected a trip-free equilibrium; got %v sprinters at P=0", pt.Sprinters)
 	}
@@ -95,10 +106,7 @@ func TestPrisonersDilemmaAtRuinousRecovery(t *testing.T) {
 	f := density(t, "linear")
 	cfg := testConfig()
 	cfg.Pr = 0.999
-	ok, pt, err := NoTripEquilibriumExists(f, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok, pt := noTripSelfConsistent(t, f, cfg)
 	if ok {
 		t.Error("linear regression should have no trip-free equilibrium")
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -57,11 +58,12 @@ func sweepScan(f *dist.Discrete, sprintCont, vNoSprint float64) float64 {
 // sweepCrossover evaluates the same expectation in O(log n): atoms below
 // the crossover t = vNoSprint - sprintCont take the no-sprint value,
 // atoms at or above it sprint, and the density's prefix sums give both
-// sides' mass and weighted mass.
+// sides' mass and weighted mass. It reads the density through
+// KernelView, as the exact Bellman solve does.
 func sweepCrossover(f *dist.Discrete, sprintCont, vNoSprint float64) float64 {
-	k := f.SearchValue(vNoSprint - sprintCont)
-	cumP, cumPX := f.PrefixSums()
-	n := f.Len()
+	xs, _, cumP, cumPX := f.KernelView()
+	k := sort.SearchFloat64s(xs, vNoSprint-sprintCont)
+	n := len(xs)
 	return cumP[k]*vNoSprint + (cumPX[n] - cumPX[k]) + (cumP[n]-cumP[k])*sprintCont
 }
 
@@ -303,7 +305,7 @@ func tripResponse(tb testing.TB, classes []AgentClass, cfg Config, p float64) fl
 		if err != nil {
 			tb.Fatal(err)
 		}
-		nS += ExpectedSprinters(c.Density, v.Threshold, cfg.Pc, c.Count)
+		nS += expectedSprinters(c.Density, v.Threshold, cfg.Pc, c.Count)
 	}
 	return cfg.Trip.Ptrip(nS)
 }

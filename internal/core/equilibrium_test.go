@@ -66,7 +66,7 @@ func TestEquilibriumConsistency(t *testing.T) {
 		t.Errorf("threshold deviates from best response by %v", dev)
 	}
 	// (b) consistency of the sprint distribution.
-	nS := ExpectedSprinters(f, o.Threshold, cfg.Pc, cfg.N)
+	nS := expectedSprinters(f, o.Threshold, cfg.Pc, cfg.N)
 	if !almost(nS, eq.Sprinters, 1e-6) {
 		t.Errorf("nS mismatch: %v vs %v", nS, eq.Sprinters)
 	}

@@ -1,7 +1,7 @@
 // Package dist provides the probability machinery behind the sprinting
-// game: continuous densities, histograms, empirical distributions, kernel
-// density estimation, and a discretized density representation suitable
-// for solving the game's Bellman equations.
+// game: continuous densities, histograms, kernel density estimation, and
+// a discretized density representation suitable for solving the game's
+// Bellman equations.
 //
 // In the paper, each application's utility from sprinting is characterized
 // by a probability density f(u) obtained by profiling (§4.2, Figure 10).
@@ -116,15 +116,6 @@ func MustDiscrete(values, weights []float64) *Discrete {
 	return d
 }
 
-// Uniform atoms at the given values.
-func UniformDiscrete(values []float64) (*Discrete, error) {
-	w := make([]float64, len(values))
-	for i := range w {
-		w[i] = 1
-	}
-	return NewDiscrete(values, w)
-}
-
 // Len returns the number of atoms.
 func (d *Discrete) Len() int { return len(d.xs) }
 
@@ -166,24 +157,6 @@ func (d *Discrete) prefixes() (cumP, cumPX []float64) {
 	return d.cumP, d.cumPX
 }
 
-// PrefixSums returns cumulative sums over the atoms in ascending-value
-// order: probs[i] is the total probability of the first i atoms and
-// weighted[i] the corresponding sum of p*x, both of length Len()+1.
-// The slices are built once per density, cached, and shared — callers
-// MUST NOT modify them. Safe for concurrent use.
-func (d *Discrete) PrefixSums() (probs, weighted []float64) {
-	return d.prefixes()
-}
-
-// SearchValue returns the smallest index i with the i-th atom's value
-// >= x, or Len() if every atom is below x. The support is sorted, so
-// this is a binary search: combined with PrefixSums it answers
-// split-expectation queries (mass and weighted mass on either side of a
-// crossover) in O(log n).
-func (d *Discrete) SearchValue(x float64) int {
-	return sort.SearchFloat64s(d.xs, x)
-}
-
 // KernelView exposes the density's solver state in one call: the sorted
 // support, the atom probabilities, and both cached prefix-sum columns
 // (cumP, cumPX, each of length Len()+1). The exact Bellman solve binary-
@@ -210,22 +183,8 @@ func (d *Discrete) Mean() float64 {
 	return m
 }
 
-// Variance returns Var(X).
-func (d *Discrete) Variance() float64 {
-	m := d.Mean()
-	v := 0.0
-	for i, x := range d.xs {
-		dd := x - m
-		v += dd * dd * d.ps[i]
-	}
-	return v
-}
-
 // Support returns the smallest and largest atoms.
 func (d *Discrete) Support() (lo, hi float64) { return d.xs[0], d.xs[len(d.xs)-1] }
-
-// Max returns the largest atom (the paper's umax).
-func (d *Discrete) Max() float64 { return d.xs[len(d.xs)-1] }
 
 // CDF returns P(X <= x) in O(log n) via the cached prefix sums.
 func (d *Discrete) CDF(x float64) float64 {
@@ -255,20 +214,6 @@ func (d *Discrete) TailMean(threshold float64) float64 {
 	return cumPX[len(d.xs)] - cumPX[d.searchAbove(threshold)]
 }
 
-// Quantile returns the smallest atom x such that CDF(x) >= q.
-func (d *Discrete) Quantile(q float64) float64 {
-	if q <= 0 {
-		return d.xs[0]
-	}
-	cumP, _ := d.prefixes()
-	n := len(d.xs)
-	i := sort.SearchFloat64s(cumP[1:n+1], q-1e-15)
-	if i >= n {
-		i = n - 1
-	}
-	return d.xs[i]
-}
-
 // Sample draws an atom according to its probability.
 func (d *Discrete) Sample(r *stats.RNG) float64 {
 	u := r.Float64()
@@ -291,15 +236,6 @@ func (d *Discrete) Scale(k float64) *Discrete {
 	xs := make([]float64, len(d.xs))
 	for i, x := range d.xs {
 		xs[i] = x * k
-	}
-	return &Discrete{xs: xs, ps: append([]float64(nil), d.ps...)}
-}
-
-// Shift returns a new Discrete with every value translated by delta.
-func (d *Discrete) Shift(delta float64) *Discrete {
-	xs := make([]float64, len(d.xs))
-	for i, x := range d.xs {
-		xs[i] = x + delta
 	}
 	return &Discrete{xs: xs, ps: append([]float64(nil), d.ps...)}
 }

@@ -56,32 +56,9 @@ func (h *Histogram) binIndex(x float64) int {
 	return i
 }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.counts) }
-
-// Total returns the total recorded weight.
-func (h *Histogram) Total() float64 { return h.total }
-
-// Count returns the weight recorded in bin i.
-func (h *Histogram) Count(i int) float64 { return h.counts[i] }
-
 // BinCenter returns the center of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	return h.lo + (float64(i)+0.5)*h.width
-}
-
-// BinRange returns the [left, right) boundaries of bin i.
-func (h *Histogram) BinRange(i int) (left, right float64) {
-	return h.lo + float64(i)*h.width, h.lo + float64(i+1)*h.width
-}
-
-// DensityAt returns the normalized density estimate at x (count / total /
-// width), or 0 when the histogram is empty.
-func (h *Histogram) DensityAt(x float64) float64 {
-	if h.total == 0 || x < h.lo || x >= h.hi {
-		return 0
-	}
-	return h.counts[h.binIndex(x)] / h.total / h.width
 }
 
 // Discrete converts the histogram into a Discrete PMF at bin centers.
@@ -94,15 +71,4 @@ func (h *Histogram) Discrete() (*Discrete, error) {
 		xs[i] = h.BinCenter(i)
 	}
 	return NewDiscrete(xs, h.counts)
-}
-
-// Mode returns the center of the fullest bin.
-func (h *Histogram) Mode() float64 {
-	best := 0
-	for i, c := range h.counts {
-		if c > h.counts[best] {
-			best = i
-		}
-	}
-	return h.BinCenter(best)
 }

@@ -52,12 +52,6 @@ func silverman(sorted []float64) float64 {
 	return 0.9 * spread * math.Pow(n, -0.2)
 }
 
-// Bandwidth returns the kernel bandwidth in use.
-func (k *KDE) Bandwidth() float64 { return k.bandwidth }
-
-// N returns the number of underlying samples.
-func (k *KDE) N() int { return len(k.samples) }
-
 // Mean returns the sample mean (also the mean of the KDE).
 func (k *KDE) Mean() float64 { return k.mean }
 
@@ -110,48 +104,3 @@ func (k *KDE) Curve(n int) (xs, ys []float64) {
 	}
 	return xs, ys
 }
-
-// Empirical is the empirical distribution of a sample: the ECDF with
-// sampling-with-replacement. It is the non-smoothed counterpart to KDE.
-type Empirical struct {
-	samples []float64 // sorted
-}
-
-// NewEmpirical builds an empirical distribution from samples.
-func NewEmpirical(samples []float64) (*Empirical, error) {
-	if len(samples) == 0 {
-		return nil, errors.New("dist: empirical distribution needs samples")
-	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	sort.Float64s(sorted)
-	return &Empirical{samples: sorted}, nil
-}
-
-// Mean returns the sample mean.
-func (e *Empirical) Mean() float64 { return stats.Mean(e.samples) }
-
-// Support returns the sample range.
-func (e *Empirical) Support() (float64, float64) {
-	return e.samples[0], e.samples[len(e.samples)-1]
-}
-
-// CDF returns the fraction of samples <= x.
-func (e *Empirical) CDF(x float64) float64 {
-	// Index of first sample > x.
-	i := sort.Search(len(e.samples), func(i int) bool { return e.samples[i] > x })
-	return float64(i) / float64(len(e.samples))
-}
-
-// Sample draws a sample uniformly with replacement.
-func (e *Empirical) Sample(r *stats.RNG) float64 {
-	return e.samples[r.Intn(len(e.samples))]
-}
-
-// Quantile returns the q-quantile of the sample.
-func (e *Empirical) Quantile(q float64) float64 {
-	return stats.Quantile(e.samples, q)
-}
-
-// N returns the sample count.
-func (e *Empirical) N() int { return len(e.samples) }

@@ -70,11 +70,11 @@ func TestKDEBimodalDetection(t *testing.T) {
 
 func TestKDEExplicitBandwidth(t *testing.T) {
 	k, _ := NewKDE([]float64{1, 2, 3}, 0.7)
-	if k.Bandwidth() != 0.7 {
-		t.Errorf("bandwidth = %v", k.Bandwidth())
+	if k.bandwidth != 0.7 {
+		t.Errorf("bandwidth = %v", k.bandwidth)
 	}
-	if k.N() != 3 {
-		t.Errorf("N = %d", k.N())
+	if len(k.samples) != 3 {
+		t.Errorf("N = %d", len(k.samples))
 	}
 }
 
@@ -85,8 +85,8 @@ func TestKDEDegenerateSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.Bandwidth() <= 0 {
-		t.Fatalf("bandwidth = %v", k.Bandwidth())
+	if k.bandwidth <= 0 {
+		t.Fatalf("bandwidth = %v", k.bandwidth)
 	}
 	lo, hi := k.Support()
 	if integral := Simpson(k.PDF, lo, hi, 500); !almost(integral, 1, 0.01) {
@@ -147,52 +147,5 @@ func TestKDECurve(t *testing.T) {
 		if y < 0 {
 			t.Fatal("negative density on curve")
 		}
-	}
-}
-
-func TestEmpirical(t *testing.T) {
-	e, err := NewEmpirical([]float64{3, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.N() != 3 {
-		t.Errorf("N = %d", e.N())
-	}
-	if lo, hi := e.Support(); lo != 1 || hi != 3 {
-		t.Errorf("support [%v, %v]", lo, hi)
-	}
-	if !almost(e.Mean(), 2, 1e-12) {
-		t.Errorf("mean = %v", e.Mean())
-	}
-	if !almost(e.CDF(2), 2.0/3, 1e-12) {
-		t.Errorf("CDF(2) = %v", e.CDF(2))
-	}
-	if e.CDF(0.5) != 0 || e.CDF(3) != 1 {
-		t.Error("ECDF bounds wrong")
-	}
-	if _, err := NewEmpirical(nil); err == nil {
-		t.Error("empty empirical should error")
-	}
-}
-
-func TestEmpiricalSample(t *testing.T) {
-	e, _ := NewEmpirical([]float64{1, 1, 1, 5})
-	r := stats.NewRNG(41)
-	fives := 0
-	const n = 40000
-	for i := 0; i < n; i++ {
-		if e.Sample(r) == 5 {
-			fives++
-		}
-	}
-	if f := float64(fives) / n; !almost(f, 0.25, 0.01) {
-		t.Errorf("P(5) = %v", f)
-	}
-}
-
-func TestEmpiricalQuantile(t *testing.T) {
-	e, _ := NewEmpirical([]float64{10, 20, 30, 40, 50})
-	if e.Quantile(0.5) != 30 {
-		t.Errorf("median = %v", e.Quantile(0.5))
 	}
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -17,13 +18,18 @@ func prefixTestDist(t *testing.T) *Discrete {
 	return d
 }
 
-// TestPrefixSumsInvariants checks the cached cumulative sums against
-// direct accumulation: length Len()+1, leading zero, monotone
-// probability column, and exact agreement with a left-to-right sum.
+// TestPrefixSumsInvariants checks the cumulative sums KernelView hands
+// the Bellman kernel against direct accumulation: length Len()+1,
+// leading zero, monotone probability column, and exact agreement with
+// a left-to-right sum. The support and probabilities it returns are the
+// density's atoms in ascending order.
 func TestPrefixSumsInvariants(t *testing.T) {
 	d := prefixTestDist(t)
-	probs, weighted := d.PrefixSums()
+	values, atomProbs, probs, weighted := d.KernelView()
 	n := d.Len()
+	if len(values) != n || len(atomProbs) != n {
+		t.Fatalf("support/probability lengths %d/%d, want %d", len(values), len(atomProbs), n)
+	}
 	if len(probs) != n+1 || len(weighted) != n+1 {
 		t.Fatalf("prefix lengths %d/%d, want %d", len(probs), len(weighted), n+1)
 	}
@@ -33,6 +39,9 @@ func TestPrefixSumsInvariants(t *testing.T) {
 	cp, cpx := 0.0, 0.0
 	for i := 0; i < n; i++ {
 		x, p := d.Atom(i)
+		if values[i] != x || atomProbs[i] != p {
+			t.Errorf("atom %d = (%v, %v), want (%v, %v)", i, values[i], atomProbs[i], x, p)
+		}
 		cp += p
 		cpx += p * x
 		if probs[i+1] != cp {
@@ -50,16 +59,18 @@ func TestPrefixSumsInvariants(t *testing.T) {
 	}
 
 	// The same slices must come back on every call (built once).
-	p2, w2 := d.PrefixSums()
+	_, _, p2, w2 := d.KernelView()
 	if &p2[0] != &probs[0] || &w2[0] != &weighted[0] {
-		t.Error("PrefixSums rebuilt its slices on a second call")
+		t.Error("KernelView rebuilt its prefix sums on a second call")
 	}
 }
 
 // TestSearchValue pins the crossover search the Bellman kernel depends
-// on: smallest index with value >= x, ties included, Len() past the end.
+// on: KernelView's support is sorted, so a binary search over it finds
+// the smallest index with value >= x, ties included, Len() past the end.
 func TestSearchValue(t *testing.T) {
 	d := prefixTestDist(t)
+	values, _, _, _ := d.KernelView()
 	cases := []struct {
 		x    float64
 		want int
@@ -67,8 +78,8 @@ func TestSearchValue(t *testing.T) {
 		{-10, 0}, {-2, 0}, {-1.9, 1}, {3, 3}, {3.25, 4}, {11, 6}, {11.5, 7},
 	}
 	for _, c := range cases {
-		if got := d.SearchValue(c.x); got != c.want {
-			t.Errorf("SearchValue(%v) = %d, want %d", c.x, got, c.want)
+		if got := sort.SearchFloat64s(values, c.x); got != c.want {
+			t.Errorf("search(%v) = %d, want %d", c.x, got, c.want)
 		}
 	}
 }
@@ -101,8 +112,9 @@ func TestTailQueriesMatchScan(t *testing.T) {
 	}
 }
 
-// TestQuantileMatchesScan compares the binary-searched Quantile against
-// the seed's accumulation loop.
+// TestQuantileMatchesScan checks that QuantileOf, the CDF inversion
+// DiscretizeQuantile uses, lands on a discrete density's atoms where an
+// accumulation scan does.
 func TestQuantileMatchesScan(t *testing.T) {
 	d := prefixTestDist(t)
 	scan := func(q float64) float64 {
@@ -122,16 +134,16 @@ func TestQuantileMatchesScan(t *testing.T) {
 		return x
 	}
 	for _, q := range []float64{-0.5, 0, 1e-9, 0.25, 0.5, 0.75, 0.999, 1, 1.5} {
-		if got, want := d.Quantile(q), scan(q); got != want {
-			t.Errorf("Quantile(%v) = %v, want %v", q, got, want)
+		if got, want := QuantileOf(d, q), scan(q); math.Abs(got-want) > 1e-9 {
+			t.Errorf("QuantileOf(%v) = %v, want %v", q, got, want)
 		}
 	}
 }
 
 // TestPrefixSumsConcurrent hammers the lazily-built prefix sums from
-// many goroutines; under -race this proves the sync.Once publication is
-// sound for concurrent readers (the parallel class solver depends on
-// it).
+// many goroutines, through both the O(log n) queries and KernelView;
+// under -race this proves the sync.Once publication is sound for
+// concurrent readers (concurrent solves share catalog densities).
 func TestPrefixSumsConcurrent(t *testing.T) {
 	d := prefixTestDist(t)
 	var wg sync.WaitGroup
@@ -143,7 +155,7 @@ func TestPrefixSumsConcurrent(t *testing.T) {
 				q := float64(g*i%13) - 3
 				_ = d.TailProb(q)
 				_ = d.CDF(q)
-				probs, _ := d.PrefixSums()
+				_, _, probs, _ := d.KernelView()
 				if probs[len(probs)-1] < 0.99 {
 					t.Error("lost probability mass")
 				}

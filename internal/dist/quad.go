@@ -40,32 +40,6 @@ func Simpson(f func(float64) float64, a, b float64, n int) float64 {
 	return sum * h / 3
 }
 
-// AdaptiveSimpson integrates f over [a, b] to the requested absolute
-// tolerance using adaptive Simpson subdivision with a recursion cap.
-func AdaptiveSimpson(f func(float64) float64, a, b, tol float64) float64 {
-	fa, fb := f(a), f(b)
-	m, fm, whole := simpsonStep(f, a, b, fa, fb)
-	return adaptiveAux(f, a, b, fa, fb, m, fm, whole, tol, 24)
-}
-
-func simpsonStep(f func(float64) float64, a, b, fa, fb float64) (m, fm, s float64) {
-	m = (a + b) / 2
-	fm = f(m)
-	s = (b - a) / 6 * (fa + 4*fm + fb)
-	return
-}
-
-func adaptiveAux(f func(float64) float64, a, b, fa, fb, m, fm, whole, tol float64, depth int) float64 {
-	lm, flm, left := simpsonStep(f, a, m, fa, fm)
-	rm, frm, right := simpsonStep(f, m, b, fm, fb)
-	delta := left + right - whole
-	if depth <= 0 || delta < 15*tol && delta > -15*tol {
-		return left + right + delta/15
-	}
-	return adaptiveAux(f, a, m, fa, fm, lm, flm, left, tol/2, depth-1) +
-		adaptiveAux(f, m, b, fm, fb, rm, frm, right, tol/2, depth-1)
-}
-
 // Bisect finds a root of g in [a, b] assuming g(a) and g(b) bracket zero,
 // to the given x tolerance. Used to invert CDFs. If the interval does not
 // bracket a root, the endpoint with the smaller |g| is returned.

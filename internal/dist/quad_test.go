@@ -44,25 +44,6 @@ func TestSimpsonTranscendental(t *testing.T) {
 	}
 }
 
-func TestAdaptiveSimpson(t *testing.T) {
-	// Sharp peak: adaptive quadrature should still capture the mass.
-	peak := func(x float64) float64 {
-		return math.Exp(-x * x * 400)
-	}
-	got := AdaptiveSimpson(peak, -2, 2, 1e-10)
-	want := math.Sqrt(math.Pi) / 20
-	if !almost(got, want, 1e-8) {
-		t.Errorf("peak integral = %v, want %v", got, want)
-	}
-}
-
-func TestAdaptiveSimpsonSmooth(t *testing.T) {
-	got := AdaptiveSimpson(math.Exp, 0, 1, 1e-12)
-	if !almost(got, math.E-1, 1e-10) {
-		t.Errorf("exp integral = %v", got)
-	}
-}
-
 func TestBisectRoot(t *testing.T) {
 	root := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 1e-12)
 	if !almost(root, math.Sqrt2, 1e-10) {
@@ -95,24 +76,21 @@ func TestHistogramBasics(t *testing.T) {
 	for _, x := range []float64{0.5, 1, 3, 3.5, 9, 100, -7} {
 		h.Add(x)
 	}
-	if h.Total() != 7 {
-		t.Errorf("total = %v", h.Total())
+	if h.total != 7 {
+		t.Errorf("total = %v", h.total)
 	}
 	// Out-of-range samples clamp to end bins.
-	if h.Count(0) != 3 { // 0.5, 1, -7
-		t.Errorf("bin 0 count = %v", h.Count(0))
+	if h.counts[0] != 3 { // 0.5, 1, -7
+		t.Errorf("bin 0 count = %v", h.counts[0])
 	}
-	if h.Count(4) != 2 { // 9, 100
-		t.Errorf("bin 4 count = %v", h.Count(4))
+	if h.counts[4] != 2 { // 9, 100
+		t.Errorf("bin 4 count = %v", h.counts[4])
 	}
-	if h.Bins() != 5 {
-		t.Errorf("bins = %d", h.Bins())
+	if len(h.counts) != 5 {
+		t.Errorf("bins = %d", len(h.counts))
 	}
-	if h.BinCenter(0) != 1 {
-		t.Errorf("bin center = %v", h.BinCenter(0))
-	}
-	if l, r := h.BinRange(1); l != 2 || r != 4 {
-		t.Errorf("bin range [%v, %v)", l, r)
+	if h.BinCenter(0) != 1 || h.BinCenter(1) != 3 {
+		t.Errorf("bin centers = %v, %v", h.BinCenter(0), h.BinCenter(1))
 	}
 }
 
@@ -130,15 +108,20 @@ func TestHistogramDensityNormalization(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		h.Add(float64(i%10)/10 + 0.05)
 	}
-	integral := 0.0
-	for i := 0; i < h.Bins(); i++ {
-		integral += h.DensityAt(h.BinCenter(i)) * 0.1
+	d, err := h.Discrete()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !almost(integral, 1, 1e-9) {
-		t.Errorf("histogram density integral = %v", integral)
+	mass := 0.0
+	for i := 0; i < d.Len(); i++ {
+		x, p := d.Atom(i)
+		if x != h.BinCenter(i) || !almost(p, 0.1, 1e-12) {
+			t.Errorf("atom %d = (%v, %v), want (%v, 0.1)", i, x, p, h.BinCenter(i))
+		}
+		mass += p
 	}
-	if h.DensityAt(-1) != 0 || h.DensityAt(2) != 0 {
-		t.Error("density outside range should be 0")
+	if !almost(mass, 1, 1e-9) {
+		t.Errorf("histogram mass = %v", mass)
 	}
 }
 
@@ -147,12 +130,13 @@ func TestHistogramDiscreteAndMode(t *testing.T) {
 	h.AddWeighted(0.5, 1)
 	h.AddWeighted(1.5, 5)
 	h.AddWeighted(2.5, 2)
-	if h.Mode() != 1.5 {
-		t.Errorf("mode = %v", h.Mode())
-	}
 	d, err := h.Discrete()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The fullest bin is the heaviest atom.
+	if x, p := d.Atom(1); x != 1.5 || !almost(p, 5.0/8, 1e-12) {
+		t.Errorf("mode atom = (%v, %v), want (1.5, 0.625)", x, p)
 	}
 	if !almost(d.TailProb(1), 7.0/8, 1e-12) {
 		t.Errorf("tail = %v", d.TailProb(1))
@@ -164,9 +148,6 @@ func TestHistogramEmptyDiscrete(t *testing.T) {
 	if _, err := h.Discrete(); err == nil {
 		t.Error("empty histogram Discrete should error")
 	}
-	if h.DensityAt(0.5) != 0 {
-		t.Error("empty histogram density should be 0")
-	}
 }
 
 func TestHistogramIgnoresBadWeights(t *testing.T) {
@@ -174,7 +155,7 @@ func TestHistogramIgnoresBadWeights(t *testing.T) {
 	h.AddWeighted(0.5, -1)
 	h.AddWeighted(0.5, 0)
 	h.Add(math.NaN())
-	if h.Total() != 0 {
-		t.Errorf("total = %v", h.Total())
+	if h.total != 0 {
+		t.Errorf("total = %v", h.total)
 	}
 }

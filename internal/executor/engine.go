@@ -133,35 +133,6 @@ func (r *Result) timeForCumulative(k float64) float64 {
 	return r.Events[idx-1].TimeS
 }
 
-// TPSTrace bins completions into windows of binS seconds and returns
-// tasks-per-second for each bin, covering [0, Makespan].
-func (r *Result) TPSTrace(binS float64) ([]float64, error) {
-	if binS <= 0 {
-		return nil, errors.New("executor: bin width must be positive")
-	}
-	n := int(math.Ceil(r.Makespan/binS)) + 1
-	out := make([]float64, n)
-	for _, e := range r.Events {
-		b := int(e.TimeS / binS)
-		if b >= n {
-			b = n - 1
-		}
-		out[b]++
-	}
-	for i := range out {
-		out[i] /= binS
-	}
-	return out, nil
-}
-
-// MeanTPS returns total tasks divided by makespan.
-func (r *Result) MeanTPS() float64 {
-	if r.Makespan <= 0 {
-		return 0
-	}
-	return float64(r.Total) / r.Makespan
-}
-
 // EpochSpeedups implements the paper's trace-interpolation methodology
 // (§5): for each epoch of the normal-mode execution it measures the tasks
 // completed, finds the work-aligned position in the sprint-mode execution

@@ -54,17 +54,6 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-func TestTotalTasks(t *testing.T) {
-	app := simpleApp(10)
-	app.Jobs = append(app.Jobs, JobSpec{
-		Name:   "j1",
-		Stages: []StageSpec{{Name: "s1", Tasks: 7, MeanTaskS: 1}},
-	})
-	if app.TotalTasks() != 17 {
-		t.Errorf("TotalTasks = %d", app.TotalTasks())
-	}
-}
-
 func TestRunCompletesAllTasks(t *testing.T) {
 	app := simpleApp(100)
 	res, err := Run(app, Normal, 1)
@@ -190,28 +179,6 @@ func TestCumulativeAt(t *testing.T) {
 	mid := res.CumulativeAt(res.Makespan / 2)
 	if mid <= 0 || mid >= 50 {
 		t.Errorf("cumulative at midpoint = %v", mid)
-	}
-}
-
-func TestTPSTrace(t *testing.T) {
-	app := simpleApp(100)
-	res, _ := Run(app, Normal, 7)
-	trace, err := res.TPSTrace(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0.0
-	for _, tps := range trace {
-		total += tps // binS = 1s, so tps == tasks in bin
-	}
-	if math.Abs(total-100) > 1e-9 {
-		t.Errorf("TPS trace accounts for %v tasks", total)
-	}
-	if _, err := res.TPSTrace(0); err == nil {
-		t.Error("zero bin should error")
-	}
-	if res.MeanTPS() <= 0 {
-		t.Error("mean TPS should be positive")
 	}
 }
 

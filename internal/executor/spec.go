@@ -1,13 +1,15 @@
 // Package executor is a discrete-event simulation of a Spark-style
 // task-parallel engine running on a chip multiprocessor that can sprint.
 //
-// An application is a sequence of jobs; each job is a sequence of stages;
-// each stage is a set of tasks scheduled dynamically onto the available
-// cores (§5 of the paper: "The Spark run-time engine dynamically schedules
-// tasks to use available cores and maximize parallelism"). Executing an
-// application in normal mode (3 cores @ 1.2 GHz) and sprint mode (12
-// cores @ 2.7 GHz) yields tasks-per-second traces whose ratio is the
-// per-epoch sprint utility — the quantity the sprinting game's agents
+// An application is a sequence of jobs; each job is a chain of stages,
+// each waiting for the one before; each stage is a set of tasks scheduled
+// dynamically onto the available cores (§5 of the paper: "The Spark
+// run-time engine dynamically schedules tasks to use available cores and
+// maximize parallelism"). Run executes an application in normal mode
+// (3 cores @ 1.2 GHz) or sprint mode (12 cores @ 2.7 GHz) and returns its
+// task-completion trace. EpochSpeedups aligns the two traces by completed
+// work and takes, epoch by epoch, the ratio of tasks completed: the
+// per-epoch sprint utility, the quantity the sprinting game's agents
 // estimate online.
 package executor
 
@@ -105,17 +107,6 @@ func (a AppSpec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// TotalTasks returns the number of tasks across all jobs and stages.
-func (a AppSpec) TotalTasks() int {
-	n := 0
-	for _, j := range a.Jobs {
-		for _, s := range j.Stages {
-			n += s.Tasks
-		}
-	}
-	return n
 }
 
 // stageParams decomposes a target sprint speedup into a parallelism cap

@@ -30,25 +30,6 @@ func ActiveCoolingChain(ps, pc float64) (*Chain, error) {
 	)
 }
 
-// ActiveFraction returns the closed-form stationary probability that an
-// agent is active in the Figure 5 chain:
-//
-//	pA = (1-pc) / (1-pc+ps)
-//
-// It matches Chain.Stationary for the same parameters and is what Eq. (10)
-// uses: nS = ps * pA * N. Degenerate corner cases: if pc == 1 the cooling
-// state is absorbing, so pA = 0 whenever the agent ever sprints (ps > 0)
-// and 1 otherwise.
-func ActiveFraction(ps, pc float64) float64 {
-	if pc >= 1 {
-		if ps > 0 {
-			return 0
-		}
-		return 1
-	}
-	return (1 - pc) / (1 - pc + ps)
-}
-
 // FullStateChain builds the three-state Active/Cooling/Recovery chain used
 // for time-in-state accounting (Figure 7):
 //

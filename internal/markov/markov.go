@@ -1,6 +1,6 @@
 // Package markov implements finite discrete-time Markov chains: validation,
-// stationary distributions (power iteration and direct linear solve),
-// expected hitting times, and simulation.
+// stationary distributions (power iteration and direct linear solve), and
+// simulation.
 //
 // The sprinting game uses a two-state Active/Cooling chain per agent
 // (Figure 5 of the paper) whose stationary probability of being active,
@@ -17,15 +17,15 @@ import (
 	"sprintgame/internal/stats"
 )
 
-// Chain is a finite Markov chain with named states and a row-stochastic
-// transition matrix P, where P[i][j] = P(next = j | current = i).
+// Chain is a finite Markov chain with a row-stochastic transition matrix
+// P, where P[i][j] = P(next = j | current = i).
 type Chain struct {
-	names []string
-	p     [][]float64
+	p [][]float64
 }
 
-// New validates and constructs a chain. Every row of p must be a
-// probability vector over len(names) states.
+// New validates and constructs a chain over the named states, indexed in
+// the order given. Every row of p must be a probability vector over
+// len(names) states.
 func New(names []string, p [][]float64) (*Chain, error) {
 	n := len(names)
 	if n == 0 {
@@ -51,7 +51,7 @@ func New(names []string, p [][]float64) (*Chain, error) {
 		}
 		rows[i] = append([]float64(nil), row...)
 	}
-	return &Chain{names: append([]string(nil), names...), p: rows}, nil
+	return &Chain{p: rows}, nil
 }
 
 // MustNew is New that panics on error.
@@ -62,15 +62,6 @@ func MustNew(names []string, p [][]float64) *Chain {
 	}
 	return c
 }
-
-// Len returns the number of states.
-func (c *Chain) Len() int { return len(c.names) }
-
-// Name returns the name of state i.
-func (c *Chain) Name(i int) string { return c.names[i] }
-
-// Prob returns P(next = j | current = i).
-func (c *Chain) Prob(i, j int) float64 { return c.p[i][j] }
 
 // Step advances one state transition from state i using r.
 func (c *Chain) Step(i int, r *stats.RNG) int {
@@ -152,43 +143,6 @@ func (c *Chain) Stationary() ([]float64, error) {
 		}
 	}
 	return pi, nil
-}
-
-// ExpectedHittingTime returns, for each start state, the expected number
-// of steps to first reach target.
-func (c *Chain) ExpectedHittingTime(target int) ([]float64, error) {
-	n := len(c.p)
-	if target < 0 || target >= n {
-		return nil, fmt.Errorf("markov: invalid target state %d", target)
-	}
-	// h[target] = 0; h[i] = 1 + sum_j P[i][j] h[j] for i != target.
-	// Solve (I - Q) h = 1 over non-target states.
-	idx := make([]int, 0, n-1)
-	for i := 0; i < n; i++ {
-		if i != target {
-			idx = append(idx, i)
-		}
-	}
-	m := len(idx)
-	a := make([][]float64, m)
-	b := make([]float64, m)
-	for r, i := range idx {
-		a[r] = make([]float64, m)
-		for cIdx, j := range idx {
-			a[r][cIdx] = -c.p[i][j]
-		}
-		a[r][r] += 1
-		b[r] = 1
-	}
-	sol, err := SolveLinear(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("markov: hitting time solve failed (target may be unreachable): %w", err)
-	}
-	h := make([]float64, n)
-	for r, i := range idx {
-		h[i] = sol[r]
-	}
-	return h, nil
 }
 
 // OccupancyFractions simulates steps transitions from state start and

@@ -35,16 +35,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestAccessors(t *testing.T) {
-	c := twoState(0.3, 0.6)
-	if c.Len() != 2 || c.Name(0) != "a" || c.Name(1) != "b" {
-		t.Error("accessors wrong")
-	}
-	if c.Prob(0, 1) != 0.3 || c.Prob(1, 0) != 0.6 {
-		t.Error("Prob wrong")
-	}
-}
-
 func TestStationaryTwoState(t *testing.T) {
 	c := twoState(0.3, 0.6)
 	// pi_a = p10/(p01+p10) = 0.6/0.9.
@@ -122,55 +112,6 @@ func TestStepDistribution(t *testing.T) {
 	}
 	if f := float64(moved) / n; !almost(f, 0.25, 0.01) {
 		t.Errorf("transition frequency = %v", f)
-	}
-}
-
-func TestExpectedHittingTime(t *testing.T) {
-	// From cooling with pc = 0.5, expected epochs to reach active is
-	// 1/(1-pc) = 2 — the paper's cooling duration identity.
-	c := MustNew([]string{"active", "cooling"}, [][]float64{
-		{1, 0},
-		{0.5, 0.5},
-	})
-	h, err := c.ExpectedHittingTime(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(h[1], 2, 1e-10) {
-		t.Errorf("hitting time from cooling = %v, want 2", h[1])
-	}
-	if h[0] != 0 {
-		t.Errorf("hitting time at target = %v", h[0])
-	}
-}
-
-func TestExpectedHittingTimeRecovery(t *testing.T) {
-	// pr = 0.88 implies expected recovery duration 1/(1-pr) = 8.33 epochs.
-	c := MustNew([]string{"active", "recovery"}, [][]float64{
-		{1, 0},
-		{0.12, 0.88},
-	})
-	h, err := c.ExpectedHittingTime(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(h[1], 1/0.12, 1e-9) {
-		t.Errorf("recovery duration = %v, want %v", h[1], 1/0.12)
-	}
-}
-
-func TestExpectedHittingTimeErrors(t *testing.T) {
-	c := twoState(0.5, 0.5)
-	if _, err := c.ExpectedHittingTime(5); err == nil {
-		t.Error("invalid target should error")
-	}
-	// Unreachable target: absorbing in state 0 means state 1 never reached.
-	abs := MustNew([]string{"a", "b"}, [][]float64{
-		{1, 0},
-		{1, 0},
-	})
-	if _, err := abs.ExpectedHittingTime(1); err == nil {
-		t.Error("unreachable target should error")
 	}
 }
 

@@ -14,34 +14,6 @@ import (
 // blocks are eighth-height bar glyphs, lowest to tallest.
 var blocks = []rune(" ▁▂▃▄▅▆▇█")
 
-// Sparkline renders xs as a one-line block-character sparkline scaled to
-// [min, max]. Empty input yields an empty string.
-func Sparkline(xs []float64) string {
-	if len(xs) == 0 {
-		return ""
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, x := range xs {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	var b strings.Builder
-	for _, x := range xs {
-		idx := 0
-		if hi > lo {
-			idx = int((x - lo) / (hi - lo) * float64(len(blocks)-1))
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(blocks) {
-			idx = len(blocks) - 1
-		}
-		b.WriteRune(blocks[idx])
-	}
-	return b.String()
-}
-
 // Bin shrinks a series to width points by averaging consecutive windows;
 // series shorter than width are returned as-is (copied).
 func Bin(xs []float64, width int) []float64 {
@@ -125,36 +97,4 @@ func sparklineScaled(xs []float64, lo, hi float64) string {
 		b.WriteRune(blocks[idx])
 	}
 	return b.String()
-}
-
-// HBar writes a labelled horizontal bar chart: one row per (label,
-// value), bars scaled to maxWidth characters.
-func HBar(w io.Writer, title string, maxWidth int, labels []string, values []float64) error {
-	if len(labels) != len(values) {
-		return fmt.Errorf("plot: %d labels but %d values", len(labels), len(values))
-	}
-	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
-		return err
-	}
-	peak := 0.0
-	labelWidth := 0
-	for i, v := range values {
-		if v > peak {
-			peak = v
-		}
-		if len(labels[i]) > labelWidth {
-			labelWidth = len(labels[i])
-		}
-	}
-	for i, v := range values {
-		n := 0
-		if peak > 0 && v > 0 {
-			n = int(v / peak * float64(maxWidth))
-		}
-		if _, err := fmt.Fprintf(w, "%-*s %8.3g %s\n",
-			labelWidth, labels[i], v, strings.Repeat("#", n)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -6,23 +6,28 @@ import (
 	"testing"
 )
 
+// TestSparkline checks the glyph scaling Chart draws each series with.
 func TestSparkline(t *testing.T) {
-	if Sparkline(nil) != "" {
+	if sparklineScaled(nil, 0, 1) != "" {
 		t.Error("empty input should give empty sparkline")
 	}
-	s := Sparkline([]float64{0, 1, 2, 3})
+	s := sparklineScaled([]float64{0, 1, 2, 3}, 0, 3)
 	if len([]rune(s)) != 4 {
 		t.Fatalf("length %d", len([]rune(s)))
 	}
 	runes := []rune(s)
-	// Monotone input yields monotone glyph heights.
+	// Monotone input yields monotone glyph heights, lowest to tallest.
 	for i := 1; i < len(runes); i++ {
 		if indexOf(runes[i]) < indexOf(runes[i-1]) {
 			t.Fatalf("sparkline not monotone: %q", s)
 		}
 	}
-	// Constant input renders without panicking and uses one glyph.
-	c := []rune(Sparkline([]float64{5, 5, 5}))
+	if runes[0] != blocks[0] || runes[3] != blocks[len(blocks)-1] {
+		t.Errorf("sparkline should span the glyph range: %q", s)
+	}
+	// A constant series (empty scale) renders without panicking and
+	// uses one glyph.
+	c := []rune(sparklineScaled([]float64{5, 5, 5}, 5, 5))
 	if c[0] != c[1] || c[1] != c[2] {
 		t.Errorf("constant series should use one glyph: %q", string(c))
 	}
@@ -79,28 +84,5 @@ func TestChart(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "(no data)") {
 		t.Error("empty chart should say so")
-	}
-}
-
-func TestHBar(t *testing.T) {
-	var buf bytes.Buffer
-	err := HBar(&buf, "rates", 10, []string{"a", "bb"}, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "##########") {
-		t.Errorf("peak bar should be full width:\n%s", out)
-	}
-	if !strings.Contains(out, "#####\n") {
-		t.Errorf("half bar should be half width:\n%s", out)
-	}
-	if err := HBar(&buf, "bad", 10, []string{"a"}, []float64{1, 2}); err == nil {
-		t.Error("mismatched inputs should error")
-	}
-	// Zero values render without bars.
-	buf.Reset()
-	if err := HBar(&buf, "z", 10, []string{"a"}, []float64{0}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -3,7 +3,6 @@ package policy
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"sprintgame/internal/core"
 	"sprintgame/internal/dist"
@@ -129,14 +128,4 @@ func (a *AdaptiveThreshold) Thresholds() map[string]float64 {
 		out[name] = c.threshold
 	}
 	return out
-}
-
-// ClassNames returns the classes in sorted order.
-func (a *AdaptiveThreshold) ClassNames() []string {
-	names := make([]string, 0, len(a.classes))
-	for n := range a.classes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -116,8 +116,7 @@ func TestAdaptiveClassNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := a.ClassNames()
-	if len(names) != 2 || names[0] != "decision" || names[1] != "pagerank" {
-		t.Errorf("class names = %v", names)
+	if len(a.classes) != 2 || a.classes["decision"] == nil || a.classes["pagerank"] == nil {
+		t.Errorf("classes = %v", a.classes)
 	}
 }

@@ -113,9 +113,6 @@ func NewMonitor(inner Policy, expectedShare, z float64, warmup int) (*Monitor, e
 // Name implements Policy.
 func (m *Monitor) Name() string { return m.inner.Name() + "+monitor" }
 
-// Banned reports whether the agent has been banned from sprinting.
-func (m *Monitor) Banned(agentID int) bool { return m.banned[agentID] }
-
 // BannedCount returns the number of banned agents.
 func (m *Monitor) BannedCount() int { return len(m.banned) }
 

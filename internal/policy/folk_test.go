@@ -67,7 +67,7 @@ func TestMonitorBansPersistentDeviator(t *testing.T) {
 	banned := -1
 	for epoch := 0; epoch < 2000; epoch++ {
 		mon.Decide(Context{AgentID: 5, Epoch: epoch})
-		if mon.Banned(5) {
+		if mon.banned[5] {
 			banned = epoch
 			break
 		}
@@ -106,7 +106,7 @@ func TestMonitorSparesObedientAgents(t *testing.T) {
 		}
 		mon.Decide(Context{AgentID: 1, Class: "c", Epoch: epoch, Utility: u})
 	}
-	if mon.Banned(1) {
+	if mon.banned[1] {
 		t.Error("obedient agent was banned")
 	}
 	if mon.Name() != "obedient+monitor" {

@@ -32,6 +32,3 @@ func (m InstrumentedTripModel) Ptrip(nSprinters float64) float64 {
 
 // Bounds delegates to the wrapped model.
 func (m InstrumentedTripModel) Bounds() (float64, float64) { return m.Model.Bounds() }
-
-// Unwrap returns the underlying model.
-func (m InstrumentedTripModel) Unwrap() TripModel { return m.Model }

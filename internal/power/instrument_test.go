@@ -38,7 +38,7 @@ func TestInstrumentedTripModelRecords(t *testing.T) {
 	if !ok {
 		t.Fatalf("expected InstrumentedTripModel, got %T", m)
 	}
-	if im.Unwrap() != TripModel(PaperTripModel()) {
-		t.Error("Unwrap should return the wrapped model")
+	if im.Model != TripModel(PaperTripModel()) {
+		t.Error("the wrapper should hold the wrapped model")
 	}
 }

@@ -122,22 +122,10 @@ func TestLinearTripModelDegenerate(t *testing.T) {
 	if m.Ptrip(99) != 0 || m.Ptrip(100) != 1 || m.Ptrip(101) != 1 {
 		t.Error("degenerate band should step from 0 to 1")
 	}
-	if err := m.Validate(); err != nil {
-		t.Error("equal bounds should validate")
-	}
-	if err := (LinearTripModel{NMin: -1, NMax: 5}).Validate(); err == nil {
-		t.Error("negative NMin should fail validation")
-	}
-	if err := (LinearTripModel{NMin: 10, NMax: 5}).Validate(); err == nil {
-		t.Error("inverted bounds should fail validation")
-	}
 }
 
 func TestDefaultRackValidatesAndLoads(t *testing.T) {
 	r := DefaultRack()
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if got := r.LoadW(0); got != 45000 {
 		t.Errorf("all-normal load = %v", got)
 	}
@@ -154,34 +142,6 @@ func TestDefaultRackValidatesAndLoads(t *testing.T) {
 	}
 	if got := r.CurrentNorm(750); !almost(got, 1.75, 1e-12) {
 		t.Errorf("75%% sprinters current = %v", got)
-	}
-}
-
-func TestRackValidateErrors(t *testing.T) {
-	bad := DefaultRack()
-	bad.Chips = 0
-	if bad.Validate() == nil {
-		t.Error("zero chips should fail")
-	}
-	bad = DefaultRack()
-	bad.SprintW = bad.NormalW
-	if bad.Validate() == nil {
-		t.Error("sprint <= normal should fail")
-	}
-	bad = DefaultRack()
-	bad.RatedW = 1
-	if bad.Validate() == nil {
-		t.Error("under-rated circuit should fail")
-	}
-	bad = DefaultRack()
-	bad.Curve = nil
-	if bad.Validate() == nil {
-		t.Error("missing curve should fail")
-	}
-	bad = DefaultRack()
-	bad.EpochS = 0
-	if bad.Validate() == nil {
-		t.Error("zero epoch should fail")
 	}
 }
 

@@ -1,10 +1,6 @@
 package power
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "math"
 
 // TripModel is the sprinting game's interface to the rack's electrical
 // risk: the probability that a given number of simultaneous sprinters
@@ -46,14 +42,6 @@ func (m LinearTripModel) Ptrip(nSprinters float64) float64 {
 // Bounds returns (NMin, NMax).
 func (m LinearTripModel) Bounds() (float64, float64) { return m.NMin, m.NMax }
 
-// Validate checks 0 <= NMin <= NMax.
-func (m LinearTripModel) Validate() error {
-	if m.NMin < 0 || m.NMax < m.NMin {
-		return fmt.Errorf("power: invalid trip bounds [%v, %v]", m.NMin, m.NMax)
-	}
-	return nil
-}
-
 // PaperTripModel returns the Table 2 model: Nmin = 250, Nmax = 750 for a
 // rack of 1000 chips.
 func PaperTripModel() LinearTripModel { return LinearTripModel{NMin: 250, NMax: 750} }
@@ -91,26 +79,6 @@ func DefaultRack() Rack {
 		Curve:   UL489Curve(),
 		EpochS:  150,
 	}
-}
-
-// Validate checks the rack parameters.
-func (r Rack) Validate() error {
-	if r.Chips <= 0 {
-		return errors.New("power: rack needs chips")
-	}
-	if r.NormalW <= 0 || r.SprintW <= r.NormalW {
-		return fmt.Errorf("power: need 0 < normal (%v) < sprint (%v)", r.NormalW, r.SprintW)
-	}
-	if r.RatedW < float64(r.Chips)*r.NormalW {
-		return fmt.Errorf("power: rated %v cannot carry all-normal load %v", r.RatedW, float64(r.Chips)*r.NormalW)
-	}
-	if r.Curve == nil {
-		return errors.New("power: rack needs a trip curve")
-	}
-	if r.EpochS <= 0 {
-		return errors.New("power: epoch must be positive")
-	}
-	return nil
 }
 
 // LoadW returns the PDU load with the given number of sprinters.

@@ -224,15 +224,6 @@ func (c *ArrivalConfig) knob(key string, def float64) float64 {
 	return def
 }
 
-// Validate checks the parsed knobs' ranges without building.
-func (c *ArrivalConfig) Validate() error {
-	_, err := c.Build(nil)
-	if err != nil && strings.Contains(err.Error(), "needs a trace set") {
-		return nil // shape is fine; only the trace file is missing
-	}
-	return err
-}
-
 // Build constructs the arrival process. ts supplies the recordings for
 // Kind "trace" (required there, ignored otherwise). Each Build returns
 // a fresh process with fresh burst state, so shootouts replay identical

@@ -112,6 +112,8 @@ func TestTraceArrivalsRoundTrip(t *testing.T) {
 }
 
 func TestParseArrivalConfig(t *testing.T) {
+	b, _ := workload.ByName("decision")
+	ts, _ := workload.GenerateTraceSet(b, 1, 2, 20)
 	good := []string{
 		"poisson",
 		"poisson:rate=12,units=3",
@@ -126,8 +128,8 @@ func TestParseArrivalConfig(t *testing.T) {
 			t.Errorf("ParseArrivalConfig(%q): %v", spec, err)
 			continue
 		}
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("Validate(%q): %v", spec, err)
+		if _, err := cfg.Build(ts); err != nil {
+			t.Errorf("Build(%q): %v", spec, err)
 		}
 	}
 	bad := []string{
@@ -146,7 +148,7 @@ func TestParseArrivalConfig(t *testing.T) {
 	for _, spec := range bad {
 		cfg, err := ParseArrivalConfig(spec)
 		if err == nil {
-			err = cfg.Validate()
+			_, err = cfg.Build(ts)
 		}
 		if err == nil {
 			t.Errorf("ParseArrivalConfig(%q) should fail", spec)

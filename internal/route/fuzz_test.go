@@ -2,12 +2,17 @@ package route
 
 import (
 	"testing"
+
+	"sprintgame/internal/workload"
 )
 
-// FuzzParseArrivalConfig hammers the arrival-spec parser: any input
-// must either produce a config whose non-trace kinds build cleanly, or
-// fail with an error — never panic.
+// FuzzParseArrivalConfig hammers the arrival-spec parser and builder:
+// any input must either produce a config that builds an arrival process
+// (given a trace set for kind "trace") or fail with an error — never
+// panic.
 func FuzzParseArrivalConfig(f *testing.F) {
+	b, _ := workload.ByName("decision")
+	ts, _ := workload.GenerateTraceSet(b, 1, 2, 20)
 	f.Add("poisson")
 	f.Add("poisson:rate=12,units=3")
 	f.Add("diurnal:base=8,amp=6,period=200,burst=3,pburst=0.02,dwell=10,units=2")
@@ -24,14 +29,8 @@ func FuzzParseArrivalConfig(f *testing.F) {
 		if cfg.Kind == "" {
 			t.Fatalf("parsed %q into empty kind", spec)
 		}
-		if err := cfg.Validate(); err != nil {
-			return
-		}
-		if cfg.Kind == "trace" {
-			return // building needs a trace set
-		}
-		if _, err := cfg.Build(nil); err != nil {
-			t.Fatalf("Validate accepted %q but Build failed: %v", spec, err)
+		if a, err := cfg.Build(ts); err == nil && a == nil {
+			t.Fatalf("Build(%q) returned no arrival process", spec)
 		}
 	})
 }

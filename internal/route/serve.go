@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -51,8 +52,8 @@ func (c Config) Validate() error {
 
 // LatencySummary reports job latency in epochs (completion epoch −
 // arrival epoch + 1: a job arriving and finishing in the same epoch has
-// latency 1). Quantiles are estimated from a lock-free
-// telemetry.Histogram with 1-epoch buckets, so they are exact up to the
+// latency 1). Quantiles are interpolated within 1-epoch buckets (see
+// telemetry.HistogramSnapshot.Quantile), so they are exact up to the
 // bucket width; Mean and Max are exact.
 type LatencySummary struct {
 	P50, P90, P99, P999 float64
@@ -371,16 +372,6 @@ func Serve(cfg Config) (_ *Result, err error) {
 		Epochs:   cc.Epochs,
 		Workers:  workers,
 	}
-	// Latency lives in a lock-free histogram with 1-epoch buckets
-	// (coarser only for very long runs), so tail quantiles are exact to
-	// the bucket width.
-	width := 1.0
-	for float64(cc.Epochs)/width > 2048 {
-		width *= 2
-	}
-	latBuckets := telemetry.LinearBuckets(width, width, int(float64(cc.Epochs)/width)+1)
-	latHist := telemetry.NewRegistry().Histogram("route.latency_epochs", latBuckets)
-
 	aliveCount := nRacks
 
 	// dispatch routes one job through the policy and queues it,
@@ -496,7 +487,6 @@ func Serve(cfg Config) (_ *Result, err error) {
 				rs.snap.QueueDepth--
 				rs.jobs++
 				completedThisEpoch++
-				latHist.Observe(float64(epoch - j.epoch + 1))
 				res.UnitsCompleted += j.units
 			}
 			if rs.snap.BacklogUnits < 1e-9 {
@@ -558,36 +548,80 @@ func Serve(cfg Config) (_ *Result, err error) {
 	res.Failed = failed
 
 	res.Arrived = jobs.n
-	for id := 0; id < jobs.n; id++ {
-		if jobs.at(id).completed >= 0 {
-			res.Completed++
-		} else {
-			res.Unfinished++
-		}
-	}
+	lat := latencyPass(res, &jobs, cc.Epochs, cc.Metrics)
 	if res.Arrived != res.Completed+res.Unfinished {
 		return nil, fmt.Errorf("route: conservation violated: %d arrived != %d completed + %d unfinished",
 			res.Arrived, res.Completed, res.Unfinished)
 	}
 	res.Throughput = res.UnitsCompleted / float64(cc.Epochs)
 	res.JobsPerEpoch = float64(res.Completed) / float64(cc.Epochs)
-	snap := latHist.Snapshot()
-	qs := latHist.Quantiles(0.50, 0.90, 0.99, 0.999)
 	res.Latency = LatencySummary{
-		P50: qs[0], P90: qs[1], P99: qs[2], P999: qs[3],
-		Mean: snap.Mean, Max: snap.Max,
+		P50: lat.Quantile(0.50), P90: lat.Quantile(0.90),
+		P99: lat.Quantile(0.99), P999: lat.Quantile(0.999),
+		Mean: lat.Mean, Max: lat.Max,
 	}
 
-	emitServeMetrics(cc.Metrics, res, &jobs, latBuckets)
+	emitServeMetrics(cc.Metrics, res)
 	if tracing {
 		emitServeTrace(root, res, &jobs, dlog)
 	}
 	return res, nil
 }
 
+// latencyPass makes the run's one pass over the job table. It counts
+// res.Completed and res.Unfinished and returns the completed jobs'
+// latency distribution in 1-epoch buckets (coarser only for very long
+// runs), so tail quantiles are exact to the bucket width. When m is
+// non-nil it also records every latency in m's route.latency_epochs
+// histogram.
+func latencyPass(res *Result, jobs *jobTable, epochs int, m *telemetry.Registry) telemetry.HistogramSnapshot {
+	width := 1
+	for epochs > 2048*width {
+		width *= 2
+	}
+	bounds := telemetry.LinearBuckets(float64(width), float64(width), epochs/width+1)
+	var sink *telemetry.Histogram
+	if m != nil {
+		sink = m.Histogram("route.latency_epochs", bounds)
+	}
+	counts := make([]int64, len(bounds)+1)
+	var n, sum int64
+	lo, hi := math.MaxInt, 0
+	for id := 0; id < jobs.n; id++ {
+		j := jobs.at(id)
+		if j.completed < 0 {
+			res.Unfinished++
+			continue
+		}
+		res.Completed++
+		// A job completes no earlier than the epoch it arrives in, so
+		// lat >= 1, and bucket i holds (i·width, (i+1)·width]. Whole
+		// epochs keep the sum exact.
+		lat := j.completed - j.epoch + 1
+		counts[min((lat-1)/width, len(bounds))]++
+		n++
+		sum += int64(lat)
+		lo, hi = min(lo, lat), max(hi, lat)
+		sink.Observe(float64(lat))
+	}
+	s := telemetry.HistogramSnapshot{Count: n, Buckets: make([]telemetry.HistogramBucket, len(counts))}
+	for i, c := range counts {
+		s.Buckets[i] = telemetry.HistogramBucket{Le: math.Inf(1), Count: c}
+		if i < len(bounds) {
+			s.Buckets[i].Le = bounds[i]
+		}
+	}
+	if n > 0 {
+		s.Sum, s.Min, s.Max = float64(sum), float64(lo), float64(hi)
+		s.Mean = s.Sum / float64(n)
+	}
+	return s
+}
+
 // emitServeMetrics folds the serving outcome into the cluster's
-// metrics registry, including the full per-job latency distribution.
-func emitServeMetrics(m *telemetry.Registry, res *Result, jobs *jobTable, latBuckets []float64) {
+// metrics registry; latencyPass has already recorded the per-job
+// latency distribution.
+func emitServeMetrics(m *telemetry.Registry, res *Result) {
 	if m == nil {
 		return
 	}
@@ -597,12 +631,6 @@ func emitServeMetrics(m *telemetry.Registry, res *Result, jobs *jobTable, latBuc
 	m.Counter("route.rerouted").Add(int64(res.Rerouted))
 	m.Gauge("route.throughput_units").Set(res.Throughput)
 	m.Gauge("route.latency_p99").Set(res.Latency.P99)
-	sink := m.Histogram("route.latency_epochs", latBuckets)
-	for id := 0; id < jobs.n; id++ {
-		if j := jobs.at(id); j.completed >= 0 {
-			sink.Observe(float64(j.completed - j.epoch + 1))
-		}
-	}
 }
 
 // emitServeTrace completes the serving span tree under the route.serve

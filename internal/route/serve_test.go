@@ -3,6 +3,7 @@ package route
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
@@ -556,5 +557,35 @@ func TestServeAllocationsDoNotGrowWithJobs(t *testing.T) {
 	if highAllocs > lowAllocs+slack {
 		t.Errorf("%d jobs: %.0f allocations; %d jobs: %.0f (want at most %d more)",
 			highJobs, highAllocs, lowJobs, lowAllocs, slack)
+	}
+}
+
+// TestServeLatencyPinned pins the serving latency a fixed run reports,
+// both as Result.Latency and as the route.latency_epochs histogram in
+// the cluster's metrics, against testdata/serve_latency.json. The run
+// kills a loaded rack, so rerouted jobs feed the tail.
+func TestServeLatencyPinned(t *testing.T) {
+	cc := testCluster(t, 3, 32, 120, false)
+	cc.Metrics = telemetry.NewRegistry()
+	res, _ := serveOnce(t, cc, "round-robin", 2, &cluster.FaultPlan{Kills: map[int]int{0: 60}})
+	if res.Rerouted == 0 {
+		t.Fatal("the kill should reroute jobs")
+	}
+	type pin struct {
+		Latency   LatencySummary
+		Histogram telemetry.HistogramSnapshot
+	}
+	got := pin{res.Latency, cc.Metrics.Snapshot().Histograms["route.latency_epochs"]}
+	raw, err := os.ReadFile("testdata/serve_latency.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want pin
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		gotJSON, _ := json.Marshal(got)
+		t.Fatalf("serving latency changed:\n got %s\nwant %s", gotJSON, raw)
 	}
 }

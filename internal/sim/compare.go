@@ -36,15 +36,6 @@ func gameClasses(cfg Config) ([]core.AgentClass, error) {
 	return classes, nil
 }
 
-// GameClasses converts the configuration's groups into game agent
-// classes — the profiles agents would report to the coordinator. It is
-// the exported form of the conversion used by the equilibrium builders,
-// for callers (package cluster, solve caches) that key or solve the
-// game themselves.
-func GameClasses(cfg Config) ([]core.AgentClass, error) {
-	return gameClasses(cfg)
-}
-
 // BuildEquilibriumPolicy runs Algorithm 1 for the configuration's groups
 // and returns the E-T policy along with the equilibrium itself.
 func BuildEquilibriumPolicy(cfg Config) (*policy.Threshold, *core.Equilibrium, error) {

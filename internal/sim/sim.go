@@ -156,11 +156,6 @@ type StateShares struct {
 	Sprinting, ActiveIdle, Cooling, Recovery float64
 }
 
-// Sum returns the total (should be 1).
-func (s StateShares) Sum() float64 {
-	return s.Sprinting + s.ActiveIdle + s.Cooling + s.Recovery
-}
-
 // GroupResult aggregates per-class outcomes.
 type GroupResult struct {
 	Class string

@@ -117,7 +117,7 @@ func TestStepperPartialIsRunPrefix(t *testing.T) {
 		!reflect.DeepEqual(res.RecoveringPerEpoch, ref.RecoveringPerEpoch[:k]) {
 		t.Errorf("partial series are not the first %d epochs of the full run", k)
 	}
-	if s := res.Shares.Sum(); s < 0.999 || s > 1.001 {
+	if s := sharesSum(res.Shares); s < 0.999 || s > 1.001 {
 		t.Errorf("partial shares sum to %v, want 1", s)
 	}
 }
@@ -132,7 +132,7 @@ func TestStepperFinalizeAfterZeroSteps(t *testing.T) {
 	if res.Epochs != 0 {
 		t.Fatalf("zero-step partial epochs = %d, want 0", res.Epochs)
 	}
-	if res.TaskRate != 0 || res.Shares.Sum() != 0 {
+	if res.TaskRate != 0 || sharesSum(res.Shares) != 0 {
 		t.Errorf("zero-epoch partial must report zero rates, got rate=%v shares=%v",
 			res.TaskRate, res.Shares)
 	}

@@ -58,15 +58,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It returns 0 for empty input.
 func Quantile(xs []float64, q float64) float64 {
@@ -95,9 +86,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the median of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Summary holds descriptive statistics of a sample.
 type Summary struct {
@@ -133,63 +121,20 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// Accumulator maintains online mean and variance (Welford's algorithm)
-// together with min and max. The zero value is ready to use.
+// Accumulator maintains an online mean. The zero value is ready to use.
 type Accumulator struct {
-	n        int
-	mean, m2 float64
-	min, max float64
+	n    int
+	mean float64
 }
 
 // Add incorporates x into the accumulator.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	delta := x - a.mean
-	a.mean += delta / float64(a.n)
-	a.m2 += delta * (x - a.mean)
+	a.mean += (x - a.mean) / float64(a.n)
 }
 
-// N returns the number of samples seen.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean.
+// Mean returns the running mean, or 0 before any samples.
 func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Variance returns the running unbiased sample variance.
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// StdDev returns the running sample standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Min returns the smallest sample seen, or 0 before any samples.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest sample seen, or 0 before any samples.
-func (a *Accumulator) Max() float64 { return a.max }
-
-// MeanCI95 returns a 95% confidence half-interval for the mean assuming
-// approximate normality of the sample mean.
-func (a *Accumulator) MeanCI95() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return 1.96 * a.StdDev() / math.Sqrt(float64(a.n))
-}
 
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
@@ -201,6 +146,3 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// Lerp linearly interpolates between a and b by t in [0, 1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }

@@ -207,38 +207,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Count returns the number of observations (the sum of all bucket
-// counters).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Percentile returns the q-quantile (q in [0, 1]) estimated from the
-// current bucket counts; see HistogramSnapshot.Quantile.
-func (h *Histogram) Percentile(q float64) float64 {
-	return h.Snapshot().Quantile(q)
-}
-
-// Quantiles returns the given quantiles estimated from one consistent
-// snapshot of the bucket counts, unlike repeated Percentile calls which
-// each re-snapshot a live histogram and can disagree mid-ingest. Use it
-// for multi-point reports (p50/p90/p99/p99.9).
-func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	s := h.Snapshot()
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = s.Quantile(q)
-	}
-	return out
-}
-
 // Quantile returns the q-quantile (q in [0, 1]) of the snapshot by
 // linear interpolation inside the bucket holding the target rank,
 // clamped to the observed [Min, Max]. With a high-resolution bucket

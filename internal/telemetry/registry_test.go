@@ -23,7 +23,7 @@ func TestNilRegistryIsDisabledSink(t *testing.T) {
 	if got := r.Gauge("b").Value(); got != 0 {
 		t.Errorf("nil gauge value = %v", got)
 	}
-	if got := r.Histogram("c", nil).Count(); got != 0 {
+	if got := r.Histogram("c", nil).Snapshot().Count; got != 0 {
 		t.Errorf("nil histogram count = %d", got)
 	}
 	s := r.Snapshot()
@@ -148,28 +148,28 @@ func TestHistogramQuantiles(t *testing.T) {
 	for _, tc := range []struct{ q, want float64 }{
 		{0.50, 0.500}, {0.90, 0.900}, {0.99, 0.990}, {0.999, 0.999},
 	} {
-		got := h.Percentile(tc.q)
+		got := h.Snapshot().Quantile(tc.q)
 		// Interpolation error is bounded by one bucket width (factor 1.25).
 		if got < tc.want/1.25 || got > tc.want*1.25 {
-			t.Errorf("Percentile(%v) = %v, want ~%v", tc.q, got, tc.want)
+			t.Errorf("Quantile(%v) = %v, want ~%v", tc.q, got, tc.want)
 		}
 	}
-	if got := h.Percentile(0); got < 0.001/1.25 || got > 0.00125 {
-		t.Errorf("Percentile(0) = %v, want ~min", got)
+	if got := h.Snapshot().Quantile(0); got < 0.001/1.25 || got > 0.00125 {
+		t.Errorf("Quantile(0) = %v, want ~min", got)
 	}
-	if got := h.Percentile(1); got != 1.0 {
-		t.Errorf("Percentile(1) = %v, want max 1.0", got)
+	if got := h.Snapshot().Quantile(1); got != 1.0 {
+		t.Errorf("Quantile(1) = %v, want max 1.0", got)
 	}
 	// Out-of-range q clamps; empty histogram reports 0.
-	if h.Percentile(2) != h.Percentile(1) {
+	if h.Snapshot().Quantile(2) != h.Snapshot().Quantile(1) {
 		t.Error("q > 1 should clamp to the max quantile")
 	}
-	if got := r.Histogram("empty", nil).Percentile(0.5); got != 0 {
-		t.Errorf("empty Percentile = %v", got)
+	if got := r.Histogram("empty", nil).Snapshot().Quantile(0.5); got != 0 {
+		t.Errorf("empty Quantile = %v", got)
 	}
 	var nilH *Histogram
-	if got := nilH.Percentile(0.5); got != 0 {
-		t.Errorf("nil Percentile = %v", got)
+	if got := nilH.Snapshot().Quantile(0.5); got != 0 {
+		t.Errorf("nil Quantile = %v", got)
 	}
 }
 
@@ -178,8 +178,8 @@ func TestHistogramQuantileSingleObservation(t *testing.T) {
 	h := r.Histogram("one", LatencyBuckets())
 	h.Observe(0.25)
 	for _, q := range []float64{0, 0.5, 0.999, 1} {
-		if got := h.Percentile(q); got != 0.25 {
-			t.Errorf("Percentile(%v) = %v, want exactly 0.25 (clamped to [min,max])", q, got)
+		if got := h.Snapshot().Quantile(q); got != 0.25 {
+			t.Errorf("Quantile(%v) = %v, want exactly 0.25 (clamped to [min,max])", q, got)
 		}
 	}
 }
@@ -275,7 +275,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Errorf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("h", nil).Count(); got != 8000 {
+	if got := r.Histogram("h", nil).Snapshot().Count; got != 8000 {
 		t.Errorf("histogram count = %d, want 8000", got)
 	}
 }
@@ -285,14 +285,16 @@ func TestHistogramQuantilesBatch(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		h.Observe(float64(i % 100))
 	}
-	qs := h.Quantiles(0.5, 0.9, 0.99)
-	if len(qs) != 3 {
-		t.Fatalf("got %d quantiles", len(qs))
-	}
-	for i, q := range []float64{0.5, 0.9, 0.99} {
-		if want := h.Percentile(q); qs[i] != want {
-			t.Errorf("Quantiles[%d] = %g, Percentile(%g) = %g", i, qs[i], q, want)
+	// Quantiles read from one snapshot are consistent with each other:
+	// monotone in q, and each within a bucket width of the data's.
+	s := h.Snapshot()
+	var qs []float64
+	for _, tc := range []struct{ q, want float64 }{{0.5, 49.5}, {0.9, 89.5}, {0.99, 98.5}} {
+		got := s.Quantile(tc.q)
+		if math.Abs(got-tc.want) > 10 {
+			t.Errorf("Quantile(%g) = %g, want ~%g", tc.q, got, tc.want)
 		}
+		qs = append(qs, got)
 	}
 	if !sort.Float64sAreSorted(qs) {
 		t.Errorf("quantiles not monotone: %v", qs)

@@ -50,7 +50,6 @@ type Span struct {
 	explicitDur   time.Duration
 
 	children atomic.Int64
-	fields   Fields
 	ended    atomic.Bool
 }
 
@@ -167,19 +166,6 @@ func (s *Span) SpanID() string {
 	return s.id
 }
 
-// Set attaches a payload field emitted with the span event. Reserved
-// keys (event, name, trace, id, parent, start_ns, dur_ns) are
-// overwritten at emission.
-func (s *Span) Set(key string, v any) {
-	if s == nil {
-		return
-	}
-	if s.fields == nil {
-		s.fields = make(Fields, 4)
-	}
-	s.fields[key] = v
-}
-
 // WithTiming overrides the span's measured start and duration — for
 // spans reconstructed after the fact, e.g. the cluster layer emitting
 // per-rack spans post-run in deterministic rack order from timings
@@ -199,8 +185,9 @@ func (s *Span) WithTiming(start time.Time, dur time.Duration) *Span {
 // End emits the span event. Safe to call once; later calls no-op.
 func (s *Span) End() { s.EndWith(nil) }
 
-// EndWith emits the span event with extra payload fields merged over
-// any Set fields.
+// EndWith emits the span event with the given payload fields. Reserved
+// keys (event, name, trace, id, parent, start_ns, dur_ns) are
+// overwritten.
 func (s *Span) EndWith(fields Fields) {
 	if s == nil {
 		return
@@ -208,10 +195,7 @@ func (s *Span) EndWith(fields Fields) {
 	if !s.ended.CompareAndSwap(false, true) {
 		return
 	}
-	obj := make(Fields, len(s.fields)+len(fields)+7)
-	for k, v := range s.fields {
-		obj[k] = v
-	}
+	obj := make(Fields, len(fields)+7)
 	for k, v := range fields {
 		obj[k] = v
 	}

@@ -31,7 +31,6 @@ type Tracer struct {
 	mu    sync.Mutex
 	w     io.Writer
 	clock func() time.Time
-	count int64
 	err   error
 }
 
@@ -89,19 +88,7 @@ func (t *Tracer) Emit(event string, fields Fields) {
 	line = append(line, '\n')
 	if _, err := t.w.Write(line); err != nil {
 		t.err = err
-		return
 	}
-	t.count++
-}
-
-// Count returns the number of events successfully written.
-func (t *Tracer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
 }
 
 // Err returns the first write or marshal error, if any. Traces whose

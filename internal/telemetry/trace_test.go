@@ -17,7 +17,7 @@ func TestNilTracerIsDisabled(t *testing.T) {
 		t.Error("nil tracer should report disabled")
 	}
 	tr.Emit("x", Fields{"a": 1}) // must not panic
-	if tr.Count() != 0 || tr.Err() != nil {
+	if tr.Err() != nil {
 		t.Error("nil tracer should record nothing")
 	}
 	if NewTracer(nil) != nil {
@@ -33,9 +33,6 @@ func TestEmitWritesOneJSONObjectPerLine(t *testing.T) {
 	tr := NewTracer(&buf)
 	tr.Emit("sim.epoch", Fields{"epoch": 0, "sprinters": 42})
 	tr.Emit("sim.trip", Fields{"epoch": 1, "ptrip": 0.5})
-	if tr.Count() != 2 {
-		t.Fatalf("count = %d", tr.Count())
-	}
 	sc := bufio.NewScanner(&buf)
 	var events []map[string]any
 	for sc.Scan() {
@@ -87,10 +84,12 @@ func TestWithClockStampsEvents(t *testing.T) {
 
 type failingWriter struct {
 	allow int
+	calls int
 	err   error
 }
 
 func (w *failingWriter) Write(p []byte) (int, error) {
+	w.calls++
 	if w.allow <= 0 {
 		return 0, w.err
 	}
@@ -105,8 +104,8 @@ func TestWriteErrorsAreSticky(t *testing.T) {
 	tr.Emit("ok", nil)
 	tr.Emit("fails", nil)
 	tr.Emit("skipped", nil)
-	if tr.Count() != 1 {
-		t.Errorf("count = %d, want 1", tr.Count())
+	if w.calls != 2 {
+		t.Errorf("%d writes, want 2 (none after the failure)", w.calls)
 	}
 	if !errors.Is(tr.Err(), wantErr) {
 		t.Errorf("err = %v", tr.Err())
@@ -127,9 +126,6 @@ func TestTracerConcurrentEmit(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tr.Count() != 1600 {
-		t.Fatalf("count = %d", tr.Count())
-	}
 	lines := strings.Count(buf.String(), "\n")
 	if lines != 1600 {
 		t.Errorf("wrote %d lines, want 1600 (interleaved writes?)", lines)

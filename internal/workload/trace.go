@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 
-	"sprintgame/internal/dist"
 	"sprintgame/internal/stats"
 )
 
@@ -134,16 +133,4 @@ func (g *TraceGenerator) SampleDensity(n int) []float64 {
 		out[i] = g.Next()
 	}
 	return out
-}
-
-// EmpiricalDensity profiles the benchmark for epochs epochs and returns
-// the observed utility PMF with the given number of bins. This mirrors
-// the paper's offline profiling: agents sample epochs, measure utility,
-// and report a density to the coordinator.
-func EmpiricalDensity(b *Benchmark, seed uint64, epochs, bins int) (*dist.Discrete, error) {
-	g, err := NewTraceGenerator(b, seed)
-	if err != nil {
-		return nil, err
-	}
-	return dist.FromSamples(g.SampleDensity(epochs), bins)
 }

@@ -205,8 +205,11 @@ func TestGenerate(t *testing.T) {
 }
 
 func TestEmpiricalDensityApproximatesModel(t *testing.T) {
+	// Offline profiling as the paper's agents do it: sample epochs,
+	// measure utility, report a binned density.
 	b, _ := ByName("linear")
-	emp, err := EmpiricalDensity(b, 5, 40000, 60)
+	g, _ := NewTraceGenerator(b, 5)
+	emp, err := dist.FromSamples(g.SampleDensity(40000), 60)
 	if err != nil {
 		t.Fatal(err)
 	}

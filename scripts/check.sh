@@ -22,6 +22,13 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+# bench/ is its own module, so the root ./... above never compiles it: a
+# deletion that breaks the benchmark would pass every other step. Vet and
+# build it with the environment bench/run.sh uses, discarding the binary.
+echo "== go -C bench vet ./... && go -C bench build ./..."
+GOWORK=off GOFLAGS= go -C bench vet ./...
+GOWORK=off GOFLAGS= go -C bench build -o /dev/null ./...
+
 # Quick signal first: the solver's differential tests (exact solve vs
 # the value-iteration reference, concurrent solves over lazily-built
 # density prefix sums, largest-fixed-point selection and the descent
