@@ -48,9 +48,6 @@ func main() {
 		polName   = flag.String("policy", "equilibrium", "greedy | backoff | equilibrium | never")
 		seed      = flag.Uint64("seed", 1, "cluster base seed (per-rack seeds are derived)")
 		faultSpec = flag.String("faults", "", "inject rack faults: a kill rate in [0,1] (\"0.2\") or rack@epoch pairs (\"3@100,7@250\")")
-		transient = flag.Bool("fault-transient", false, "injected faults are transient: retried attempts run clean")
-		retries   = flag.Int("max-retries", 0, "retry attempts per restartable rack failure")
-		partial   = flag.Bool("allow-partial", false, "aggregate surviving racks when some racks fail instead of erroring")
 		arrivals  = flag.String("arrivals", "", "serving mode: arrival spec (poisson:rate=...,units=..., diurnal:..., trace:...)")
 		routeName = flag.String("route", "least-loaded", "serving mode: routing policy (round-robin | random | least-loaded | sprint-aware)")
 		replay    = flag.String("trace-replay", "", "serving mode: trace-set file (cmd/tracegen output) for arrival kind \"trace\"")
@@ -123,21 +120,18 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		faults.Transient = *transient
 	}
 
 	ccfg := cluster.Config{
-		Racks:        specs,
-		Epochs:       *epochs,
-		BaseSeed:     *seed,
-		Game:         game,
-		Policy:       factory,
-		Metrics:      metrics,
-		Tracer:       tracer,
-		Faults:       faults,
-		AllowPartial: *partial,
-		MaxRetries:   *retries,
-		Workers:      *workers,
+		Racks:    specs,
+		Epochs:   *epochs,
+		BaseSeed: *seed,
+		Game:     game,
+		Policy:   factory,
+		Metrics:  metrics,
+		Tracer:   tracer,
+		Faults:   faults,
+		Workers:  *workers,
 	}
 
 	if *arrivals != "" {
@@ -162,9 +156,6 @@ func main() {
 		for _, f := range res.Failed {
 			fmt.Printf("  %-8s failed: %v\n", f.Name, f.Err)
 		}
-	}
-	if res.Retries > 0 {
-		fmt.Printf("retries: %d rack attempts were restarted\n", res.Retries)
 	}
 	fmt.Printf("task rate: %.3f units/agent-epoch (normal mode = 1.0), total %.0f units\n",
 		res.TaskRate, res.TotalUnits)

@@ -33,31 +33,6 @@ func BenchmarkClusterEpochs(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterFaultRetries measures the fault-tolerance overhead:
-// half the racks die to a transient fault mid-run and are retried on a
-// fresh stream, so the engine pays roughly 1.5x the rack-epochs of the
-// clean run plus the degraded-aggregation bookkeeping.
-func BenchmarkClusterFaultRetries(b *testing.B) {
-	cfg := testCluster(b, 8, 64, 2000, "decision", "pagerank")
-	cfg.Policy = GreedyFactory()
-	cfg.Workers = runtime.NumCPU()
-	cfg.Faults = &FaultPlan{
-		Kills:     map[int]int{0: 1000, 2: 1000, 4: 1000, 6: 1000},
-		Transient: true,
-	}
-	cfg.MaxRetries = 1
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Retries != 4 {
-			b.Fatalf("retries = %d, want 4", res.Retries)
-		}
-	}
-}
-
 // BenchmarkClusterEquilibriumCached measures end-to-end cluster setup
 // with the memoized solver: 8 racks over 2 distinct mixes perform 2
 // solves instead of 8.

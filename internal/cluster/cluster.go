@@ -32,13 +32,13 @@
 //
 // Real datacenters lose racks mid-run. A FaultPlan (seeded from
 // Config.BaseSeed, independent of Workers) kills selected racks at
-// chosen epochs; a killed rack returns its partial series inside a
-// typed RackError. Restartable failures are retried up to
-// Config.MaxRetries times, each attempt on a fresh derived RNG stream.
-// With Config.AllowPartial the run degrades gracefully: aggregates
-// cover surviving racks only and Result.Failed reports every failure;
-// without it, Run joins every rack error via errors.Join so no failure
-// is swallowed. The determinism contract survives both modes.
+// chosen epochs. A kill is permanent, as in the serving layer
+// (internal/route): the rack returns its partial series inside a typed
+// RackError and is not rerun. The run degrades gracefully: aggregates
+// cover surviving racks only and Result.Failed reports every failure.
+// Run errors only when no rack survived, joining every rack error via
+// errors.Join so no failure is swallowed. The determinism contract
+// holds with and without faults.
 package cluster
 
 import (
@@ -116,19 +116,6 @@ type Config struct {
 	// mid-run (see FaultPlan). The schedule depends only on BaseSeed,
 	// never on Workers.
 	Faults *FaultPlan
-	// AllowPartial degrades gracefully when racks fail: the run
-	// aggregates surviving racks only and reports every failure in
-	// Result.Failed instead of returning an error. A run in which every
-	// rack fails still errors — there is nothing to aggregate.
-	AllowPartial bool
-	// MaxRetries bounds retry attempts per rack for restartable
-	// failures (injected FaultPlan kills). Each attempt runs on a fresh
-	// RNG stream derived from the rack's seed and the attempt number, so
-	// reruns are byte-identical.
-	// Non-restartable failures (policy construction, configuration) are
-	// never retried. A retry re-simulates at once: its outcome depends
-	// only on the derived seed, so there is nothing to wait for.
-	MaxRetries int
 }
 
 // Validate checks the cluster configuration (policy presence and rack
@@ -142,9 +129,6 @@ func (c Config) Validate() error {
 	}
 	if c.Policy == nil {
 		return errors.New("cluster: nil policy factory")
-	}
-	if c.MaxRetries < 0 {
-		return errors.New("cluster: negative MaxRetries")
 	}
 	for i, spec := range c.Racks {
 		if len(spec.Groups) == 0 {
@@ -161,17 +145,14 @@ func (c Config) Validate() error {
 
 // RackResult is one rack's outcome within a cluster run.
 type RackResult struct {
-	// Rack is the rack's index in Config.Racks. With AllowPartial the
-	// survivor list can be sparse, so the index is not the position in
+	// Rack is the rack's index in Config.Racks. When racks fail the
+	// survivor list is sparse, so the index is not the position in
 	// Result.Racks.
 	Rack int
 	// Name is the rack's label.
 	Name string
-	// Seed is the seed the successful attempt actually ran with (a
-	// derived retry seed when Attempts > 1).
+	// Seed is the seed the rack ran with.
 	Seed uint64
-	// Attempts is the number of attempts the rack took (1 = no retry).
-	Attempts int
 	// Agents is the rack's chip count.
 	Agents int
 	// Sim is the rack's full simulation result.
@@ -188,17 +169,12 @@ type SprinterDist struct {
 // Result is a completed cluster run.
 type Result struct {
 	// Racks holds surviving racks' results in input order. Without
-	// failures it covers every rack; with Config.AllowPartial it can be
-	// a strict subset (see Failed).
+	// failures it covers every rack; otherwise it is a strict subset
+	// (see Failed).
 	Racks []RackResult
-	// Failed lists failed racks in rack-index order. It is non-empty
-	// only with Config.AllowPartial (otherwise Run returns the joined
-	// errors instead of a Result). All aggregate fields below cover
-	// surviving racks only.
+	// Failed lists failed racks in rack-index order. All aggregate
+	// fields below cover surviving racks only.
 	Failed []RackError
-	// Retries is the total number of retry attempts across all racks,
-	// including retries that ultimately recovered the rack.
-	Retries int
 	// Epochs is the per-rack epoch count.
 	Epochs int
 	// Agents is the total chip count across surviving racks.
@@ -280,12 +256,11 @@ func (c Config) RackName(i int) string { return c.rackName(i) }
 // worker goroutine; they feed span timings only (never results), and
 // only when the tracer has a clock.
 type rackOutcome struct {
-	seed     uint64
-	attempts int
-	res      *sim.Result
-	err      *RackError
-	start    time.Time
-	dur      time.Duration
+	seed  uint64
+	res   *sim.Result
+	err   *RackError
+	start time.Time
+	dur   time.Duration
 }
 
 // rackName resolves rack i's label.
@@ -305,59 +280,42 @@ func (c Config) rackAgents(i int) int {
 	return n
 }
 
-// runRack runs rack i to its terminal outcome: up to 1+MaxRetries
-// attempts, each on its own derived RNG stream, with killEpoch >= 0
-// injecting a FaultPlan kill. A killed attempt steps its sim.Stepper up
-// to the kill epoch and no further, exactly as route.Serve stops a dead
+// runRack runs rack i to its terminal outcome, with killEpoch >= 0
+// injecting a FaultPlan kill. A killed rack steps its sim.Stepper up to
+// the kill epoch and no further, exactly as route.Serve stops a dead
 // rack, so both engines report the same RackError. Everything here is a
 // pure function of the configuration and the rack index, so outcomes
 // are identical for every worker count.
 func (c Config) runRack(i, killEpoch int) rackOutcome {
-	baseCfg := c.rackConfig(i)
+	simCfg := c.rackConfig(i)
 	name := c.rackName(i)
-	var last *RackError
-	for attempt := 1; attempt <= 1+c.MaxRetries; attempt++ {
-		simCfg := baseCfg
-		if attempt > 1 {
-			// Fresh stream per attempt: a retried rack must not replay
-			// the doomed attempt's draws.
-			simCfg.Seed = retrySeed(baseCfg.Seed, attempt-1)
-		}
-		killed := killEpoch >= 0 && (attempt == 1 || !c.Faults.Transient)
-		end := c.Epochs
-		if killed {
-			end = killEpoch
-		}
-		// Policy construction and configuration failures are not
-		// restartable, and neither is a stepper error.
-		fail := func(epoch int, err error) rackOutcome {
-			return rackOutcome{seed: simCfg.Seed, attempts: attempt, err: &RackError{
-				Rack: i, Name: name, Epoch: epoch, Attempts: attempt, Err: err,
-			}}
-		}
-		pol, err := c.Policy(i, c.Racks[i], simCfg)
-		if err != nil {
-			return fail(-1, fmt.Errorf("policy: %w", err))
-		}
-		st, err := sim.NewStepper(simCfg, pol)
-		if err != nil {
-			return fail(-1, err)
-		}
-		for st.Completed() < end {
-			if _, err := st.Step(); err != nil {
-				return fail(st.Completed(), err)
-			}
-		}
-		res := st.Finalize()
-		if !killed {
-			return rackOutcome{seed: simCfg.Seed, attempts: attempt, res: res}
-		}
-		last = &RackError{
-			Rack: i, Name: name, Epoch: end, Attempts: attempt,
-			Err: &RackFault{Rack: i, Epoch: end}, Partial: res,
+	fail := func(epoch int, err error, partial *sim.Result) rackOutcome {
+		return rackOutcome{seed: simCfg.Seed, err: &RackError{
+			Rack: i, Name: name, Epoch: epoch, Err: err, Partial: partial,
+		}}
+	}
+	pol, err := c.Policy(i, c.Racks[i], simCfg)
+	if err != nil {
+		return fail(-1, fmt.Errorf("policy: %w", err), nil)
+	}
+	st, err := sim.NewStepper(simCfg, pol)
+	if err != nil {
+		return fail(-1, err, nil)
+	}
+	end := c.Epochs
+	if killEpoch >= 0 {
+		end = killEpoch
+	}
+	for st.Completed() < end {
+		if _, err := st.Step(); err != nil {
+			return fail(st.Completed(), err, nil)
 		}
 	}
-	return rackOutcome{seed: baseCfg.Seed, attempts: last.Attempts, err: last}
+	res := st.Finalize()
+	if killEpoch >= 0 {
+		return fail(end, &RackFault{Rack: i, Epoch: end}, res)
+	}
+	return rackOutcome{seed: simCfg.Seed, res: res}
 }
 
 // Run simulates every rack and aggregates the cluster outcome. Racks
@@ -365,10 +323,9 @@ func (c Config) runRack(i, killEpoch int) rackOutcome {
 // any trace) is identical for every pool size, with or without an
 // active FaultPlan.
 //
-// When racks fail: without AllowPartial, Run returns every rack error
-// joined via errors.Join; with AllowPartial it aggregates the
-// survivors and reports failures in Result.Failed, erroring only when
-// no rack survived.
+// When racks fail, Run aggregates the survivors and reports failures in
+// Result.Failed. It errors only when no rack survived, joining every
+// rack error via errors.Join.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -411,40 +368,33 @@ func Run(cfg Config) (*Result, error) {
 	wg.Wait()
 
 	var failed []RackError
-	retries := 0
 	for i := range outcomes {
-		retries += outcomes[i].attempts - 1
 		if outcomes[i].err != nil {
 			failed = append(failed, *outcomes[i].err)
 		}
 	}
-	emitFaults(cfg, failed, retries)
-	if len(failed) > 0 && (!cfg.AllowPartial || len(failed) == len(cfg.Racks)) {
+	emitFaults(cfg, failed)
+	if len(failed) == len(cfg.Racks) {
 		errs := make([]error, len(failed))
 		for i := range failed {
 			errs[i] = &failed[i]
 		}
-		err := errors.Join(errs...)
-		if cfg.AllowPartial {
-			err = fmt.Errorf("cluster: all %d racks failed: %w", len(failed), err)
-		}
-		emitTrace(cfg, outcomes, nil, retries, runStart)
-		return nil, err
+		emitTrace(cfg, outcomes, nil, runStart)
+		return nil, fmt.Errorf("cluster: all %d racks failed: %w", len(failed), errors.Join(errs...))
 	}
 
-	out := aggregate(cfg, workers, outcomes, failed, retries)
-	emitTrace(cfg, outcomes, out, retries, runStart)
+	out := aggregate(cfg, workers, outcomes, failed)
+	emitTrace(cfg, outcomes, out, runStart)
 	return out, nil
 }
 
 // aggregate folds surviving rack results into the cluster result and
 // emits cluster metrics, all in deterministic rack-index order. Failed
-// racks (AllowPartial) are excluded from every aggregate.
-func aggregate(cfg Config, workers int, outcomes []rackOutcome, failed []RackError, retries int) *Result {
+// racks are excluded from every aggregate.
+func aggregate(cfg Config, workers int, outcomes []rackOutcome, failed []RackError) *Result {
 	out := &Result{
 		Racks:   make([]RackResult, 0, len(outcomes)-len(failed)),
 		Failed:  failed,
-		Retries: retries,
 		Epochs:  cfg.Epochs,
 		Workers: workers,
 	}
@@ -460,7 +410,7 @@ func aggregate(cfg Config, workers int, outcomes []rackOutcome, failed []RackErr
 		agents := cfg.rackAgents(i)
 		out.Racks = append(out.Racks, RackResult{
 			Rack: i, Name: cfg.rackName(i), Seed: oc.seed,
-			Attempts: oc.attempts, Agents: agents, Sim: res,
+			Agents: agents, Sim: res,
 		})
 		out.Agents += agents
 		out.Trips += res.Trips
@@ -494,13 +444,12 @@ func aggregate(cfg Config, workers int, outcomes []rackOutcome, failed []RackErr
 	return out
 }
 
-// emitFaults counts failures and retries in the cluster's metrics. Like
-// emitTrace it runs on every Run exit path — degraded aggregation and
-// error returns alike — so no rack failure is ever swallowed silently.
-func emitFaults(cfg Config, failed []RackError, retries int) {
-	if m := cfg.Metrics; m != nil && (len(failed) > 0 || retries > 0) {
+// emitFaults counts failures in the cluster's metrics. Like emitTrace
+// it runs on every Run exit path — degraded aggregation and error
+// returns alike — so no rack failure is ever swallowed silently.
+func emitFaults(cfg Config, failed []RackError) {
+	if m := cfg.Metrics; m != nil && len(failed) > 0 {
 		m.Counter("cluster.rack_failures").Add(int64(len(failed)))
-		m.Counter("cluster.retries").Add(int64(retries))
 	}
 }
 
@@ -537,7 +486,7 @@ func emitMetrics(cfg Config, out *Result) {
 // them. The trace ID derives from BaseSeed (mixed with a sentinel index
 // no rack can occupy) so reruns reproduce it. out is nil when the run
 // failed; the root then carries no cluster aggregates.
-func emitTrace(cfg Config, outcomes []rackOutcome, out *Result, retries int, runStart time.Time) {
+func emitTrace(cfg Config, outcomes []rackOutcome, out *Result, runStart time.Time) {
 	t := cfg.Tracer
 	if !t.Enabled() {
 		return
@@ -548,13 +497,12 @@ func emitTrace(cfg Config, outcomes []rackOutcome, out *Result, retries int, run
 		oc := &outcomes[i]
 		r := RackResult{
 			Rack: i, Name: cfg.rackName(i), Seed: oc.seed,
-			Attempts: oc.attempts, Agents: cfg.rackAgents(i), Sim: oc.res,
+			Agents: cfg.rackAgents(i), Sim: oc.res,
 		}
 		fields := telemetry.Fields{
 			"rack":      i,
 			"rack_name": r.Name,
 			"seed":      r.Seed,
-			"attempts":  r.Attempts,
 			"agents":    r.Agents,
 			"failed":    oc.err != nil,
 		}
@@ -602,7 +550,6 @@ func emitTrace(cfg Config, outcomes []rackOutcome, out *Result, retries int, run
 	fields := telemetry.Fields{
 		"racks":        len(outcomes) - failed,
 		"failed_racks": failed,
-		"retries":      retries,
 		"epochs":       cfg.Epochs,
 	}
 	if out != nil {

@@ -313,13 +313,17 @@ func TestClusterValidation(t *testing.T) {
 		}
 	}
 	// A rack whose groups don't sum to N must surface sim's error with
-	// the rack index.
+	// the rack index. It never starts, so it fails at epoch -1 and the
+	// other rack still runs.
 	cfg := good
 	cfg.Racks = append([]RackSpec{}, good.Racks...)
 	cfg.Racks[1].Groups = []sim.Group{{Class: "decision", Count: 5, Bench: cfg.Racks[0].Groups[0].Bench}}
-	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "rack 1") {
-		t.Errorf("want rack-indexed error, got %v", err)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Failed) != 1 || res.Failed[0].Epoch != -1 || !strings.Contains(res.Failed[0].Error(), "rack 1") {
+		t.Errorf("want rack 1 to fail at epoch -1 with a rack-indexed error, got %+v", res.Failed)
 	}
 }
 

@@ -24,11 +24,6 @@ type FaultPlan struct {
 	// dedicated stream derived from Config.BaseSeed (disjoint from all
 	// rack seeds), in rack-index order.
 	Rate float64
-	// Transient marks injected faults restartable: retry attempts
-	// (Config.MaxRetries) run without the fault and can complete the
-	// rack. Non-transient faults re-fire on every attempt, so the rack
-	// fails permanently once retries are exhausted.
-	Transient bool
 }
 
 // Active reports whether the plan can kill any rack. Safe on nil.
@@ -130,43 +125,33 @@ func (f *RackFault) Error() string {
 	return fmt.Sprintf("injected fault: rack %d killed at epoch %d", f.Rack, f.Epoch)
 }
 
-// RackError describes one rack's failure within a cluster run. With
-// Config.AllowPartial the Result carries every RackError in Failed (in
-// rack-index order); otherwise Run joins them all via errors.Join.
+// RackError describes one rack's failure within a cluster run. The
+// Result carries every RackError in Failed (in rack-index order); when
+// no rack survived, Run joins them all via errors.Join instead.
 type RackError struct {
 	// Rack is the failed rack's index in Config.Racks.
 	Rack int
 	// Name is the rack's label.
 	Name string
-	// Epoch is the number of epochs the final attempt completed before
-	// failing; -1 when the rack never started (policy construction or
+	// Epoch is the number of epochs the rack completed before failing;
+	// -1 when the rack never started (policy construction or
 	// configuration failure).
 	Epoch int
-	// Attempts is the number of attempts made (1 = no retry).
-	Attempts int
-	// Err is the final attempt's underlying error.
+	// Err is the underlying error.
 	Err error
-	// Partial is the final attempt's partial result when the rack died
-	// mid-run (nil when it never started). Its aggregates and series
-	// cover exactly Epoch epochs; it is excluded from cluster
-	// aggregation.
+	// Partial is the rack's partial result when it was killed mid-run
+	// (nil when it never started). Its aggregates and series cover
+	// exactly Epoch epochs; it is excluded from cluster aggregation.
 	Partial *sim.Result
 }
 
 func (e *RackError) Error() string {
 	if e.Epoch < 0 {
-		return fmt.Sprintf("cluster: rack %d (%s): attempt %d: %v", e.Rack, e.Name, e.Attempts, e.Err)
+		return fmt.Sprintf("cluster: rack %d (%s): %v", e.Rack, e.Name, e.Err)
 	}
-	return fmt.Sprintf("cluster: rack %d (%s): attempt %d failed after %d epochs: %v",
-		e.Rack, e.Name, e.Attempts, e.Epoch, e.Err)
+	return fmt.Sprintf("cluster: rack %d (%s) failed after %d epochs: %v",
+		e.Rack, e.Name, e.Epoch, e.Err)
 }
 
 // Unwrap exposes the underlying failure to errors.Is / errors.As.
 func (e *RackError) Unwrap() error { return e.Err }
-
-// retrySeed derives the RNG seed for retry attempt k (k >= 1) of a
-// rack, giving every attempt a fresh stream decorrelated from the
-// first attempt's seed and from other racks.
-func retrySeed(seed uint64, attempt int) uint64 {
-	return mixSeed(seed^0x7e57ab1e, attempt)
-}

@@ -78,7 +78,6 @@ func TestClusterFaultValidation(t *testing.T) {
 		{"negative rate", func(c *Config) { c.Faults = &FaultPlan{Rate: -0.1} }},
 		{"rack out of range", func(c *Config) { c.Faults = &FaultPlan{Kills: map[int]int{9: 5}} }},
 		{"epoch out of range", func(c *Config) { c.Faults = &FaultPlan{Kills: map[int]int{0: 50}} }},
-		{"negative retries", func(c *Config) { c.MaxRetries = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := good
@@ -91,13 +90,13 @@ func TestClusterFaultValidation(t *testing.T) {
 
 func TestClusterFaultFailFastJoinsAllErrors(t *testing.T) {
 	cfg := testCluster(t, 4, 16, 50)
-	cfg.Faults = &FaultPlan{Kills: map[int]int{1: 10, 3: 20}}
+	cfg.Faults = &FaultPlan{Kills: map[int]int{0: 5, 1: 10, 2: 15, 3: 20}}
 	res, err := Run(cfg)
 	if res != nil || err == nil {
 		t.Fatalf("want nil result + error, got %v, %v", res, err)
 	}
 	// Every failed rack must be reported, not just the first.
-	for _, want := range []string{"rack 1", "rack 3"} {
+	for _, want := range []string{"rack 0", "rack 1", "rack 2", "rack 3"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error %q misses %q", err, want)
 		}
@@ -112,11 +111,13 @@ func TestClusterFaultFailFastJoinsAllErrors(t *testing.T) {
 	}
 }
 
-func TestClusterFaultAllowPartialAggregatesSurvivors(t *testing.T) {
+// TestClusterFaultKillAggregatesSurvivors: with default options a
+// killed rack degrades the run instead of failing it. Its partial
+// result is reported in Result.Failed and the survivors aggregate.
+func TestClusterFaultKillAggregatesSurvivors(t *testing.T) {
 	cfg := testCluster(t, 4, 16, 50)
 	cfg.RecordSeries = true
 	cfg.Faults = &FaultPlan{Kills: map[int]int{2: 10}}
-	cfg.AllowPartial = true
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +126,11 @@ func TestClusterFaultAllowPartialAggregatesSurvivors(t *testing.T) {
 		t.Fatalf("failed=%d survivors=%d, want 1/3", len(res.Failed), len(res.Racks))
 	}
 	f := res.Failed[0]
-	if f.Rack != 2 || f.Epoch != 10 || f.Attempts != 1 {
-		t.Errorf("rack error = %+v, want rack 2 at epoch 10, attempt 1", f)
+	if f.Rack != 2 || f.Epoch != 10 {
+		t.Errorf("rack error = %+v, want rack 2 at epoch 10", f)
+	}
+	if want := "cluster: rack 2 (rack2) failed after 10 epochs: injected fault"; !strings.HasPrefix(f.Error(), want) {
+		t.Errorf("rack error text = %q, want prefix %q", f.Error(), want)
 	}
 	if f.Partial == nil || f.Partial.Epochs != 10 || len(f.Partial.SprintersPerEpoch) != 10 {
 		t.Errorf("partial result missing or wrong length: %+v", f.Partial)
@@ -159,64 +163,6 @@ func TestClusterFaultAllowPartialAggregatesSurvivors(t *testing.T) {
 	}
 }
 
-func TestClusterFaultTransientRetryRecovers(t *testing.T) {
-	cfg := testCluster(t, 3, 16, 50)
-	cfg.Faults = &FaultPlan{Kills: map[int]int{0: 5}, Transient: true}
-	cfg.MaxRetries = 2
-	metrics := telemetry.NewRegistry()
-	cfg.Metrics = metrics
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failed) != 0 {
-		t.Fatalf("transient fault with retries must recover, failed: %+v", res.Failed)
-	}
-	r0 := res.Racks[0]
-	if r0.Rack != 0 || r0.Attempts != 2 {
-		t.Fatalf("rack 0 = %+v, want attempts 2", r0)
-	}
-	// The retry runs on a fresh derived stream, and the recorded seed is
-	// the one the successful attempt actually used.
-	base := cfg.rackConfig(0).Seed
-	if r0.Seed != retrySeed(base, 1) {
-		t.Errorf("retry seed = %d, want retrySeed(%d, 1) = %d", r0.Seed, base, retrySeed(base, 1))
-	}
-	if r0.Sim.Epochs != cfg.Epochs {
-		t.Errorf("recovered rack ran %d epochs, want %d", r0.Sim.Epochs, cfg.Epochs)
-	}
-	if res.Retries != 1 {
-		t.Errorf("retries = %d, want 1", res.Retries)
-	}
-	if got := metrics.Counter("cluster.retries").Value(); got != 1 {
-		t.Errorf("cluster.retries = %d, want 1", got)
-	}
-	if got := metrics.Counter("cluster.rack_failures").Value(); got != 0 {
-		t.Errorf("cluster.rack_failures = %d, want 0", got)
-	}
-}
-
-func TestClusterFaultRetriesExhausted(t *testing.T) {
-	cfg := testCluster(t, 3, 16, 50)
-	cfg.Faults = &FaultPlan{Kills: map[int]int{0: 5}} // permanent: re-fires every attempt
-	cfg.MaxRetries = 2
-	cfg.AllowPartial = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failed) != 1 {
-		t.Fatalf("failed = %+v, want rack 0", res.Failed)
-	}
-	f := res.Failed[0]
-	if f.Rack != 0 || f.Attempts != 3 || f.Epoch != 5 {
-		t.Errorf("rack error = %+v, want rack 0, 3 attempts, epoch 5", f)
-	}
-	if res.Retries != 2 {
-		t.Errorf("retries = %d, want 2", res.Retries)
-	}
-}
-
 func TestClusterFaultPolicyFactoryFailure(t *testing.T) {
 	base := testCluster(t, 3, 16, 50)
 	base.Policy = func(rack int, spec RackSpec, simCfg sim.Config) (policy.Policy, error) {
@@ -225,17 +171,8 @@ func TestClusterFaultPolicyFactoryFailure(t *testing.T) {
 		}
 		return policy.NewGreedy(0), nil
 	}
-	base.MaxRetries = 3 // must not retry a non-restartable failure
 
-	cfg := base
-	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "rack 1") || !strings.Contains(err.Error(), "policy") {
-		t.Errorf("fail-fast policy error = %v, want rack 1 policy failure", err)
-	}
-
-	cfg = base
-	cfg.AllowPartial = true
-	res, err := Run(cfg)
+	res, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,18 +180,20 @@ func TestClusterFaultPolicyFactoryFailure(t *testing.T) {
 		t.Fatalf("failed = %+v, want rack 1", res.Failed)
 	}
 	f := res.Failed[0]
-	if f.Epoch != -1 || f.Attempts != 1 || f.Partial != nil {
-		t.Errorf("policy failure = %+v, want epoch -1, 1 attempt, no partial", f)
+	if f.Epoch != -1 || f.Partial != nil {
+		t.Errorf("policy failure = %+v, want epoch -1, no partial", f)
 	}
-	if len(res.Racks) != 2 || res.Retries != 0 {
-		t.Errorf("survivors = %d retries = %d, want 2 and 0", len(res.Racks), res.Retries)
+	if !strings.Contains(f.Error(), "rack 1") || !strings.Contains(f.Error(), "policy") {
+		t.Errorf("policy error = %v, want rack 1 policy failure", f.Error())
+	}
+	if len(res.Racks) != 2 {
+		t.Errorf("survivors = %d, want 2", len(res.Racks))
 	}
 }
 
 func TestClusterFaultAllRacksFailErrors(t *testing.T) {
 	cfg := testCluster(t, 3, 16, 50)
 	cfg.Faults = &FaultPlan{Kills: map[int]int{0: 1, 1: 2, 2: 3}}
-	cfg.AllowPartial = true
 	res, err := Run(cfg)
 	if res != nil || err == nil || !strings.Contains(err.Error(), "all 3 racks failed") {
 		t.Errorf("all-failed run: res=%v err=%v", res, err)
@@ -264,7 +203,6 @@ func TestClusterFaultAllRacksFailErrors(t *testing.T) {
 func TestClusterFaultTelemetry(t *testing.T) {
 	cfg := testCluster(t, 4, 16, 40)
 	cfg.Faults = &FaultPlan{Kills: map[int]int{1: 7}}
-	cfg.AllowPartial = true
 	metrics := telemetry.NewRegistry()
 	var trace bytes.Buffer
 	cfg.Metrics = metrics
@@ -327,13 +265,11 @@ func TestClusterFaultTelemetry(t *testing.T) {
 }
 
 // TestClusterFaultDeterministicAcrossWorkerCounts is the acceptance
-// gate: an active FaultPlan with retries and degraded aggregation must
-// produce byte-identical results and traces for every pool size.
+// gate: an active FaultPlan with degraded aggregation must produce
+// byte-identical results and traces for every pool size.
 func TestClusterFaultDeterministicAcrossWorkerCounts(t *testing.T) {
 	base := testCluster(t, 8, 16, 120, "decision", "pagerank")
 	base.Faults = &FaultPlan{Rate: 0.4, Kills: map[int]int{5: 60}}
-	base.AllowPartial = true
-	base.MaxRetries = 1
 
 	run := func(workers int) (*Result, []byte) {
 		cfg := base

@@ -16,14 +16,12 @@ import (
 
 // TestClusterSpanTraceDeterministicAcrossWorkers asserts the span
 // trace — cluster.run root, cluster.rack and cluster.epoch children — is
-// byte-identical for every worker-pool size, with fault injection and
-// retries active. Clock-less tracers omit span
-// timings, which is what makes this possible.
+// byte-identical for every worker-pool size, with fault injection
+// active. Clock-less tracers omit span timings, which is what makes
+// this possible.
 func TestClusterSpanTraceDeterministicAcrossWorkers(t *testing.T) {
 	base := testCluster(t, 8, 16, 200, "decision", "pagerank")
-	base.Faults = &FaultPlan{Kills: map[int]int{2: 50}, Rate: 0.25, Transient: true}
-	base.MaxRetries = 1
-	base.AllowPartial = true
+	base.Faults = &FaultPlan{Kills: map[int]int{2: 50}, Rate: 0.25}
 
 	run := func(workers int) []byte {
 		cfg := base
@@ -65,7 +63,6 @@ func TestClusterSpanTraceDeterministicAcrossWorkers(t *testing.T) {
 func TestClusterSpanTreeWiring(t *testing.T) {
 	cfg := testCluster(t, 4, 16, 100)
 	cfg.Faults = &FaultPlan{Kills: map[int]int{1: 10}}
-	cfg.AllowPartial = true
 	var trace bytes.Buffer
 	cfg.Tracer = telemetry.NewTracer(&trace)
 	if _, err := Run(cfg); err != nil {
@@ -153,9 +150,7 @@ func TestClusterMetricsScrapeUnderLoad(t *testing.T) {
 
 	cfg := testCluster(t, 8, 16, 200, "decision", "pagerank")
 	cfg.Metrics = reg
-	cfg.Faults = &FaultPlan{Rate: 0.3, Transient: true}
-	cfg.MaxRetries = 1
-	cfg.AllowPartial = true
+	cfg.Faults = &FaultPlan{Rate: 0.3}
 	cfg.Workers = 4
 
 	done := make(chan struct{})

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"sprintgame/internal/markov"
 )
 
 // MultiThroughput is the analytic long-run system rate when each class
@@ -49,19 +47,10 @@ func EvaluateThresholds(classes []AgentClass, thresholds []float64, cfg Config) 
 	out := MultiThroughput{Ptrip: ptrip, Sprinters: nS, ClassRates: make([]float64, len(classes))}
 	for i, c := range classes {
 		ps := SprintProbability(c.Density, thresholds[i])
-		chain, err := markov.FullStateChain(ps, cfg.Pc, cfg.Pr, ptrip)
+		rate, _, err := agentRate(c.Density, thresholds[i], ps, ptrip, cfg)
 		if err != nil {
 			return MultiThroughput{}, err
 		}
-		pi, err := chain.Stationary()
-		if err != nil {
-			return MultiThroughput{}, err
-		}
-		condMean := 1.0
-		if ps > 0 {
-			condMean = c.Density.TailMean(thresholds[i]) / ps
-		}
-		rate := pi[markov.StateActive]*((1-ps)+ps*condMean) + pi[markov.StateCooling]
 		out.ClassRates[i] = rate
 		out.Rate += rate * float64(c.Count) / float64(cfg.N)
 	}
@@ -95,16 +84,10 @@ func CooperativeThresholdMulti(classes []AgentClass, cfg Config) (thresholds []f
 	for sweep := 0; sweep < 20; sweep++ {
 		improved := false
 		for i, c := range classes {
-			vals := c.Density.Values()
-			lo, hi := c.Density.Support()
-			candidates := []float64{lo - 1, hi + 1}
-			for j := 0; j+1 < len(vals); j++ {
-				candidates = append(candidates, (vals[j]+vals[j+1])/2)
-			}
 			bestTh := thresholds[i]
 			bestRate := best.Rate
 			trial := append([]float64(nil), thresholds...)
-			for _, th := range candidates {
+			for _, th := range thresholdCandidates(c.Density) {
 				trial[i] = th
 				mt, err := EvaluateThresholds(classes, trial, cfg)
 				if err != nil {

@@ -45,10 +45,15 @@ func TestEvaluateThresholdsMatchesSingleClass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Both run the same rate model, so the class rate and Ptrip are
+		// bit-identical; Rate is rate·count/N, which need not round back.
+		if multi.ClassRates[0] != single.Rate {
+			t.Errorf("th=%v: class rate %v vs single %v", th, multi.ClassRates[0], single.Rate)
+		}
 		if !almost(multi.Rate, single.Rate, 1e-9) {
 			t.Errorf("th=%v: multi %v vs single %v", th, multi.Rate, single.Rate)
 		}
-		if !almost(multi.Ptrip, single.Ptrip, 1e-9) {
+		if multi.Ptrip != single.Ptrip {
 			t.Errorf("th=%v: Ptrip %v vs %v", th, multi.Ptrip, single.Ptrip)
 		}
 	}

@@ -54,23 +54,10 @@ func EvaluateThreshold(f *dist.Discrete, threshold float64, cfg Config) (Through
 	pa := ActiveFraction(ps, cfg.Pc)
 	nS := ps * pa * float64(cfg.N)
 	ptrip := cfg.Trip.Ptrip(nS)
-
-	chain, err := markov.FullStateChain(ps, cfg.Pc, cfg.Pr, ptrip)
+	rate, pi, err := agentRate(f, threshold, ps, ptrip, cfg)
 	if err != nil {
 		return Throughput{}, err
 	}
-	pi, err := chain.Stationary()
-	if err != nil {
-		return Throughput{}, fmt.Errorf("core: stationary solve: %w", err)
-	}
-	// Mean utility of epochs the agent chooses to sprint.
-	condMean := 1.0
-	if ps > 0 {
-		condMean = f.TailMean(threshold) / ps
-	}
-	active := pi[markov.StateActive]
-	cooling := pi[markov.StateCooling]
-	rate := active*((1-ps)*1+ps*condMean) + cooling*1
 	return Throughput{
 		Threshold:   threshold,
 		Rate:        rate,
@@ -78,8 +65,45 @@ func EvaluateThreshold(f *dist.Discrete, threshold float64, cfg Config) (Through
 		ActiveFrac:  pa,
 		Sprinters:   nS,
 		Ptrip:       ptrip,
-		StateShares: [3]float64{active, cooling, pi[markov.StateRecovery]},
+		StateShares: [3]float64{pi[markov.StateActive], pi[markov.StateCooling], pi[markov.StateRecovery]},
 	}, nil
+}
+
+// agentRate is one agent's long-run task rate when it sprints above
+// threshold against density f (sprint probability ps) under tripping
+// probability ptrip. It returns the rate and the stationary occupancies
+// of the agent's full-state chain: an active epoch completes 1 unit, or
+// the mean sprinted utility when the agent sprints, and a cooling epoch
+// completes 1 unit.
+func agentRate(f *dist.Discrete, threshold, ps, ptrip float64, cfg Config) (float64, []float64, error) {
+	chain, err := markov.FullStateChain(ps, cfg.Pc, cfg.Pr, ptrip)
+	if err != nil {
+		return 0, nil, err
+	}
+	pi, err := chain.Stationary()
+	if err != nil {
+		return 0, nil, fmt.Errorf("core: stationary solve: %w", err)
+	}
+	// Mean utility of epochs the agent chooses to sprint.
+	condMean := 1.0
+	if ps > 0 {
+		condMean = f.TailMean(threshold) / ps
+	}
+	return pi[markov.StateActive]*((1-ps)+ps*condMean) + pi[markov.StateCooling], pi, nil
+}
+
+// thresholdCandidates lists the thresholds worth searching against f:
+// one below and one above the support, then the midpoint of each pair
+// of adjacent atoms. Thresholds between the same two atoms sprint on
+// the same utilities, so no other threshold does better.
+func thresholdCandidates(f *dist.Discrete) []float64 {
+	lo, hi := f.Support()
+	candidates := []float64{lo - 1, hi + 1}
+	vals := f.Values()
+	for i := 0; i+1 < len(vals); i++ {
+		candidates = append(candidates, (vals[i]+vals[i+1])/2)
+	}
+	return candidates
 }
 
 // DeviantRate returns the long-run task rate of a single agent playing
@@ -97,20 +121,8 @@ func DeviantRate(f *dist.Discrete, threshold, ptrip float64, cfg Config) (float6
 	if ptrip < 0 || ptrip > 1 {
 		return 0, fmt.Errorf("core: ptrip = %v is not a probability", ptrip)
 	}
-	ps := SprintProbability(f, threshold)
-	chain, err := markov.FullStateChain(ps, cfg.Pc, cfg.Pr, ptrip)
-	if err != nil {
-		return 0, err
-	}
-	pi, err := chain.Stationary()
-	if err != nil {
-		return 0, err
-	}
-	condMean := 1.0
-	if ps > 0 {
-		condMean = f.TailMean(threshold) / ps
-	}
-	return pi[markov.StateActive]*((1-ps)+ps*condMean) + pi[markov.StateCooling], nil
+	rate, _, err := agentRate(f, threshold, SprintProbability(f, threshold), ptrip, cfg)
+	return rate, err
 }
 
 // OptimalLongRunThreshold searches for the threshold that maximizes a
@@ -125,14 +137,9 @@ func OptimalLongRunThreshold(f *dist.Discrete, ptrip float64, cfg Config) (thres
 	if f == nil || f.Len() == 0 {
 		return 0, 0, errors.New("core: empty utility density")
 	}
-	lo, hi := f.Support()
-	candidates := []float64{lo - 1, hi + 1}
-	vals := f.Values()
-	for i := 0; i+1 < len(vals); i++ {
-		candidates = append(candidates, (vals[i]+vals[i+1])/2)
-	}
+	candidates := thresholdCandidates(f)
 	bestRate := math.Inf(-1)
-	bestTh := lo - 1
+	bestTh := candidates[0]
 	for _, th := range candidates {
 		r, err := DeviantRate(f, th, ptrip, cfg)
 		if err != nil {
@@ -167,13 +174,7 @@ func CooperativeThreshold(f *dist.Discrete, cfg Config) (CooperativeResult, erro
 	if f == nil || f.Len() == 0 {
 		return CooperativeResult{}, errors.New("core: empty utility density")
 	}
-	lo, hi := f.Support()
-	candidates := []float64{lo - 1, hi + 1}
-	vals := f.Values()
-	for i := 0; i+1 < len(vals); i++ {
-		candidates = append(candidates, (vals[i]+vals[i+1])/2)
-	}
-	candidates = append(candidates, vals...)
+	candidates := append(thresholdCandidates(f), f.Values()...)
 	best := Throughput{Rate: math.Inf(-1)}
 	for _, th := range candidates {
 		t, err := EvaluateThreshold(f, th, cfg)

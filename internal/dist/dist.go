@@ -241,7 +241,9 @@ func (d *Discrete) Scale(k float64) *Discrete {
 }
 
 // FromSamples builds a Discrete by histogramming samples into bins
-// equal-width bins. Bin centers become atoms. bins must be >= 1.
+// equal-width bins. Bin centers become atoms. bins must be >= 1. When
+// every sample is equal the result is the exact one-atom density at
+// that value.
 func FromSamples(samples []float64, bins int) (*Discrete, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("dist: no samples")
@@ -249,7 +251,11 @@ func FromSamples(samples []float64, bins int) (*Discrete, error) {
 	if bins < 1 {
 		return nil, errors.New("dist: bins must be >= 1")
 	}
-	h, err := NewHistogram(stats.Min(samples), stats.Max(samples)+1e-12, bins)
+	lo, hi := stats.Min(samples), stats.Max(samples)
+	if lo == hi {
+		return NewDiscrete([]float64{lo}, []float64{1})
+	}
+	h, err := NewHistogram(lo, hi+1e-12, bins)
 	if err != nil {
 		return nil, err
 	}

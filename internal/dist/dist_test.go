@@ -145,6 +145,27 @@ func TestFromSamples(t *testing.T) {
 	}
 }
 
+// TestFromSamplesConstant: equal samples give the exact one-atom
+// density, at any magnitude. A histogram over [v, v+1e-12) would shift
+// a small atom, and its range is empty once 1e-12 is below half an ulp
+// of v (1e5 here).
+func TestFromSamplesConstant(t *testing.T) {
+	for _, v := range []float64{1.5, 1e4, 1e5} {
+		d, err := FromSamples([]float64{v, v, v}, 20)
+		if err != nil {
+			t.Errorf("FromSamples(%v x3): %v", v, err)
+			continue
+		}
+		if d.Len() != 1 {
+			t.Errorf("FromSamples(%v x3) has %d atoms, want 1", v, d.Len())
+			continue
+		}
+		if x, p := d.Atom(0); x != v || p != 1 {
+			t.Errorf("FromSamples(%v x3) atom = (%v, %v), want (%v, 1)", v, x, p, v)
+		}
+	}
+}
+
 func TestDiscretizeUniform(t *testing.T) {
 	d, err := Discretize(Uniform{Lo: 0, Hi: 1}, 10)
 	if err != nil {

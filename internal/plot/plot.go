@@ -68,11 +68,8 @@ func Chart(w io.Writer, title string, width int, series ...Series) error {
 		}
 	}
 	for _, s := range series {
-		binned := Bin(s.Values, width)
-		// Rescale against the global bounds so series are comparable.
-		scaled := make([]float64, len(binned))
-		copy(scaled, binned)
-		line := sparklineScaled(scaled, lo, hi)
+		// Scale against the global bounds so series are comparable.
+		line := sparklineScaled(Bin(s.Values, width), lo, hi)
 		if _, err := fmt.Fprintf(w, "%-*s |%s|\n", labelWidth, s.Label, line); err != nil {
 			return err
 		}

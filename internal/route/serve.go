@@ -19,10 +19,9 @@ import (
 type Config struct {
 	// Cluster shapes the datacenter: racks, epochs, game parameters,
 	// seeds, worker pool, sprint-policy factory, fault plan, and
-	// telemetry sinks. Serving mode ignores the batch-only fields
-	// AllowPartial and MaxRetries: a killed rack is permanent and its
-	// queue is rerouted to survivors, which *is* the recovery
-	// mechanism.
+	// telemetry sinks. A killed rack is permanent, as in a batch
+	// cluster.Run, and its queue is rerouted to survivors, which *is*
+	// the recovery mechanism.
 	Cluster cluster.Config
 	// Arrivals generates the offered load.
 	Arrivals Arrivals
@@ -414,7 +413,7 @@ func Serve(cfg Config) (_ *Result, err error) {
 			partial := rs.stepper.Finalize()
 			fault := &cluster.RackFault{Rack: i, Epoch: epoch}
 			failed = append(failed, cluster.RackError{
-				Rack: i, Name: rs.snap.Name, Epoch: epoch, Attempts: 1,
+				Rack: i, Name: rs.snap.Name, Epoch: epoch,
 				Err: fault, Partial: partial,
 			})
 			orphans := rs.queue.ids[rs.queue.head:]

@@ -299,7 +299,7 @@ func TestServeMatchesBatchSimulation(t *testing.T) {
 // TestServeKillsMatchesBatch: a fault kill is one value in both engines.
 // The batch engine and the serving layer stop a killed rack's stepper at
 // the kill epoch and report the same RackError — rack, name, epoch,
-// attempts, the bare RackFault and the partial result, series included.
+// the bare RackFault and the partial result, series included.
 // With TestServeKilledRacksStopAtKillEpoch pinning the serving partial
 // to a fresh stepper, this pins the batch partial too.
 func TestServeKillsMatchesBatch(t *testing.T) {
@@ -311,7 +311,6 @@ func TestServeKillsMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc.AllowPartial = true
 	batch, err := cluster.Run(cc)
 	if err != nil {
 		t.Fatal(err)

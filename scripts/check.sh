@@ -56,7 +56,7 @@ echo "== go test -race -run 'Binary|Singleflight|Coalesce|ConcurrentSubmitAndFet
 go test -race -run 'Binary|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh' ./internal/coord ./internal/core
 
 # Fault injection exercises the engine's degraded paths (mid-run rack
-# kills, retries on derived streams, partial aggregation) across worker
+# kills, partial results, aggregation over the survivors) across worker
 # counts, where a data race would silently break the determinism
 # contract.
 echo "== go test -race -run Fault ./internal/cluster"
@@ -162,19 +162,32 @@ grep -q 'core.solve' "$SMOKE/sim-view.txt"
 grep -q 'solver.iter' "$SMOKE/sim-view.txt"
 grep -q 'sim.epoch' "$SMOKE/sim-view.txt"
 spans_only "$SMOKE/sim-spans.jsonl"
-"$SMOKE/cluster" -racks 4 -chips 64 -epochs 50 -faults 1@10 -allow-partial \
-	-trace "$SMOKE/cluster-spans.jsonl" >/dev/null
+# A killed rack degrades the run: it prints the DEGRADED report and
+# exits 0, as serving does.
+"$SMOKE/cluster" -racks 4 -chips 64 -epochs 50 -faults 1@10 \
+	-trace "$SMOKE/cluster-spans.jsonl" >"$SMOKE/cluster-degraded.txt"
+grep -q '^DEGRADED: 1/4 racks failed' "$SMOKE/cluster-degraded.txt"
 "$SMOKE/traceview" "$SMOKE/cluster-spans.jsonl" >"$SMOKE/cluster-view.txt"
 grep -q 'cluster.rack' "$SMOKE/cluster-view.txt"
 grep -q 'cluster.epoch' "$SMOKE/cluster-view.txt"
 spans_only "$SMOKE/cluster-spans.jsonl"
-# Without -allow-partial the same run fails, and its span tree — the
+# The clock-less trace of that degraded run is the same for every
+# worker count.
+"$SMOKE/cluster" -racks 4 -chips 64 -epochs 50 -faults 1@10 -workers 1 \
+	-trace "$SMOKE/cluster-w1.jsonl" >/dev/null
+"$SMOKE/cluster" -racks 4 -chips 64 -epochs 50 -faults 1@10 -workers 4 \
+	-trace "$SMOKE/cluster-w4.jsonl" >/dev/null
+if ! cmp -s "$SMOKE/cluster-w1.jsonl" "$SMOKE/cluster-w4.jsonl"; then
+	echo "cluster -faults trace differs between -workers 1 and -workers 4" >&2
+	exit 1
+fi
+# When every rack is killed the run fails, and its span tree — each
 # failed rack's span with the fault's epoch and error — must still
 # reach the trace file whole. The error is the bare injected fault,
 # the same text the serving layer reports for a killed rack.
-if "$SMOKE/cluster" -racks 4 -chips 64 -epochs 50 -faults 1@10 \
+if "$SMOKE/cluster" -racks 4 -chips 64 -epochs 50 -faults 0@10,1@10,2@10,3@10 \
 	-trace "$SMOKE/failed-spans.jsonl" >/dev/null 2>&1; then
-	echo "cluster run with a killed rack and no -allow-partial succeeded" >&2
+	echo "cluster run with every rack killed succeeded" >&2
 	exit 1
 fi
 grep -q '"epoch":10,"error":"injected fault: rack 1 killed at epoch 10"' "$SMOKE/failed-spans.jsonl"
