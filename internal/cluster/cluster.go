@@ -118,8 +118,11 @@ type Config struct {
 	Faults *FaultPlan
 }
 
-// Validate checks the cluster configuration (policy presence and rack
-// shapes; per-rack game validation happens in sim.NewStepper).
+// Validate checks the cluster configuration: the policy factory, the
+// fault plan, and each rack's resolved simulation configuration. A rack
+// that could never start (its groups do not sum to its game's N, say) is
+// an input error that fails the run; only a policy-factory failure or a
+// kill degrades it.
 func (c Config) Validate() error {
 	if len(c.Racks) == 0 {
 		return errors.New("cluster: need at least one rack")
@@ -130,9 +133,9 @@ func (c Config) Validate() error {
 	if c.Policy == nil {
 		return errors.New("cluster: nil policy factory")
 	}
-	for i, spec := range c.Racks {
-		if len(spec.Groups) == 0 {
-			return fmt.Errorf("cluster: rack %d has no agent groups", i)
+	for i := range c.Racks {
+		if err := c.rackConfig(i).Validate(); err != nil {
+			return fmt.Errorf("cluster: rack %d: %w", i, err)
 		}
 	}
 	if c.Faults != nil {

@@ -312,18 +312,14 @@ func TestClusterValidation(t *testing.T) {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
-	// A rack whose groups don't sum to N must surface sim's error with
-	// the rack index. It never starts, so it fails at epoch -1 and the
-	// other rack still runs.
+	// A rack whose groups don't sum to N is an input error: Run fails
+	// with sim's error and the rack index instead of degrading.
 	cfg := good
 	cfg.Racks = append([]RackSpec{}, good.Racks...)
 	cfg.Racks[1].Groups = []sim.Group{{Class: "decision", Count: 5, Bench: cfg.Racks[0].Groups[0].Bench}}
 	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Failed) != 1 || res.Failed[0].Epoch != -1 || !strings.Contains(res.Failed[0].Error(), "rack 1") {
-		t.Errorf("want rack 1 to fail at epoch -1 with a rack-indexed error, got %+v", res.Failed)
+	if res != nil || err == nil || !strings.Contains(err.Error(), "cluster: rack 1: sim: group counts sum to 5") {
+		t.Errorf("want a Run error naming rack 1, got res=%v err=%v", res, err)
 	}
 }
 

@@ -134,8 +134,8 @@ type RackError struct {
 	// Name is the rack's label.
 	Name string
 	// Epoch is the number of epochs the rack completed before failing;
-	// -1 when the rack never started (policy construction or
-	// configuration failure).
+	// -1 when the rack never started (its policy or stepper could not
+	// be built).
 	Epoch int
 	// Err is the underlying error.
 	Err error

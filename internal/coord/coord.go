@@ -36,19 +36,21 @@ type Profile struct {
 	Weights []float64 `json:"weights"`
 }
 
-// Validate checks the profile.
-func (p Profile) Validate() error {
+// density checks the profile and returns its normalized utility
+// density.
+func (p Profile) density() (*dist.Discrete, error) {
 	if p.Agent == "" || p.Class == "" {
-		return errors.New("coord: profile needs agent and class identifiers")
+		return nil, errors.New("coord: profile needs agent and class identifiers")
 	}
 	if len(p.Values) == 0 || len(p.Values) != len(p.Weights) {
-		return fmt.Errorf("coord: profile has %d values and %d weights",
+		return nil, fmt.Errorf("coord: profile has %d values and %d weights",
 			len(p.Values), len(p.Weights))
 	}
-	if _, err := dist.NewDiscrete(p.Values, p.Weights); err != nil {
-		return fmt.Errorf("coord: invalid profile density: %w", err)
+	d, err := dist.NewDiscrete(p.Values, p.Weights)
+	if err != nil {
+		return nil, fmt.Errorf("coord: invalid profile density: %w", err)
 	}
-	return nil
+	return d, nil
 }
 
 // Strategy is the coordinator's assignment to one class (§2.3): the
@@ -72,13 +74,29 @@ type Coordinator struct {
 	// cache, when non-nil, routes the one solve per pooled version
 	// through a shared core.SolveCache, so coordinators (or profile sets
 	// that return to an earlier mix) reuse each other's equilibria.
-	cache    *core.SolveCache
-	profiles map[string]Profile // by agent id
+	cache *core.SolveCache
+	// classOf maps each registered agent to its class.
+	classOf map[string]string
+	// classes holds each class's agents and pooled density. A class
+	// with no agents is deleted.
+	classes map[string]*classPool
 	// pooled memoizes the per-class pooled densities and their
 	// equilibrium between profile changes: the answer only changes when
 	// a Submit lands (§2.3), so a fetch in between neither re-pools nor
 	// re-solves. Nil means dirty.
 	pooled *pooledClasses
+}
+
+// classPool is one class's registered agents and, once a fetch has
+// needed it, their pooled density.
+type classPool struct {
+	// densities holds each agent's normalized profile density, built
+	// once at Submit.
+	densities map[string]*dist.Discrete // by agent id
+	// pooled is the class's pooled density, nil while a Submit has
+	// changed the class since it was last pooled. A pooled density is
+	// immutable, so an unchanged class reuses it across versions.
+	pooled *dist.Discrete
 }
 
 // pooledClasses is the memoized result of pooling all profiles, plus
@@ -101,7 +119,11 @@ func NewCoordinator(cfg core.Config) (*Coordinator, error) {
 	if err := probe.Validate(); err != nil {
 		return nil, err
 	}
-	return &Coordinator{cfg: cfg, profiles: make(map[string]Profile)}, nil
+	return &Coordinator{
+		cfg:     cfg,
+		classOf: make(map[string]string),
+		classes: make(map[string]*classPool),
+	}, nil
 }
 
 // UseCache attaches a solve cache: the coordinator's one solve per
@@ -114,15 +136,32 @@ func (c *Coordinator) UseCache(cache *core.SolveCache) {
 	c.mu.Unlock()
 }
 
-// Submit registers or replaces an agent's profile.
+// Submit registers or replaces an agent's profile. Only the agent's
+// class, and its old class if it moved, are re-pooled on the next fetch.
 func (c *Coordinator) Submit(p Profile) error {
-	if err := p.Validate(); err != nil {
+	d, err := p.density()
+	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.profiles[p.Agent] = p
-	c.pooled = nil // pooled densities are stale
+	if old, ok := c.classOf[p.Agent]; ok && old != p.Class {
+		cp := c.classes[old]
+		delete(cp.densities, p.Agent)
+		cp.pooled = nil
+		if len(cp.densities) == 0 {
+			delete(c.classes, old)
+		}
+	}
+	c.classOf[p.Agent] = p.Class
+	cp := c.classes[p.Class]
+	if cp == nil {
+		cp = &classPool{densities: make(map[string]*dist.Discrete)}
+		c.classes[p.Class] = cp
+	}
+	cp.densities[p.Agent] = d
+	cp.pooled = nil
+	c.pooled = nil // the pooled version is stale
 	return nil
 }
 
@@ -167,20 +206,21 @@ func (c *Coordinator) ComputeStrategies() (map[string]Strategy, *core.Equilibriu
 // disables tracing.
 //
 // Between Submits a call reuses the memoized equilibrium: no solve, no
-// cache lookup, no SolveKey. The first call after a Submit pools and
-// solves once while holding the coordinator's lock, so concurrent
-// callers wait for that one solve instead of repeating it. The solve
-// (or a cache wait on another coordinator's identical solve) never
-// calls back into this coordinator, so holding c.mu across it cannot
-// deadlock.
+// cache lookup, no SolveKey. The first call after a Submit re-pools the
+// classes it changed and solves once while holding the coordinator's
+// lock, so concurrent callers wait for that one solve instead of
+// repeating it. The solve (or a cache wait on another coordinator's
+// identical solve) never calls back into this coordinator, so holding
+// c.mu across it cannot deadlock.
 func (c *Coordinator) ComputeStrategiesSpanned(span *telemetry.Span) (map[string]Strategy, *core.Equilibrium, error) {
 	pool := span.Child("coord.pool")
 	c.mu.Lock()
 	pc := c.pooled
 	memoized := pc != nil
+	repooled := 0
 	if !memoized {
 		var err error
-		if pc, err = c.poolLocked(); err != nil {
+		if pc, repooled, err = c.poolLocked(); err != nil {
 			c.mu.Unlock()
 			pool.EndWith(telemetry.Fields{"error": err.Error()})
 			return nil, nil, err
@@ -188,7 +228,8 @@ func (c *Coordinator) ComputeStrategiesSpanned(span *telemetry.Span) (map[string
 		c.pooled = pc
 	}
 	pool.EndWith(telemetry.Fields{
-		"classes": len(pc.classes), "agents": pc.agents, "memoized": memoized})
+		"classes": len(pc.classes), "agents": pc.agents, "memoized": memoized,
+		"repooled": repooled})
 	eq := pc.eq
 	if eq == nil {
 		cfg := c.cfg
@@ -229,61 +270,63 @@ func (c *Coordinator) ComputeStrategiesSpanned(span *telemetry.Span) (map[string
 	return out, eq, nil
 }
 
-// poolLocked merges all registered profiles into per-class pooled
-// densities. Caller holds c.mu; the result is memoized until the next
+// poolLocked assembles the per-class pooled densities and reports how
+// many classes it re-pooled: only those a Submit changed since they were
+// last pooled. Caller holds c.mu; the result is memoized until the next
 // Submit. Holding the lock through pooling serializes concurrent first
 // requests after a profile change, so the pooling work happens once,
 // not once per waiter.
-func (c *Coordinator) poolLocked() (*pooledClasses, error) {
-	type classAgg struct {
-		count   int
-		values  []float64
-		weights []float64
+func (c *Coordinator) poolLocked() (*pooledClasses, int, error) {
+	if len(c.classes) == 0 {
+		return nil, 0, errors.New("coord: no profiles registered")
 	}
-	agg := make(map[string]*classAgg)
-	// Pool profiles in sorted agent order: floating-point pooling is
-	// order-sensitive, and a canonical order keeps the pooled densities
-	// (and therefore the equilibrium) independent of submit order.
-	agents := make([]string, 0, len(c.profiles))
-	for id := range c.profiles {
-		agents = append(agents, id)
-	}
-	sort.Strings(agents)
-	for _, id := range agents {
-		p := c.profiles[id]
-		a := agg[p.Class]
-		if a == nil {
-			a = &classAgg{}
-			agg[p.Class] = a
-		}
-		a.count++
-		// Pool observations: per-agent weights are normalized before
-		// pooling so large profiles don't dominate their class.
-		d, err := dist.NewDiscrete(p.Values, p.Weights)
-		if err != nil {
-			return nil, err
-		}
-		a.values = append(a.values, d.Values()...)
-		a.weights = append(a.weights, d.Probs()...)
-	}
-	if len(agg) == 0 {
-		return nil, errors.New("coord: no profiles registered")
-	}
-	names := make([]string, 0, len(agg))
-	for name := range agg {
+	names := make([]string, 0, len(c.classes))
+	for name := range c.classes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
-	pc := &pooledClasses{agents: len(agents)}
+	pc := &pooledClasses{agents: len(c.classOf)}
+	repooled := 0
 	for _, name := range names {
-		a := agg[name]
-		d, err := poolAtoms(a.values, a.weights)
-		if err != nil {
-			return nil, fmt.Errorf("coord: pooling class %q: %w", name, err)
+		cp := c.classes[name]
+		if cp.pooled == nil {
+			d, err := cp.pool()
+			if err != nil {
+				return nil, repooled, fmt.Errorf("coord: pooling class %q: %w", name, err)
+			}
+			cp.pooled = d
+			repooled++
 		}
-		pc.classes = append(pc.classes, core.AgentClass{Name: name, Count: a.count, Density: d})
-		pc.n += a.count
+		n := len(cp.densities)
+		pc.classes = append(pc.classes, core.AgentClass{Name: name, Count: n, Density: cp.pooled})
+		pc.n += n
 	}
-	return pc, nil
+	return pc, repooled, nil
+}
+
+// pool merges the class's agent densities into one. Agents are pooled
+// in sorted ID order: floating-point pooling is order-sensitive, and a
+// canonical order keeps the pooled density (and therefore the
+// equilibrium) independent of submit order. Each agent's density is
+// normalized, so large profiles don't dominate their class.
+func (cp *classPool) pool() (*dist.Discrete, error) {
+	agents := make([]string, 0, len(cp.densities))
+	atoms := 0
+	for id, d := range cp.densities {
+		agents = append(agents, id)
+		atoms += d.Len()
+	}
+	sort.Strings(agents)
+	values := make([]float64, 0, atoms)
+	weights := make([]float64, 0, atoms)
+	for _, id := range agents {
+		d := cp.densities[id]
+		for i := 0; i < d.Len(); i++ {
+			x, p := d.Atom(i)
+			values = append(values, x)
+			weights = append(weights, p)
+		}
+	}
+	return poolAtoms(values, weights)
 }

@@ -34,7 +34,7 @@ func profileFor(t *testing.T, id, class string, seed uint64, epochs int) Profile
 
 func TestProfileValidate(t *testing.T) {
 	good := Profile{Agent: "a1", Class: "decision", Values: []float64{1, 2}, Weights: []float64{1, 1}}
-	if err := good.Validate(); err != nil {
+	if _, err := good.density(); err != nil {
 		t.Fatal(err)
 	}
 	cases := []Profile{
@@ -45,7 +45,7 @@ func TestProfileValidate(t *testing.T) {
 		{Agent: "a", Class: "c", Values: []float64{1}, Weights: []float64{-1}},
 	}
 	for i, p := range cases {
-		if p.Validate() == nil {
+		if _, err := p.density(); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}
@@ -77,8 +77,8 @@ func TestCoordinatorEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(c.profiles) != 1000 {
-		t.Fatalf("agent count = %d", len(c.profiles))
+	if len(c.classOf) != 1000 {
+		t.Fatalf("agent count = %d", len(c.classOf))
 	}
 	strategies, eq, err := c.ComputeStrategies()
 	if err != nil {
@@ -185,8 +185,8 @@ func TestSubmitReplacesProfile(t *testing.T) {
 	if err := c.Submit(p); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.profiles) != 1 {
-		t.Errorf("resubmission duplicated the agent: %d", len(c.profiles))
+	if len(c.classOf) != 1 {
+		t.Errorf("resubmission duplicated the agent: %d", len(c.classOf))
 	}
 	if err := c.Submit(Profile{}); err == nil {
 		t.Error("invalid profile should be rejected")
@@ -301,10 +301,7 @@ func TestAgentProfileEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	d, err := dist.NewDiscrete(p.Values, p.Weights)
+	d, err := p.density()
 	if err != nil {
 		t.Fatal(err)
 	}

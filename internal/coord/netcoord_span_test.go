@@ -21,6 +21,8 @@ type spanEvent struct {
 	// Memoized is coord.pool's flag for a fetch that reused the pooled
 	// densities.
 	Memoized bool `json:"memoized"`
+	// Repooled is coord.pool's count of classes it re-pooled.
+	Repooled int `json:"repooled"`
 }
 
 func decodeSpans(t *testing.T, trace []byte) []spanEvent {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -62,6 +63,13 @@ type Discrete struct {
 // NewDiscrete constructs a Discrete PMF from values and weights. Weights
 // must be non-negative with a positive sum; they are normalized. Values
 // need not be sorted or unique; duplicate values are merged.
+//
+// The atoms are sorted with slices.SortFunc rather than sort.Slice,
+// which swaps through a reflection-based swapper. Both run the same
+// generated pdqsort, and the comparator returns -1 exactly when
+// sort.Slice's less (a.x < b.x) would report true, so the permutation
+// is identical. Duplicate values merge in that order, and the merged
+// floating-point sums depend on it (TestNewDiscreteSortParity).
 func NewDiscrete(values, weights []float64) (*Discrete, error) {
 	if len(values) == 0 {
 		return nil, errors.New("dist: empty discrete distribution")
@@ -86,7 +94,15 @@ func NewDiscrete(values, weights []float64) (*Discrete, error) {
 	if total <= 0 {
 		return nil, errors.New("dist: weights sum to zero")
 	}
-	sort.Slice(atoms, func(i, j int) bool { return atoms[i].x < atoms[j].x })
+	slices.SortFunc(atoms, func(a, b atom) int {
+		if a.x < b.x {
+			return -1
+		}
+		if a.x > b.x {
+			return 1
+		}
+		return 0
+	})
 	d := &Discrete{}
 	for _, a := range atoms {
 		p := a.p / total

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -290,5 +291,69 @@ func TestDiscretizeQuantileMatchesUniform(t *testing.T) {
 	}
 	if math.Abs(d.Mean()-0.5) > 1e-9 {
 		t.Errorf("mean = %v", d.Mean())
+	}
+}
+
+// sortSliceDiscrete is NewDiscrete's atom sort and merge as it was with
+// sort.Slice, kept as the reference for TestNewDiscreteSortParity.
+func sortSliceDiscrete(values, weights []float64) (xs, ps []float64) {
+	type atom struct{ x, p float64 }
+	atoms := make([]atom, len(values))
+	total := 0.0
+	for i, v := range values {
+		total += weights[i]
+		atoms[i] = atom{v, weights[i]}
+	}
+	sort.Slice(atoms, func(i, j int) bool { return atoms[i].x < atoms[j].x })
+	for _, a := range atoms {
+		p := a.p / total
+		if p == 0 {
+			continue
+		}
+		if n := len(xs); n > 0 && xs[n-1] == a.x {
+			ps[n-1] += p
+		} else {
+			xs = append(xs, a.x)
+			ps = append(ps, p)
+		}
+	}
+	return xs, ps
+}
+
+// TestNewDiscreteSortParity: NewDiscrete's sort must put equal values in
+// the same order sort.Slice did, because duplicates merge by summing
+// their probabilities in that order and the coordinator's answers are
+// compared bit for bit. A stable sort, say, orders duplicates
+// differently and fails here. Inputs draw 1 to 3000 values from a set of
+// 3 to 7, so nearly every atom has duplicates with distinct weights.
+func TestNewDiscreteSortParity(t *testing.T) {
+	for seed := uint64(1); seed <= 300; seed++ {
+		r := stats.NewRNG(seed)
+		set := make([]float64, 3+r.Intn(5))
+		for i := range set {
+			set[i] = r.Range(-5, 20)
+		}
+		n := 1 + r.Intn(3000)
+		values := make([]float64, n)
+		weights := make([]float64, n)
+		for i := range values {
+			values[i] = set[r.Intn(len(set))]
+			weights[i] = r.Float64()
+		}
+		d, err := NewDiscrete(values, weights)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		xs, ps := sortSliceDiscrete(values, weights)
+		if d.Len() != len(xs) {
+			t.Fatalf("seed %d: %d atoms, sort.Slice reference has %d", seed, d.Len(), len(xs))
+		}
+		for i := range xs {
+			x, p := d.Atom(i)
+			if math.Float64bits(x) != math.Float64bits(xs[i]) || math.Float64bits(p) != math.Float64bits(ps[i]) {
+				t.Fatalf("seed %d (n=%d): atom %d = (%v, %v), sort.Slice reference (%v, %v)",
+					seed, n, i, x, p, xs[i], ps[i])
+			}
+		}
 	}
 }

@@ -273,6 +273,14 @@ func TestServeValidate(t *testing.T) {
 	if _, err := Serve(Config{Cluster: bad, Arrivals: arr, Router: pol}); err == nil {
 		t.Error("invalid cluster config should fail")
 	}
+	// A rack that could never start fails the run, as in batch mode,
+	// rather than being served as dead from epoch 0.
+	bad = cc
+	bad.Racks = append([]cluster.RackSpec{}, cc.Racks...)
+	bad.Racks[1].Groups = []sim.Group{{Class: "decision", Count: 5, Bench: cc.Racks[0].Groups[0].Bench}}
+	if _, err := Serve(Config{Cluster: bad, Arrivals: arr, Router: pol}); err == nil || !strings.Contains(err.Error(), "cluster: rack 1:") {
+		t.Errorf("misconfigured rack: err = %v, want a rack 1 validation error", err)
+	}
 }
 
 // TestServeMatchesBatchSimulation: a serving run's rack simulations are

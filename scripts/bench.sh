@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Benchmark baselines: record the cluster epoch-engine / solve-cache /
-# serving-engine benchmarks and the rack simulator's draw costs as
-# BENCH_cluster.json and the core solver
+# serving-engine benchmarks, the rack simulator's draw costs and the
+# coordinator's resubmit cost as BENCH_cluster.json and the core solver
 # benchmarks
 # (the exact Bellman solve, cold equilibrium solves by class count) as
 # BENCH_core.json — one JSON object per benchmark — so successive PRs
@@ -52,6 +52,10 @@ go test -run '^$' -bench 'BenchmarkNorm$' -benchtime "$BENCHTIME" ./internal/sta
 go test -run '^$' -bench 'BenchmarkTraceGeneratorNext$' -benchtime "$BENCHTIME" ./internal/workload >>"$RAW"
 go test -run '^$' -bench 'BenchmarkSolveCacheHit|BenchmarkFindEquilibriumCold$' \
 	-benchtime "$BENCHTIME" ./internal/core >>"$RAW"
+# One profile change at the coordinator: a resubmit and the fetch that
+# re-pools its class and re-solves (256 agents, 3 classes), with
+# allocs/op.
+go test -run '^$' -bench 'BenchmarkCoordinatorResubmit$' -benchtime "$BENCHTIME" ./internal/coord >>"$RAW"
 json_from_bench <"$RAW" >BENCH_cluster.json
 echo "wrote BENCH_cluster.json:"
 cat BENCH_cluster.json

@@ -32,10 +32,11 @@ GOWORK=off GOFLAGS= go -C bench build -o /dev/null ./...
 # Quick signal first: the solver's differential tests (exact solve vs
 # the value-iteration reference, concurrent solves over lazily-built
 # density prefix sums, largest-fixed-point selection and the descent
-# witness) and the cluster engine are the most concurrency-sensitive
+# witness, and NewDiscrete's sort against the sort.Slice order it
+# replaced) and the cluster engine are the most concurrency-sensitive
 # paths, so their short-mode race passes run before the full suite.
-echo "== go test -race -short -run 'Differential|Parallel|Warm|EquivalenceProperty|LargestFixedPoint|DescentNeverRises|Prefix' ./internal/core ./internal/dist"
-go test -race -short -run 'Differential|Parallel|Warm|EquivalenceProperty|LargestFixedPoint|DescentNeverRises|Prefix' ./internal/core ./internal/dist
+echo "== go test -race -short -run 'Differential|Parallel|Warm|EquivalenceProperty|LargestFixedPoint|DescentNeverRises|Prefix|SortParity' ./internal/core ./internal/dist"
+go test -race -short -run 'Differential|Parallel|Warm|EquivalenceProperty|LargestFixedPoint|DescentNeverRises|Prefix|SortParity' ./internal/core ./internal/dist
 
 # The lock-free histogram and the span/tracer layer sit on the
 # coordinator's per-request hot path; their dedicated race tests
@@ -48,12 +49,13 @@ go test -race -short ./internal/cluster/...
 
 # The coordinator's correctness story is concurrency: concurrent
 # requests on one server coalescing into one solve (singleflight),
-# Submits racing fetches against the per-version equilibrium memo, and
-# the binary codec's per-connection scratch buffers. Run those suites
+# Submits racing fetches against the per-version equilibrium memo,
+# per-class re-pooling against a full re-pool of every agent, and the
+# binary codec's per-connection scratch buffers. Run those suites
 # under the race detector by name so a rename that silently drops them
 # from this pass is visible here.
-echo "== go test -race -run 'Binary|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh' ./internal/coord ./internal/core"
-go test -race -run 'Binary|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh' ./internal/coord ./internal/core
+echo "== go test -race -run 'Binary|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh|IncrementalPoolMatchesFullRepool' ./internal/coord ./internal/core"
+go test -race -run 'Binary|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh|IncrementalPoolMatchesFullRepool' ./internal/coord ./internal/core
 
 # Fault injection exercises the engine's degraded paths (mid-run rack
 # kills, partial results, aggregation over the survivors) across worker
