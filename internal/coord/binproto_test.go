@@ -95,7 +95,7 @@ func TestBinaryPayloadRoundTrip(t *testing.T) {
 // JSON-unencodable and are exercised by TestBinaryPayloadRoundTrip.)
 func TestBinaryJSONEquivalence(t *testing.T) {
 	for i, req := range protoRequests() {
-		if req.Profile != nil && !finite(req.Profile.Values) {
+		if req.Profile != nil && !allFinite(req.Profile.Values) {
 			continue
 		}
 		line, err := json.Marshal(req)
@@ -131,15 +131,6 @@ func TestBinaryJSONEquivalence(t *testing.T) {
 			t.Errorf("response %d: JSON and binary decode differ:\n json   %+v\n binary %+v", i, viaJSON, viaBin)
 		}
 	}
-}
-
-func finite(xs []float64) bool {
-	for _, x := range xs {
-		if math.IsInf(x, 0) || math.IsNaN(x) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestBinaryProtocolEndToEnd drives one server with a JSON client and a
@@ -322,9 +313,10 @@ func TestClientPoolReusesAndRecovers(t *testing.T) {
 	}
 }
 
-// TestCodecAllocs budgets the binary hot path: encoding a request or
-// response into reused scratch must not allocate at all, and decoding
-// must stay within a small fixed budget (the returned strings/slices).
+// TestCodecAllocs budgets both codecs' hot paths: encoding a request or
+// response into reused scratch must not allocate (bar the binary
+// codec's sorted key slice), and decoding must stay within a small
+// fixed budget (the returned strings/slices).
 func TestCodecAllocs(t *testing.T) {
 	req := request{Type: "submit", Trace: "t-1", Parent: "s-1", Profile: &Profile{
 		Agent: "agent-7", Class: "decision",
@@ -369,6 +361,38 @@ func TestCodecAllocs(t *testing.T) {
 		}
 	}); n > 12 {
 		t.Errorf("decodeResponse allocates %.1f times per op, budget 12", n)
+	}
+
+	// The JSON-lines codec: encoding into reused scratch allocates
+	// nothing (the sorted keys of a small map stay on the stack).
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = appendJSONRequest(buf[:0], req)
+	}); n > 0 {
+		t.Errorf("appendJSONRequest allocates %.1f times per op, want 0", n)
+	}
+	line := append([]byte(nil), buf...)
+	// Request decode: Profile, two float slices, four strings.
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := decodeJSONRequest(line); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("decodeJSONRequest allocates %.1f times per op, budget 8", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = appendJSONResponse(buf[:0], resp)
+	}); n > 0 {
+		t.Errorf("appendJSONResponse allocates %.1f times per op, want 0", n)
+	}
+	line = append([]byte(nil), buf...)
+	// Response decode: the map, its keys (each class shares its key's
+	// string), ok and trace.
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := decodeJSONResponse(line); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 6 {
+		t.Errorf("decodeJSONResponse allocates %.1f times per op, budget 6", n)
 	}
 }
 

@@ -14,7 +14,9 @@ package coord
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"sprintgame/internal/core"
@@ -90,13 +92,27 @@ type Coordinator struct {
 // classPool is one class's registered agents and, once a fetch has
 // needed it, their pooled density.
 type classPool struct {
-	// densities holds each agent's normalized profile density, built
-	// once at Submit.
-	densities map[string]*dist.Discrete // by agent id
+	// agents holds each agent's normalized profile density, built once
+	// at Submit, sorted by agent ID.
+	agents []agentDensity
 	// pooled is the class's pooled density, nil while a Submit has
 	// changed the class since it was last pooled. A pooled density is
 	// immutable, so an unchanged class reuses it across versions.
 	pooled *dist.Discrete
+}
+
+// agentDensity is one agent's normalized profile density.
+type agentDensity struct {
+	id string
+	d  *dist.Discrete
+}
+
+// find returns the position of agent id in cp.agents, or where it would
+// be inserted, and whether it is there.
+func (cp *classPool) find(id string) (int, bool) {
+	return slices.BinarySearchFunc(cp.agents, id, func(a agentDensity, id string) int {
+		return strings.Compare(a.id, id)
+	})
 }
 
 // pooledClasses is the memoized result of pooling all profiles, plus
@@ -147,19 +163,24 @@ func (c *Coordinator) Submit(p Profile) error {
 	defer c.mu.Unlock()
 	if old, ok := c.classOf[p.Agent]; ok && old != p.Class {
 		cp := c.classes[old]
-		delete(cp.densities, p.Agent)
+		i, _ := cp.find(p.Agent)
+		cp.agents = slices.Delete(cp.agents, i, i+1)
 		cp.pooled = nil
-		if len(cp.densities) == 0 {
+		if len(cp.agents) == 0 {
 			delete(c.classes, old)
 		}
 	}
 	c.classOf[p.Agent] = p.Class
 	cp := c.classes[p.Class]
 	if cp == nil {
-		cp = &classPool{densities: make(map[string]*dist.Discrete)}
+		cp = &classPool{}
 		c.classes[p.Class] = cp
 	}
-	cp.densities[p.Agent] = d
+	if i, found := cp.find(p.Agent); found {
+		cp.agents[i].d = d
+	} else {
+		cp.agents = slices.Insert(cp.agents, i, agentDensity{p.Agent, d})
+	}
 	cp.pooled = nil
 	c.pooled = nil // the pooled version is stale
 	return nil
@@ -222,14 +243,18 @@ func (c *Coordinator) ComputeStrategiesSpanned(span *telemetry.Span) (map[string
 		var err error
 		if pc, repooled, err = c.poolLocked(); err != nil {
 			c.mu.Unlock()
-			pool.EndWith(telemetry.Fields{"error": err.Error()})
+			if pool != nil {
+				pool.EndWith(telemetry.Fields{"error": err.Error()})
+			}
 			return nil, nil, err
 		}
 		c.pooled = pc
 	}
-	pool.EndWith(telemetry.Fields{
-		"classes": len(pc.classes), "agents": pc.agents, "memoized": memoized,
-		"repooled": repooled})
+	if pool != nil {
+		pool.EndWith(telemetry.Fields{
+			"classes": len(pc.classes), "agents": pc.agents, "memoized": memoized,
+			"repooled": repooled})
+	}
 	eq := pc.eq
 	if eq == nil {
 		cfg := c.cfg
@@ -298,7 +323,7 @@ func (c *Coordinator) poolLocked() (*pooledClasses, int, error) {
 			cp.pooled = d
 			repooled++
 		}
-		n := len(cp.densities)
+		n := len(cp.agents)
 		pc.classes = append(pc.classes, core.AgentClass{Name: name, Count: n, Density: cp.pooled})
 		pc.n += n
 	}
@@ -311,17 +336,14 @@ func (c *Coordinator) poolLocked() (*pooledClasses, int, error) {
 // equilibrium) independent of submit order. Each agent's density is
 // normalized, so large profiles don't dominate their class.
 func (cp *classPool) pool() (*dist.Discrete, error) {
-	agents := make([]string, 0, len(cp.densities))
 	atoms := 0
-	for id, d := range cp.densities {
-		agents = append(agents, id)
-		atoms += d.Len()
+	for _, a := range cp.agents {
+		atoms += a.d.Len()
 	}
-	sort.Strings(agents)
 	values := make([]float64, 0, atoms)
 	weights := make([]float64, 0, atoms)
-	for _, id := range agents {
-		d := cp.densities[id]
+	for _, a := range cp.agents {
+		d := a.d
 		for i := 0; i < d.Len(); i++ {
 			x, p := d.Atom(i)
 			values = append(values, x)

@@ -2,7 +2,6 @@ package coord
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -118,12 +117,7 @@ func ServeWith(coord *Coordinator, opts ServeOptions) (*Server, error) {
 		coord.UseCache(opts.Cache)
 	}
 	s := &Server{coord: coord, timeout: timeout}
-	ep := &endpoint{
-		timeout:  timeout,
-		metrics:  opts.Metrics,
-		tracer:   opts.Tracer,
-		dispatch: s.dispatch,
-	}
+	ep := newEndpoint(timeout, opts.Metrics, opts.Tracer, s.dispatch)
 	a, err := newAcceptor(opts.Addr, ep)
 	if err != nil {
 		return nil, err
@@ -144,7 +138,9 @@ const maxRequestLine = 1 << 20
 func (s *Server) dispatch(req request, root *telemetry.Span) response {
 	span := root.Child("coord.dispatch")
 	resp := s.dispatchTyped(req, span)
-	span.EndWith(telemetry.Fields{"type": req.Type, "error": resp.Error})
+	if span != nil {
+		span.EndWith(telemetry.Fields{"type": req.Type, "error": resp.Error})
+	}
 	return resp
 }
 
@@ -221,16 +217,15 @@ type ClientOptions struct {
 	TraceSeed uint64
 }
 
-// clientConn is one pooled connection with its per-connection codec
-// state and reusable scratch buffers (the binary hot path encodes into
-// these, so steady-state round trips allocate nothing for framing).
+// clientConn is one pooled connection with its reader and reusable
+// scratch buffers (both codecs encode into these, so steady-state round
+// trips allocate nothing for framing).
 type clientConn struct {
 	conn net.Conn
 	br   *bufio.Reader
-	dec  *json.Decoder // JSON protocol decoder, nil for binary
-	out  []byte        // encoded payload scratch
-	wire []byte        // framed request scratch
-	in   []byte        // response payload scratch
+	out  []byte // encoded payload or request line scratch
+	wire []byte // framed request scratch
+	in   []byte // response payload scratch, or a response line too long for br
 }
 
 // Client talks to a coordinator Server. Every round trip is bounded by
@@ -255,6 +250,7 @@ type Client struct {
 
 	// Hoisted hot-path instruments (nil-safe when metrics is nil).
 	requests *telemetry.Counter
+	byType   typeCounters
 	errors   *telemetry.Counter
 	dials    *telemetry.Counter
 	latency  *telemetry.Histogram
@@ -290,6 +286,7 @@ func NewClientWith(addr string, opts ClientOptions) *Client {
 		traceSeed:   opts.TraceSeed,
 		pool:        pool,
 		requests:    opts.Metrics.Counter("coord.client.requests"),
+		byType:      newTypeCounters(opts.Metrics, "coord.client.requests.", "submit", "strategies"),
 		errors:      opts.Metrics.Counter("coord.client.errors"),
 		dials:       opts.Metrics.Counter("coord.client.dials"),
 		latency:     opts.Metrics.Histogram("coord.client.request_latency_s", telemetry.LatencyBuckets()),
@@ -326,14 +323,18 @@ func (c *Client) roundTrip(req request) (response, error) {
 	start := time.Now()
 	resp, err := c.do(req)
 	c.requests.Inc()
-	c.metrics.Counter("coord.client.requests." + req.Type).Inc()
+	c.byType.inc(req.Type)
 	c.latency.Observe(time.Since(start).Seconds())
-	fields := telemetry.Fields{"type": req.Type}
 	if err != nil {
 		c.errors.Inc()
-		fields["error"] = err.Error()
 	}
-	span.EndWith(fields)
+	if span != nil {
+		fields := telemetry.Fields{"type": req.Type}
+		if err != nil {
+			fields["error"] = err.Error()
+		}
+		span.EndWith(fields)
+	}
 	return resp, err
 }
 
@@ -413,8 +414,6 @@ func (c *Client) dialConn() (*clientConn, error) {
 			_ = conn.Close()
 			return nil, err
 		}
-	default:
-		cc.dec = json.NewDecoder(cc.br)
 	}
 	return cc, nil
 }
@@ -436,18 +435,18 @@ func (c *Client) exchange(cc *clientConn, req request) (response, error) {
 		}
 		return decodeResponse(payload)
 	}
-	payload, err := json.Marshal(req)
+	var err error
+	if cc.out, err = appendJSONRequest(cc.out[:0], req); err != nil {
+		return response{}, err
+	}
+	if _, err := cc.conn.Write(cc.out); err != nil {
+		return response{}, err
+	}
+	line, err := readJSONLine(cc.br, &cc.in)
 	if err != nil {
 		return response{}, err
 	}
-	if _, err := cc.conn.Write(append(payload, '\n')); err != nil {
-		return response{}, err
-	}
-	var resp response
-	if err := cc.dec.Decode(&resp); err != nil {
-		return response{}, err
-	}
-	return resp, nil
+	return decodeJSONResponse(line)
 }
 
 // SubmitProfile sends an agent's profile to the coordinator.

@@ -3,7 +3,6 @@ package coord
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
 	"testing"
@@ -126,7 +125,7 @@ func contains(s, sub string) bool {
 func TestPtripZeroStaysOnWire(t *testing.T) {
 	// A legitimate equilibrium Ptrip of exactly 0 must be encoded: with
 	// omitempty it would vanish from the wire and decode as "absent".
-	payload, err := json.Marshal(response{OK: "equilibrium", Ptrip: 0})
+	payload, err := appendJSONResponse(nil, response{OK: "equilibrium", Ptrip: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package coord
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -63,13 +62,14 @@ var errOversized = errors.New("coord: request exceeds size limit")
 // jsonServerCodec speaks the newline-delimited JSON protocol.
 type jsonServerCodec struct {
 	scanner *bufio.Scanner
-	enc     *json.Encoder
+	conn    net.Conn
+	out     []byte // response line scratch
 }
 
 func newJSONServerCodec(br *bufio.Reader, conn net.Conn) *jsonServerCodec {
 	scanner := bufio.NewScanner(br)
 	scanner.Buffer(make([]byte, 0, 64*1024), maxRequestLine)
-	return &jsonServerCodec{scanner: scanner, enc: json.NewEncoder(conn)}
+	return &jsonServerCodec{scanner: scanner, conn: conn}
 }
 
 func (c *jsonServerCodec) proto() Proto { return ProtoJSON }
@@ -87,12 +87,19 @@ func (c *jsonServerCodec) readRequest() (readResult, error) {
 	}
 	var res readResult
 	res.start = time.Now()
-	res.payloadErr = json.Unmarshal(c.scanner.Bytes(), &res.req)
+	res.req, res.payloadErr = decodeJSONRequest(c.scanner.Bytes())
 	res.parseDur = time.Since(res.start)
 	return res, nil
 }
 
-func (c *jsonServerCodec) writeResponse(resp response) error { return c.enc.Encode(resp) }
+func (c *jsonServerCodec) writeResponse(resp response) error {
+	var err error
+	if c.out, err = appendJSONResponse(c.out[:0], resp); err != nil {
+		return err
+	}
+	_, err = c.conn.Write(c.out)
+	return err
+}
 
 func (c *jsonServerCodec) oversizedMsg() string {
 	return fmt.Sprintf("request line exceeds %d bytes", maxRequestLine)
@@ -157,6 +164,52 @@ func negotiate(br *bufio.Reader, conn net.Conn) (serverCodec, error) {
 	return &binServerCodec{br: br, conn: conn}, nil
 }
 
+// lazy caches a registry instrument resolved on its first use, so a
+// hot loop neither builds the instrument's name nor takes the registry
+// lock each time, and an instrument that is never used never appears
+// in the registry.
+type lazy[T any] struct {
+	p       atomic.Pointer[T]
+	resolve func() *T
+}
+
+func (l *lazy[T]) get() *T {
+	if m := l.p.Load(); m != nil {
+		return m
+	}
+	m := l.resolve()
+	l.p.Store(m)
+	return m
+}
+
+func lazyCounter(reg *telemetry.Registry, name string) *lazy[telemetry.Counter] {
+	return &lazy[telemetry.Counter]{resolve: func() *telemetry.Counter { return reg.Counter(name) }}
+}
+
+// typeCounters counts requests by type, as prefix+type. The known
+// types' counters are cached; any other type is looked up per request.
+type typeCounters struct {
+	reg    *telemetry.Registry
+	prefix string
+	known  map[string]*lazy[telemetry.Counter]
+}
+
+func newTypeCounters(reg *telemetry.Registry, prefix string, known ...string) typeCounters {
+	t := typeCounters{reg: reg, prefix: prefix, known: make(map[string]*lazy[telemetry.Counter], len(known))}
+	for _, typ := range known {
+		t.known[typ] = lazyCounter(reg, prefix+typ)
+	}
+	return t
+}
+
+func (t typeCounters) inc(typ string) {
+	if l := t.known[typ]; l != nil {
+		l.get().Inc()
+		return
+	}
+	t.reg.Counter(t.prefix + typ).Inc()
+}
+
 // endpoint is the protocol-independent request loop: it wraps each
 // request in coord.* spans and metrics around the dispatch function.
 type endpoint struct {
@@ -165,6 +218,28 @@ type endpoint struct {
 	tracer   *telemetry.Tracer
 	reqSeq   atomic.Uint64 // trace-ID source for requests without one
 	dispatch func(req request, root *telemetry.Span) response
+
+	// Per-request instruments, resolved once per endpoint.
+	requests      *lazy[telemetry.Counter]
+	requestErrors *lazy[telemetry.Counter]
+	byType        typeCounters
+	latency       *lazy[telemetry.Histogram]
+}
+
+func newEndpoint(timeout time.Duration, metrics *telemetry.Registry, tracer *telemetry.Tracer,
+	dispatch func(req request, root *telemetry.Span) response) *endpoint {
+	return &endpoint{
+		timeout:       timeout,
+		metrics:       metrics,
+		tracer:        tracer,
+		dispatch:      dispatch,
+		requests:      lazyCounter(metrics, "coord.requests"),
+		requestErrors: lazyCounter(metrics, "coord.request_errors"),
+		byType:        newTypeCounters(metrics, "coord.requests.", "submit", "strategies", "malformed"),
+		latency: &lazy[telemetry.Histogram]{resolve: func() *telemetry.Histogram {
+			return metrics.Histogram("coord.request_latency_s", telemetry.LatencyBuckets())
+		}},
+	}
 }
 
 // requestTrace resolves the trace ID for one request: the client's, or
@@ -182,7 +257,7 @@ func (e *endpoint) requestTrace(req request) string {
 func (e *endpoint) serveConn(conn net.Conn) {
 	defer conn.Close()
 	e.metrics.Counter("coord.connections").Inc()
-	latencyHist := e.metrics.Histogram("coord.request_latency_s", telemetry.LatencyBuckets())
+	latencyHist := e.latency.get()
 	if e.timeout > 0 {
 		_ = conn.SetReadDeadline(time.Now().Add(e.timeout))
 	}
@@ -211,7 +286,7 @@ func (e *endpoint) serveConn(conn net.Conn) {
 				// request, so tell the client why before dropping the
 				// connection instead of dying silently.
 				e.metrics.Counter("coord.oversized_requests").Inc()
-				e.metrics.Counter("coord.request_errors").Inc()
+				e.requestErrors.get().Inc()
 				if e.timeout > 0 {
 					_ = conn.SetWriteDeadline(time.Now().Add(e.timeout))
 				}
@@ -224,8 +299,12 @@ func (e *endpoint) serveConn(conn net.Conn) {
 		// The request root span covers parse + dispatch + encode; parse
 		// runs before the trace ID is known, so its timing was captured
 		// by the codec and is attached as a child span after the fact.
-		root := e.tracer.StartSpanFrom("coord.request", e.requestTrace(req), req.Parent)
-		root.Child("coord.parse").WithTiming(res.start, res.parseDur).End()
+		// Untraced, root stays nil and no trace ID is derived.
+		var root *telemetry.Span
+		if e.tracer.Enabled() {
+			root = e.tracer.StartSpanFrom("coord.request", e.requestTrace(req), req.Parent)
+			root.Child("coord.parse").WithTiming(res.start, res.parseDur).End()
+		}
 		if res.payloadErr != nil {
 			req.Type = "malformed"
 			resp = response{Error: "malformed request: " + res.payloadErr.Error()}
@@ -245,15 +324,17 @@ func (e *endpoint) serveConn(conn net.Conn) {
 		// lets the parse/dispatch/encode children account for (nearly)
 		// all of the root's duration.
 		rootDur := time.Since(res.start)
-		root.WithTiming(res.start, rootDur).EndWith(telemetry.Fields{
-			"type":  req.Type,
-			"error": resp.Error,
-		})
+		if root != nil {
+			root.WithTiming(res.start, rootDur).EndWith(telemetry.Fields{
+				"type":  req.Type,
+				"error": resp.Error,
+			})
+		}
 		latencyHist.Observe(rootDur.Seconds())
-		e.metrics.Counter("coord.requests").Inc()
-		e.metrics.Counter("coord.requests." + req.Type).Inc()
+		e.requests.get().Inc()
+		e.byType.inc(req.Type)
 		if resp.Error != "" {
-			e.metrics.Counter("coord.request_errors").Inc()
+			e.requestErrors.get().Inc()
 		}
 		if encErr != nil {
 			return

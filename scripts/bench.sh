@@ -76,9 +76,10 @@ cat BENCH_core.json
 # numbers are the binary point.
 # coordbench writes the JSON itself — requests/sec and tail
 # percentiles, not ns/op — so this stage bypasses json_from_bench.
-BENCH_COORD_REQUESTS="${BENCH_COORD_REQUESTS:-2000}"
+# Each protocol runs for a fixed 3 s rather than a request count, so
+# its p99 rests on thousands of requests beyond it, not a few dozen.
 go build -o "$RAW.coordbench" ./cmd/coordbench
-"$RAW.coordbench" -mode closed -concurrency 8 -requests "$BENCH_COORD_REQUESTS" \
+"$RAW.coordbench" -mode closed -concurrency 8 -duration 3s \
 	-classes 3 -agents 256 -churn 0.05 -curve -out BENCH_coord.json
 rm -f "$RAW.coordbench"
 echo "wrote BENCH_coord.json:"

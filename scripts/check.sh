@@ -50,12 +50,20 @@ go test -race -short ./internal/cluster/...
 # The coordinator's correctness story is concurrency: concurrent
 # requests on one server coalescing into one solve (singleflight),
 # Submits racing fetches against the per-version equilibrium memo,
-# per-class re-pooling against a full re-pool of every agent, and the
-# binary codec's per-connection scratch buffers. Run those suites
-# under the race detector by name so a rename that silently drops them
-# from this pass is visible here.
-echo "== go test -race -run 'Binary|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh|IncrementalPoolMatchesFullRepool' ./internal/coord ./internal/core"
-go test -race -run 'Binary|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh|IncrementalPoolMatchesFullRepool' ./internal/coord ./internal/core
+# per-class re-pooling against a full re-pool of every agent, and both
+# codecs' per-connection scratch buffers. Run those suites under the
+# race detector by name so a rename that silently drops them from this
+# pass is visible here.
+echo "== go test -race -run 'Binary|JSON|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh|IncrementalPoolMatchesFullRepool' ./internal/coord ./internal/core"
+go test -race -run 'Binary|JSON|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh|IncrementalPoolMatchesFullRepool' ./internal/coord ./internal/core
+
+# The JSON-lines decoders must give json.Unmarshal's result on every
+# line. The seed corpora run with the suite; a short fuzz pass per
+# target also tries lines nobody wrote down.
+for target in FuzzJSONRequestDecode FuzzJSONResponseDecode; do
+	echo "== go test -run '^\$' -fuzz '^$target\$' -fuzztime 10s ./internal/coord"
+	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/coord
+done
 
 # Fault injection exercises the engine's degraded paths (mid-run rack
 # kills, partial results, aggregation over the survivors) across worker
