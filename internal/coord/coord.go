@@ -276,20 +276,15 @@ func (c *Coordinator) ComputeStrategiesSpanned(span *telemetry.Span) (map[string
 		c.cfg.Metrics.Counter("coord.unconverged").Inc()
 		return nil, nil, fmt.Errorf("coord: equilibrium did not converge in %d iterations", eq.Iterations)
 	}
+	// eq solved pc.classes, so its classes are in pc.classes' order.
 	out := make(map[string]Strategy, len(eq.Classes))
-	for _, cl := range eq.Classes {
-		n := 0
-		for _, ac := range pc.classes {
-			if ac.Name == cl.Name {
-				n = ac.Count
-			}
-		}
+	for i, cl := range eq.Classes {
 		out[cl.Name] = Strategy{
 			Class:      cl.Name,
 			Threshold:  cl.Threshold,
 			SprintProb: cl.SprintProb,
 			Ptrip:      eq.Ptrip,
-			Agents:     n,
+			Agents:     pc.classes[i].Count,
 		}
 	}
 	return out, eq, nil

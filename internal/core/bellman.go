@@ -55,26 +55,58 @@ func SolveBellman(f *dist.Discrete, ptrip float64, cfg Config) (Values, error) {
 	if err := cfg.Validate(); err != nil {
 		return Values{}, err
 	}
-	return solveBellman(f, ptrip, cfg)
-}
-
-// solveBellman is the pre-validated entry point: cfg must already have
-// passed Validate. Algorithm 1 calls this once per class per fixed-point
-// iteration, so re-validating here would dominate small solves.
-func solveBellman(f *dist.Discrete, ptrip float64, cfg Config) (Values, error) {
 	if f == nil || f.Len() == 0 {
 		return Values{}, errors.New("core: empty utility density")
 	}
-	if ptrip < 0 || ptrip > 1 {
-		return Values{}, fmt.Errorf("core: ptrip = %v is not a probability", ptrip)
+	if err := checkPtrip(ptrip); err != nil {
+		return Values{}, err
 	}
-	d := cfg.Delta
-	r := d * (1 - cfg.Pr) / (1 - d*cfg.Pr)
-	c := d * ((1-ptrip)*(1-cfg.Pc) + ptrip*r) / (1 - d*cfg.Pc*(1-ptrip))
-	n := d * (1 - ptrip + ptrip*r)
-	s := d * (c*(1-ptrip) + ptrip*r)
-
+	step := newBellmanStep(ptrip, cfg.Delta, cfg.Pc, recoveryRatio(cfg.Delta, cfg.Pr))
 	xs, _, cumP, cumPX := f.KernelView()
+	var v Values
+	step.solve(xs, cumP, cumPX, &v)
+	return v, nil
+}
+
+// checkPtrip rejects a tripping probability outside [0, 1].
+func checkPtrip(ptrip float64) error {
+	if ptrip < 0 || ptrip > 1 {
+		return fmt.Errorf("core: ptrip = %v is not a probability", ptrip)
+	}
+	return nil
+}
+
+// recoveryRatio is r = delta (1-pr) / (1 - delta pr), with VR = r·VA at
+// every Ptrip.
+func recoveryRatio(delta, pr float64) float64 {
+	return delta * (1 - pr) / (1 - delta*pr)
+}
+
+// bellmanStep holds the coefficients of the exact solve at one Ptrip
+// (see SolveBellman). None of them depends on the density, so
+// Algorithm 1 computes them once per iteration for all classes.
+type bellmanStep struct {
+	ptrip, delta, r, c, n, s float64
+}
+
+func newBellmanStep(ptrip, delta, pc, r float64) bellmanStep {
+	c := delta * ((1-ptrip)*(1-pc) + ptrip*r) / (1 - delta*pc*(1-ptrip))
+	return bellmanStep{
+		ptrip: ptrip,
+		delta: delta,
+		r:     r,
+		c:     c,
+		n:     delta * (1 - ptrip + ptrip*r),
+		s:     delta * (c*(1-ptrip) + ptrip*r),
+	}
+}
+
+// solve writes the exact solution for the density with sorted support
+// xs and prefix sums cumP, cumPX (dist.Discrete.KernelView) into v, and
+// returns the crossover index it found: the first atom that sprints at
+// its segment's VA, or len(xs) if none does.
+func (b *bellmanStep) solve(xs, cumP, cumPX []float64, v *Values) int {
+	n, s := b.n, b.s
 	size := len(xs)
 	segment := func(k int) float64 {
 		a := cumP[k]*n + (cumP[size]-cumP[k])*s
@@ -91,14 +123,13 @@ func solveBellman(f *dist.Discrete, ptrip float64, cfg Config) (Values, error) {
 		}
 	}
 	vA := segment(lo)
-	vC := c * vA
-	return Values{
-		VA:        vA,
-		VC:        vC,
-		VR:        r * vA,
-		Threshold: d * (vA - vC) * (1 - ptrip),
-		Ptrip:     ptrip,
-	}, nil
+	vC := b.c * vA
+	v.VA = vA
+	v.VC = vC
+	v.VR = b.r * vA
+	v.Threshold = b.delta * (vA - vC) * (1 - b.ptrip)
+	v.Ptrip = b.ptrip
+	return lo
 }
 
 // SprintProbability is Eq. (9): the probability an active agent's utility

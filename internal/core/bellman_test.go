@@ -250,9 +250,8 @@ func TestExpectedSprintersEq10(t *testing.T) {
 	cfg := testConfig()
 	class := AgentClass{Name: "u", Count: 400, Density: uniformDensity(1, 5, 100)}
 	var out ClassOutcome
-	if err := solveClass(&class, 0.1, cfg, &out); err != nil {
-		t.Fatal(err)
-	}
+	step := newBellmanStep(0.1, cfg.Delta, cfg.Pc, recoveryRatio(cfg.Delta, cfg.Pr))
+	solveClass(&class, &step, cfg.Pc, &out)
 	ps := class.Density.TailProb(out.Threshold)
 	if out.SprintProb != ps || out.ActiveFrac != ActiveFraction(ps, cfg.Pc) {
 		t.Errorf("ps, pA = %v, %v; want %v, %v", out.SprintProb, out.ActiveFrac, ps, ActiveFraction(ps, cfg.Pc))

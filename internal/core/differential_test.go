@@ -128,6 +128,27 @@ func crossoverTieDensity(tb testing.TB, ptrip float64, cfg Config) *dist.Discret
 	return nil
 }
 
+// gridPcs and gridPrs are the pc and pr values of the kernel grid.
+var (
+	gridPcs = []float64{0, 0.4, 0.5, 0.6, 0.95, 1}
+	gridPrs = []float64{0, 0.8, 0.88, 0.95, 1}
+)
+
+// kernelGridDensities returns the kernel grid's densities: every catalog
+// density plus one with an atom at zero (the crossover at Ptrip = 1) and
+// one with an atom on its own threshold at Ptrip 0.3 under cfg.
+func kernelGridDensities(t *testing.T, cfg Config) map[string]*dist.Discrete {
+	t.Helper()
+	densities := catalogDensities(t, 250)
+	zeroAtom, err := dist.NewDiscrete([]float64{0, 1, 2.5, 6}, []float64{1, 2, 3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	densities["atom-at-zero"] = zeroAtom
+	densities["atom-on-threshold"] = crossoverTieDensity(t, 0.3, cfg)
+	return densities
+}
+
 // TestKernelDifferential checks the exact inner solve against value
 // iteration run to 1e-13 on every catalog density × 101 Ptrips × Pc
 // {0,.4,.5,.6,.95,1} × Pr {0,.8,.88,.95,1}, plus densities with an atom
@@ -141,16 +162,8 @@ func TestKernelDifferential(t *testing.T) {
 	if testing.Short() {
 		steps = 10
 	}
-	pcs := []float64{0, 0.4, 0.5, 0.6, 0.95, 1}
-	prs := []float64{0, 0.8, 0.88, 0.95, 1}
-	densities := catalogDensities(t, 250)
-	zeroAtom, err := dist.NewDiscrete([]float64{0, 1, 2.5, 6}, []float64{1, 2, 3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	densities["atom-at-zero"] = zeroAtom
 	cfg := DefaultConfig()
-	densities["atom-on-threshold"] = crossoverTieDensity(t, 0.3, cfg)
+	densities := kernelGridDensities(t, cfg)
 
 	for _, name := range []string{"atom-on-threshold", "atom-at-zero", "svm"} {
 		f, ok := densities[name]
@@ -168,8 +181,8 @@ func TestKernelDifferential(t *testing.T) {
 
 	worst := 0.0
 	for name, f := range densities {
-		for _, pc := range pcs {
-			for _, pr := range prs {
+		for _, pc := range gridPcs {
+			for _, pr := range gridPrs {
 				c := cfg
 				c.Pc, c.Pr = pc, pr
 				for i := 0; i <= steps; i++ {
@@ -190,6 +203,78 @@ func TestKernelDifferential(t *testing.T) {
 		}
 	}
 	t.Logf("worst exact vs value-iteration distance: %.3e", worst)
+}
+
+// TestSprintProbFromCrossoverMatchesTailProb checks that solveClass's
+// ps, read off the solve's crossover index, is bit for bit
+// Density.TailProb of its threshold, and that its values are
+// SolveBellman's. It runs over the kernel grid plus densities with an
+// atom on their own threshold at Ptrip 0.1 and 0.7 and one whose total
+// mass rounds above 1, and checks that the grid exercises the fallback
+// to a second search (e.g. an atom exactly on the threshold sprints in
+// the dynamic program but is not above it).
+func TestSprintProbFromCrossoverMatchesTailProb(t *testing.T) {
+	steps := 100
+	if testing.Short() {
+		steps = 10
+	}
+	cfg := DefaultConfig()
+	densities := kernelGridDensities(t, cfg)
+	densities["atom-on-threshold@0.1"] = crossoverTieDensity(t, 0.1, cfg)
+	densities["atom-on-threshold@0.7"] = crossoverTieDensity(t, 0.7, cfg)
+	// Nine equal weights normalize to a total mass of 1+2^-52: where
+	// every atom sprints, ps is clamped to 1, as TailProb clamps it.
+	nine := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	massAboveOne, err := dist.NewDiscrete(nine, []float64{1, 1, 1, 1, 1, 1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, cumP, _ := massAboveOne.KernelView(); cumP[len(nine)] <= 1 {
+		t.Fatalf("total mass %v, want above 1", cumP[len(nine)])
+	}
+	densities["mass-above-one"] = massAboveOne
+
+	solves, fallbacks := 0, 0
+	for name, f := range densities {
+		class := AgentClass{Name: name, Count: cfg.N, Density: f}
+		xs, _, cumP, cumPX := f.KernelView()
+		for _, pc := range gridPcs {
+			for _, pr := range gridPrs {
+				c := cfg
+				c.Pc, c.Pr = pc, pr
+				r := recoveryRatio(c.Delta, c.Pr)
+				for i := 0; i <= steps; i++ {
+					ptrip := float64(i) / float64(steps)
+					step := newBellmanStep(ptrip, c.Delta, c.Pc, r)
+					var out ClassOutcome
+					solveClass(&class, &step, c.Pc, &out)
+					solves++
+					want := f.TailProb(out.Threshold)
+					if math.Float64bits(out.SprintProb) != math.Float64bits(want) {
+						t.Errorf("%s ptrip=%v pc=%v pr=%v: ps = %v (%#x), TailProb = %v (%#x)",
+							name, ptrip, pc, pr, out.SprintProb, math.Float64bits(out.SprintProb),
+							want, math.Float64bits(want))
+					}
+					vals, err := SolveBellman(f, ptrip, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out.Values != vals || out.Threshold != vals.Threshold {
+						t.Errorf("%s ptrip=%v pc=%v pr=%v: values %+v, SolveBellman %+v", name, ptrip, pc, pr, out.Values, vals)
+					}
+					var v Values
+					lo := step.solve(xs, cumP, cumPX, &v)
+					if !((lo == len(xs) || xs[lo] > v.Threshold) && (lo == 0 || xs[lo-1] <= v.Threshold)) {
+						fallbacks++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d solves fell back to a second search", fallbacks, solves)
+	if fallbacks == 0 {
+		t.Error("no solve exercised the fallback: the grid lost its atom-on-threshold cases")
+	}
 }
 
 // TestExactSolveEquivalenceProperty: the exact solve agrees with value
@@ -481,9 +566,9 @@ func TestSweepWarmMatchesCold(t *testing.T) {
 }
 
 // TestFindEquilibriumAllocations pins the solver's allocation count: the
-// equilibrium struct, its class slice and the residual appends —
-// nothing per class solve. A regression here means a hot-loop
-// allocation crept back in.
+// equilibrium struct, its class slice and its pre-sized residuals —
+// nothing per iteration or per class solve. A regression here means a
+// hot-loop allocation crept back in.
 func TestFindEquilibriumAllocations(t *testing.T) {
 	classes, cfg := multiClassInstance(t, 2, 80)
 	// Prime density prefix sums so the measurement sees steady state.
@@ -495,7 +580,7 @@ func TestFindEquilibriumAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const maxAllocs = 5
+	const maxAllocs = 3
 	if allocs > maxAllocs {
 		t.Errorf("FindEquilibrium allocated %.0f objects per solve, want <= %d", allocs, maxAllocs)
 	}

@@ -74,7 +74,9 @@ type Equilibrium struct {
 // class's dynamic program for the current Ptrip (exactly, see
 // SolveBellman), derive thresholds and the expected number of
 // sprinters, update Ptrip from the trip model, and repeat until
-// stationary.
+// stationary. Each class costs one O(log n) search per iteration: its
+// sprint probability is read off the solve's crossover (see
+// solveClass), bit-identical to SprintProbability of its threshold.
 //
 // The trip response T(p) — solve at p, then Eq. (11) — is monotone
 // non-decreasing: a class's threshold does not rise with Ptrip, so its
@@ -108,21 +110,29 @@ func FindEquilibrium(classes []AgentClass, cfg Config) (*Equilibrium, error) {
 	residualGauge := cfg.Metrics.Gauge("solver.residual")
 
 	ptrip := 1.0 // Algorithm 1 initialization
+	r := recoveryRatio(cfg.Delta, cfg.Pr)
 
-	eq := &Equilibrium{Classes: make([]ClassOutcome, len(classes))}
+	// Residuals has room for 8 iterations (a catalog solve takes 4.7 on
+	// average), so a typical solve never regrows it.
+	eq := &Equilibrium{
+		Classes:   make([]ClassOutcome, len(classes)),
+		Residuals: make([]float64, 0, 8),
+	}
 	for iter := 1; iter <= cfg.MaxFixedPointIter; iter++ {
 		// Span payloads are built behind nil checks: the Fields maps must
 		// not cost an allocation per iteration on untraced solves.
 		iterSpan := cfg.Span.Child("solver.iter")
+		if err := checkPtrip(ptrip); err != nil {
+			err = fmt.Errorf("core: class %q: %w", classes[0].Name, err)
+			if iterSpan != nil {
+				iterSpan.EndWith(telemetry.Fields{"iter": iter, "error": err.Error()})
+			}
+			return nil, err
+		}
+		step := newBellmanStep(ptrip, cfg.Delta, cfg.Pc, r)
 		nS := 0.0
 		for i := range classes {
-			if err := solveClass(&classes[i], ptrip, cfg, &eq.Classes[i]); err != nil {
-				if iterSpan != nil {
-					iterSpan.EndWith(telemetry.Fields{"iter": iter, "error": err.Error()})
-				}
-				return nil, err
-			}
-			nS += eq.Classes[i].ExpectedSprinters
+			nS += solveClass(&classes[i], &step, cfg.Pc, &eq.Classes[i])
 		}
 		next := cfg.Trip.Ptrip(nS)
 		residual := math.Abs(next - ptrip)
@@ -152,24 +162,44 @@ func FindEquilibrium(classes []AgentClass, cfg Config) (*Equilibrium, error) {
 	return eq, nil
 }
 
-// solveClass solves one class's dynamic program and derives its
-// population statistics (Eqs. 9-10).
-func solveClass(c *AgentClass, ptrip float64, cfg Config, out *ClassOutcome) error {
-	vals, err := solveBellman(c.Density, ptrip, cfg)
-	if err != nil {
-		return fmt.Errorf("core: class %q: %w", c.Name, err)
+// solveClass solves one class's dynamic program at step's Ptrip, writes
+// its strategy and population statistics (Eqs. 9-10) into out, and
+// returns its expected sprinters. Eq. (9) is read off the solve's
+// crossover index lo: when xs[lo-1] <= T < xs[lo] (a missing neighbour
+// counts as bracketing), lo is the first atom above the threshold T, the
+// index TailProb searches for, so cumP[len] - cumP[lo], clamped as
+// TailProb clamps it, is bit-identical to TailProb(T). Otherwise (an
+// atom exactly on T, which sprints in the dynamic program but is not
+// above T, or T rounded past an atom beside lo) it falls back to
+// SprintProbability.
+func solveClass(c *AgentClass, step *bellmanStep, pc float64, out *ClassOutcome) float64 {
+	xs, _, cumP, cumPX := c.Density.KernelView()
+	lo := step.solve(xs, cumP, cumPX, &out.Values)
+	t := out.Values.Threshold
+	var ps float64
+	if (lo == len(xs) || xs[lo] > t) && (lo == 0 || xs[lo-1] <= t) {
+		ps = clampProb(cumP[len(xs)] - cumP[lo])
+	} else {
+		ps = SprintProbability(c.Density, t)
 	}
-	ps := SprintProbability(c.Density, vals.Threshold)
-	pa := ActiveFraction(ps, cfg.Pc)
-	*out = ClassOutcome{
-		Name:              c.Name,
-		Threshold:         vals.Threshold,
-		SprintProb:        ps,
-		ActiveFrac:        pa,
-		ExpectedSprinters: ps * pa * float64(c.Count),
-		Values:            vals,
+	pa := ActiveFraction(ps, pc)
+	out.Name = c.Name
+	out.Threshold = t
+	out.SprintProb = ps
+	out.ActiveFrac = pa
+	out.ExpectedSprinters = ps * pa * float64(c.Count)
+	return out.ExpectedSprinters
+}
+
+// clampProb clamps p to [0, 1] exactly as dist.Discrete.TailProb does.
+func clampProb(p float64) float64 {
+	if p > 1 {
+		return 1
 	}
-	return nil
+	if p < 0 {
+		return 0
+	}
+	return p
 }
 
 // finishSolve records end-of-run solver telemetry.

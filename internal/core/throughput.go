@@ -118,8 +118,8 @@ func DeviantRate(f *dist.Discrete, threshold, ptrip float64, cfg Config) (float6
 	if f == nil || f.Len() == 0 {
 		return 0, errors.New("core: empty utility density")
 	}
-	if ptrip < 0 || ptrip > 1 {
-		return 0, fmt.Errorf("core: ptrip = %v is not a probability", ptrip)
+	if err := checkPtrip(ptrip); err != nil {
+		return 0, err
 	}
 	rate, _, err := agentRate(f, threshold, SprintProbability(f, threshold), ptrip, cfg)
 	return rate, err

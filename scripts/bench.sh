@@ -50,8 +50,7 @@ go test -run '^$' -bench 'BenchmarkServe$' -benchtime "$BENCHTIME" ./internal/ro
 # and one trace-generator utility (a truncated-normal draw in a phase).
 go test -run '^$' -bench 'BenchmarkNorm$' -benchtime "$BENCHTIME" ./internal/stats >>"$RAW"
 go test -run '^$' -bench 'BenchmarkTraceGeneratorNext$' -benchtime "$BENCHTIME" ./internal/workload >>"$RAW"
-go test -run '^$' -bench 'BenchmarkSolveCacheHit|BenchmarkFindEquilibriumCold$' \
-	-benchtime "$BENCHTIME" ./internal/core >>"$RAW"
+go test -run '^$' -bench 'BenchmarkSolveCacheHit$' -benchtime "$BENCHTIME" ./internal/core >>"$RAW"
 # One profile change at the coordinator: a resubmit and the fetch that
 # re-pools its class and re-solves (256 agents, 3 classes), with
 # allocs/op.
@@ -61,8 +60,10 @@ echo "wrote BENCH_cluster.json:"
 cat BENCH_cluster.json
 
 # Core solver benchmarks: the exact Bellman solve (small/large
-# densities) and cold Algorithm 1 runs (1/4/8 classes).
-go test -run '^$' \
+# densities) and cold Algorithm 1 runs (1 class and 1/4/8 classes),
+# with allocs/op: a solve allocates its equilibrium, class slice and
+# residuals, and nothing per iteration.
+go test -run '^$' -benchmem \
 	-bench 'BenchmarkSolveBellman$|BenchmarkFindEquilibriumCold' \
 	-benchtime "$BENCHTIME" ./internal/core >"$RAW"
 json_from_bench <"$RAW" >BENCH_core.json

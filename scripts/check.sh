@@ -59,10 +59,12 @@ go test -race -run 'Binary|JSON|Singleflight|Coalesce|ConcurrentSubmitAndFetchMa
 
 # The JSON-lines decoders must give json.Unmarshal's result on every
 # line. The seed corpora run with the suite; a short fuzz pass per
-# target also tries lines nobody wrote down.
+# target also tries lines nobody wrote down. Minimizing a new input
+# defaults to a 60 s budget, which can swallow the whole pass; 100
+# executions per input leave the time for mutation.
 for target in FuzzJSONRequestDecode FuzzJSONResponseDecode; do
-	echo "== go test -run '^\$' -fuzz '^$target\$' -fuzztime 10s ./internal/coord"
-	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/coord
+	echo "== go test -run '^\$' -fuzz '^$target\$' -fuzztime 10s -fuzzminimizetime 100x ./internal/coord"
+	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s -fuzzminimizetime 100x ./internal/coord
 done
 
 # Fault injection exercises the engine's degraded paths (mid-run rack

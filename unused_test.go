@@ -21,7 +21,6 @@ import (
 // against, or is a test constructor.
 var keptUnreferenced = map[string]string{
 	"cluster.RackError.Unwrap":        "called by errors.Is and errors.As",
-	"core.BestResponseCurve":          "reference map P -> P'(P) for Algorithm 1's fixed point and the §6.4 no-trip check",
 	"dist.Simpson":                    "reference quadrature for the PDF tests",
 	"dist.MustDiscrete":               "test constructor",
 	"markov.MustNew":                  "test constructor",
