@@ -134,7 +134,7 @@ func (c Config) Validate() error {
 		return errors.New("cluster: nil policy factory")
 	}
 	for i := range c.Racks {
-		if err := c.rackConfig(i).Validate(); err != nil {
+		if err := c.RackSimConfig(i).Validate(); err != nil {
 			return fmt.Errorf("cluster: rack %d: %w", i, err)
 		}
 	}
@@ -218,12 +218,15 @@ func mixSeed(base uint64, rack int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// rackConfig resolves rack i's simulation configuration. Per-rack
-// telemetry sinks stay nil: sharing the cluster's sinks across
-// concurrent racks would interleave nondeterministically and break the
+// RackSimConfig resolves rack i's fully-specified simulation
+// configuration: derived seed, per-rack game override, and nil
+// telemetry sinks. Sharing the cluster's sinks across concurrent racks
+// would interleave nondeterministically and break the
 // determinism-under-parallelism contract, so all cluster telemetry is
-// derived from rack results after the run.
-func (c Config) rackConfig(i int) sim.Config {
+// derived from rack results after the run. The serving layer
+// (internal/route) builds its per-rack Steppers from it, so they
+// reproduce exactly what a batch Run would simulate.
+func (c Config) RackSimConfig(i int) sim.Config {
 	spec := c.Racks[i]
 	game := c.Game
 	if spec.Game != nil {
@@ -244,16 +247,6 @@ func (c Config) rackConfig(i int) sim.Config {
 	}
 }
 
-// RackSimConfig resolves rack i's fully-specified simulation
-// configuration — derived seed, per-rack game override, telemetry
-// sinks nil'd per the determinism contract. The serving layer
-// (internal/route) uses it to build per-rack Steppers that reproduce
-// exactly what a batch Run would simulate.
-func (c Config) RackSimConfig(i int) sim.Config { return c.rackConfig(i) }
-
-// RackName resolves rack i's label ("rack<i>" when unnamed).
-func (c Config) RackName(i int) string { return c.rackName(i) }
-
 // rackOutcome is one rack's terminal state: exactly one of res and err
 // is non-nil. start/dur record the rack's wall-clock window on its
 // worker goroutine; they feed span timings only (never results), and
@@ -266,8 +259,8 @@ type rackOutcome struct {
 	dur   time.Duration
 }
 
-// rackName resolves rack i's label.
-func (c Config) rackName(i int) string {
+// RackName resolves rack i's label ("rack<i>" when unnamed).
+func (c Config) RackName(i int) string {
 	if name := c.Racks[i].Name; name != "" {
 		return name
 	}
@@ -290,8 +283,8 @@ func (c Config) rackAgents(i int) int {
 // pure function of the configuration and the rack index, so outcomes
 // are identical for every worker count.
 func (c Config) runRack(i, killEpoch int) rackOutcome {
-	simCfg := c.rackConfig(i)
-	name := c.rackName(i)
+	simCfg := c.RackSimConfig(i)
+	name := c.RackName(i)
 	fail := func(epoch int, err error, partial *sim.Result) rackOutcome {
 		return rackOutcome{seed: simCfg.Seed, err: &RackError{
 			Rack: i, Name: name, Epoch: epoch, Err: err, Partial: partial,
@@ -412,7 +405,7 @@ func aggregate(cfg Config, workers int, outcomes []rackOutcome, failed []RackErr
 		res := oc.res
 		agents := cfg.rackAgents(i)
 		out.Racks = append(out.Racks, RackResult{
-			Rack: i, Name: cfg.rackName(i), Seed: oc.seed,
+			Rack: i, Name: cfg.RackName(i), Seed: oc.seed,
 			Agents: agents, Sim: res,
 		})
 		out.Agents += agents
@@ -499,7 +492,7 @@ func emitTrace(cfg Config, outcomes []rackOutcome, out *Result, runStart time.Ti
 	for i := range outcomes {
 		oc := &outcomes[i]
 		r := RackResult{
-			Rack: i, Name: cfg.rackName(i), Seed: oc.seed,
+			Rack: i, Name: cfg.RackName(i), Seed: oc.seed,
 			Agents: cfg.rackAgents(i), Sim: oc.res,
 		}
 		fields := telemetry.Fields{

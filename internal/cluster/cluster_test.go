@@ -105,7 +105,7 @@ func TestClusterMatchesStandaloneRacks(t *testing.T) {
 	// Each rack must reproduce, exactly, a standalone single-rack run
 	// with the same seed, groups, and policy.
 	for i := range cfg.Racks {
-		simCfg := cfg.rackConfig(i)
+		simCfg := cfg.RackSimConfig(i)
 		if simCfg.Seed != res.Racks[i].Seed {
 			t.Fatalf("rack %d: seed mismatch %d vs %d", i, simCfg.Seed, res.Racks[i].Seed)
 		}

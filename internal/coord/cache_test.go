@@ -306,7 +306,8 @@ func TestClientRequestTimeout(t *testing.T) {
 		}
 	}()
 
-	client := NewClientWith(ln.Addr().String(), ClientOptions{RequestTimeout: 100 * time.Millisecond})
+	client := NewClient(ln.Addr().String())
+	client.reqTimeout = 100 * time.Millisecond
 	start := time.Now()
 	_, _, err = client.FetchStrategies()
 	elapsed := time.Since(start)
@@ -327,13 +328,5 @@ func TestClientTimeoutDefaultsAndDisable(t *testing.T) {
 	if def.dialTimeout != DefaultDialTimeout || def.reqTimeout != DefaultRequestTimeout {
 		t.Errorf("defaults = (%v, %v), want (%v, %v)",
 			def.dialTimeout, def.reqTimeout, DefaultDialTimeout, DefaultRequestTimeout)
-	}
-	off := NewClientWith("127.0.0.1:1", ClientOptions{DialTimeout: -1, RequestTimeout: -1})
-	if off.dialTimeout != 0 || off.reqTimeout != 0 {
-		t.Errorf("negative options should disable bounds, got (%v, %v)", off.dialTimeout, off.reqTimeout)
-	}
-	custom := NewClientWith("127.0.0.1:1", ClientOptions{DialTimeout: time.Second, RequestTimeout: time.Minute})
-	if custom.dialTimeout != time.Second || custom.reqTimeout != time.Minute {
-		t.Errorf("explicit options not honored: (%v, %v)", custom.dialTimeout, custom.reqTimeout)
 	}
 }

@@ -596,17 +596,22 @@ func (s *jsonScan) strategy(name string) Strategy {
 
 // readJSONLine reads one line, '\n' included, from br. A line that fits
 // br's buffer is returned in place and is valid until the next read;
-// a longer one is gathered into *scratch, so no line is too long.
+// a longer one is gathered into *scratch. A line longer than
+// maxRequestLine returns errOversized, so neither end of a connection
+// buffers an unbounded line.
 func readJSONLine(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
 	line, err := br.ReadSlice('\n')
 	if !errors.Is(err, bufio.ErrBufferFull) {
 		return line, err
 	}
 	buf := append((*scratch)[:0], line...)
-	for errors.Is(err, bufio.ErrBufferFull) {
+	for errors.Is(err, bufio.ErrBufferFull) && len(buf) < maxRequestLine {
 		line, err = br.ReadSlice('\n')
 		buf = append(buf, line...)
 	}
 	*scratch = buf
+	if len(buf) > maxRequestLine || errors.Is(err, bufio.ErrBufferFull) {
+		return nil, errOversized
+	}
 	return buf, err
 }

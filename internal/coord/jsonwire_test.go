@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -434,5 +435,33 @@ func TestJSONClientLongResponseLine(t *testing.T) {
 	}
 	if err := <-served; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJSONClientRejectsOversizedResponse serves a response line past
+// maxRequestLine: the client must fail with errOversized instead of
+// buffering the whole line.
+func TestJSONClientRejectsOversizedResponse(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("cannot listen on loopback: %v", err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := bufio.NewReader(conn).ReadBytes('\n'); err != nil {
+			return
+		}
+		line := append([]byte(`{"ok":"`), bytes.Repeat([]byte("x"), maxRequestLine)...)
+		_, _ = conn.Write(append(line, `"}`+"\n"...))
+	}()
+	client := NewClient(ln.Addr().String())
+	defer client.Close()
+	if _, _, err := client.FetchStrategies(); !errors.Is(err, errOversized) {
+		t.Fatalf("err = %v, want %v", err, errOversized)
 	}
 }

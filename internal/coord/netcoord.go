@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -81,24 +82,28 @@ type ServeOptions struct {
 	Cache *core.SolveCache
 }
 
-// normalizeTimeout maps the shared zero/negative timeout convention:
-// zero selects the default, negative disables the bound.
-func normalizeTimeout(d, def time.Duration) time.Duration {
-	switch {
-	case d == 0:
-		return def
-	case d < 0:
-		return 0
-	}
-	return d
-}
-
 // Server exposes a Coordinator over TCP, speaking JSON lines or binary
-// frames per connection (see negotiate).
+// frames per connection (see negotiate). It owns the listener, the open
+// connections, and the spans and metrics of every request.
 type Server struct {
 	coord   *Coordinator
-	a       *acceptor
-	timeout time.Duration
+	ln      net.Listener
+	timeout time.Duration // per-connection deadline; zero disables it
+	tracer  *telemetry.Tracer
+	reqSeq  atomic.Uint64 // trace-ID source for requests without one
+
+	// Instruments, resolved once in ServeWith (nil without Metrics).
+	requests, requestErrors              *telemetry.Counter
+	submits, fetches, malformed, unknown *telemetry.Counter // coord.requests.<type>
+	latency                              *telemetry.Histogram
+	connections, jsonConns, binaryConns  *telemetry.Counter
+	connTimeouts, oversized              *telemetry.Counter
+	acceptErrors                         *telemetry.Counter
+
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]struct{}
+	wg     sync.WaitGroup // the accept loop and connection handlers
 }
 
 // Serve starts a server on addr (e.g. "127.0.0.1:0") with default
@@ -112,39 +117,73 @@ func ServeWith(coord *Coordinator, opts ServeOptions) (*Server, error) {
 	if coord == nil {
 		return nil, errors.New("coord: nil coordinator")
 	}
-	timeout := normalizeTimeout(opts.ConnTimeout, DefaultConnTimeout)
+	timeout := opts.ConnTimeout
+	switch {
+	case timeout == 0:
+		timeout = DefaultConnTimeout
+	case timeout < 0:
+		timeout = 0
+	}
 	if opts.Cache != nil {
 		coord.UseCache(opts.Cache)
 	}
-	s := &Server{coord: coord, timeout: timeout}
-	ep := newEndpoint(timeout, opts.Metrics, opts.Tracer, s.dispatch)
-	a, err := newAcceptor(opts.Addr, ep)
+	ln, err := net.Listen("tcp", opts.Addr)
 	if err != nil {
 		return nil, err
 	}
-	s.a = a
+	m := opts.Metrics
+	s := &Server{
+		coord:         coord,
+		ln:            ln,
+		timeout:       timeout,
+		tracer:        opts.Tracer,
+		requests:      m.Counter("coord.requests"),
+		requestErrors: m.Counter("coord.request_errors"),
+		submits:       m.Counter("coord.requests.submit"),
+		fetches:       m.Counter("coord.requests.strategies"),
+		malformed:     m.Counter("coord.requests.malformed"),
+		unknown:       m.Counter("coord.requests.unknown"),
+		latency:       m.Histogram("coord.request_latency_s", telemetry.LatencyBuckets()),
+		connections:   m.Counter("coord.connections"),
+		jsonConns:     m.Counter("coord.connections.json"),
+		binaryConns:   m.Counter("coord.connections.binary"),
+		connTimeouts:  m.Counter("coord.conn_timeouts"),
+		oversized:     m.Counter("coord.oversized_requests"),
+		acceptErrors:  m.Counter("coord.accept_errors"),
+		conns:         make(map[net.Conn]struct{}),
+	}
+	s.wg.Add(1)
+	go s.acceptLoop()
 	return s, nil
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.a.addr() }
+func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the server.
-func (s *Server) Close() error { return s.a.close() }
-
-// maxRequestLine bounds one request line on the wire.
-const maxRequestLine = 1 << 20
-
-func (s *Server) dispatch(req request, root *telemetry.Span) response {
-	span := root.Child("coord.dispatch")
-	resp := s.dispatchTyped(req, span)
-	if span != nil {
-		span.EndWith(telemetry.Fields{"type": req.Type, "error": resp.Error})
+// Close stops the accept loop, force-closes open connections (clients
+// pool idle connections, which would otherwise pin handler goroutines
+// until the idle deadline), and waits for the handlers to finish.
+func (s *Server) Close() error {
+	s.mu.Lock()
+	s.closed = true
+	for conn := range s.conns {
+		_ = conn.Close()
 	}
-	return resp
+	s.mu.Unlock()
+	err := s.ln.Close()
+	s.wg.Wait()
+	return err
 }
 
-func (s *Server) dispatchTyped(req request, span *telemetry.Span) response {
+// maxRequestLine bounds one JSON line on the wire, request or response.
+const maxRequestLine = 1 << 20
+
+// dispatch answers one well-formed request under a coord.dispatch span.
+func (s *Server) dispatch(req request, root *telemetry.Span) (resp response) {
+	span := root.Child("coord.dispatch")
+	if span != nil {
+		defer func() { span.EndWith(telemetry.Fields{"type": req.Type, "error": resp.Error}) }()
+	}
 	switch req.Type {
 	case "submit":
 		if req.Profile == nil {
@@ -165,7 +204,7 @@ func (s *Server) dispatchTyped(req request, span *telemetry.Span) response {
 	}
 }
 
-// Client timeout defaults. The dial bound is tight — an unreachable
+// Client timeouts. The dial bound is tight — an unreachable
 // coordinator should fail fast — while the request bound leaves room
 // for a cold equilibrium solve and mirrors the server's
 // DefaultConnTimeout.
@@ -179,7 +218,8 @@ const (
 // client without re-dialing per request.
 const DefaultPoolSize = 8
 
-// ClientOptions configures a Client's failure behaviour and telemetry.
+// ClientOptions configures a Client's protocol, connection pool and
+// telemetry.
 type ClientOptions struct {
 	// Proto selects the wire protocol: ProtoJSON (the default) or
 	// ProtoBinary. Both carry the same requests and produce identical
@@ -188,17 +228,9 @@ type ClientOptions struct {
 	Proto Proto
 	// PoolSize caps the client's idle connection pool. Connections are
 	// reused across requests and re-dialed transparently when the
-	// server has idle-closed them (requests are idempotent). Zero
-	// selects DefaultPoolSize; negative disables pooling entirely
-	// (one dial per request, the pre-pooling behaviour).
+	// server has idle-closed them (requests are idempotent). Zero or
+	// less selects DefaultPoolSize.
 	PoolSize int
-	// DialTimeout bounds connection establishment. Zero selects
-	// DefaultDialTimeout; negative disables the bound.
-	DialTimeout time.Duration
-	// RequestTimeout bounds each request round trip (write + solve +
-	// read), armed as a connection deadline per request. Zero selects
-	// DefaultRequestTimeout; negative disables the bound.
-	RequestTimeout time.Duration
 	// Metrics, when non-nil, receives client-side request metrics:
 	// coord.client.requests (and .<type>), coord.client.errors,
 	// coord.client.dials, and the coord.client.request_latency_s
@@ -229,9 +261,10 @@ type clientConn struct {
 }
 
 // Client talks to a coordinator Server. Every round trip is bounded by
-// a dial timeout and a per-request deadline, so an unresponsive or
-// half-open server surfaces as a timeout error instead of blocking the
-// caller forever (mirroring the server-side connection deadlines).
+// a dial timeout and a per-request deadline (DefaultDialTimeout and
+// DefaultRequestTimeout), so an unresponsive or half-open server
+// surfaces as a timeout error instead of blocking the caller forever
+// (mirroring the server-side connection deadlines).
 // Connections are pooled and reused across requests. Clients are safe
 // for concurrent use; call Close to release pooled connections.
 type Client struct {
@@ -240,17 +273,17 @@ type Client struct {
 	dialTimeout time.Duration
 	reqTimeout  time.Duration
 
-	metrics   *telemetry.Registry
 	tracer    *telemetry.Tracer
 	traceSeed uint64
 	reqSeq    atomic.Uint64
 
-	// pool holds idle connections; nil when pooling is disabled.
+	// pool holds idle connections.
 	pool chan *clientConn
 
 	// Hoisted hot-path instruments (nil-safe when metrics is nil).
 	requests *telemetry.Counter
-	byType   typeCounters
+	submits  *telemetry.Counter // coord.client.requests.submit
+	fetches  *telemetry.Counter // coord.client.requests.strategies
 	errors   *telemetry.Counter
 	dials    *telemetry.Counter
 	latency  *telemetry.Histogram
@@ -268,25 +301,21 @@ func NewClientWith(addr string, opts ClientOptions) *Client {
 	if proto == "" {
 		proto = ProtoJSON
 	}
-	var pool chan *clientConn
-	if opts.PoolSize >= 0 {
-		size := opts.PoolSize
-		if size == 0 {
-			size = DefaultPoolSize
-		}
-		pool = make(chan *clientConn, size)
+	size := opts.PoolSize
+	if size <= 0 {
+		size = DefaultPoolSize
 	}
 	return &Client{
 		addr:        addr,
 		proto:       proto,
-		dialTimeout: normalizeTimeout(opts.DialTimeout, DefaultDialTimeout),
-		reqTimeout:  normalizeTimeout(opts.RequestTimeout, DefaultRequestTimeout),
-		metrics:     opts.Metrics,
+		dialTimeout: DefaultDialTimeout,
+		reqTimeout:  DefaultRequestTimeout,
 		tracer:      opts.Tracer,
 		traceSeed:   opts.TraceSeed,
-		pool:        pool,
+		pool:        make(chan *clientConn, size),
 		requests:    opts.Metrics.Counter("coord.client.requests"),
-		byType:      newTypeCounters(opts.Metrics, "coord.client.requests.", "submit", "strategies"),
+		submits:     opts.Metrics.Counter("coord.client.requests.submit"),
+		fetches:     opts.Metrics.Counter("coord.client.requests.strategies"),
 		errors:      opts.Metrics.Counter("coord.client.errors"),
 		dials:       opts.Metrics.Counter("coord.client.dials"),
 		latency:     opts.Metrics.Histogram("coord.client.request_latency_s", telemetry.LatencyBuckets()),
@@ -296,9 +325,6 @@ func NewClientWith(addr string, opts ClientOptions) *Client {
 // Close releases the client's pooled connections. The client remains
 // usable (subsequent requests dial fresh connections).
 func (c *Client) Close() error {
-	if c.pool == nil {
-		return nil
-	}
 	for {
 		select {
 		case cc := <-c.pool:
@@ -310,8 +336,9 @@ func (c *Client) Close() error {
 }
 
 // roundTrip sends one request and decodes one response, recording
-// client-side latency/error metrics and a coord.client.request span.
-func (c *Client) roundTrip(req request) (response, error) {
+// client-side latency/error metrics, the request's per-type counter
+// byType, and a coord.client.request span.
+func (c *Client) roundTrip(req request, byType *telemetry.Counter) (response, error) {
 	var span *telemetry.Span
 	if c.tracer.Enabled() {
 		seq := c.reqSeq.Add(1)
@@ -323,7 +350,7 @@ func (c *Client) roundTrip(req request) (response, error) {
 	start := time.Now()
 	resp, err := c.do(req)
 	c.requests.Inc()
-	c.byType.inc(req.Type)
+	byType.Inc()
 	c.latency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		c.errors.Inc()
@@ -338,7 +365,7 @@ func (c *Client) roundTrip(req request) (response, error) {
 	return resp, err
 }
 
-// do performs one request over a pooled (or fresh) connection and
+// do performs one request over a pooled or fresh connection and
 // surfaces application errors (resp.Error) as Go errors.
 func (c *Client) do(req request) (response, error) {
 	cc, pooled, err := c.getConn()
@@ -372,28 +399,23 @@ func (c *Client) do(req request) (response, error) {
 // pooled reports whether the connection's liveness is unverified (it
 // may have been idle-closed) and a failed exchange should retry.
 func (c *Client) getConn() (cc *clientConn, pooled bool, err error) {
-	if c.pool != nil {
-		select {
-		case cc = <-c.pool:
-			return cc, true, nil
-		default:
-		}
+	select {
+	case cc = <-c.pool:
+		return cc, true, nil
+	default:
 	}
 	cc, err = c.dialConn()
 	return cc, false, err
 }
 
 // putConn returns a healthy connection to the pool, or closes it when
-// the pool is full or pooling is disabled.
+// the pool is full.
 func (c *Client) putConn(cc *clientConn) {
-	if c.pool != nil {
-		select {
-		case c.pool <- cc:
-			return
-		default:
-		}
+	select {
+	case c.pool <- cc:
+	default:
+		_ = cc.conn.Close()
 	}
-	_ = cc.conn.Close()
 }
 
 // dialConn establishes a connection and, for the binary protocol,
@@ -405,11 +427,8 @@ func (c *Client) dialConn() (*clientConn, error) {
 	}
 	c.dials.Inc()
 	cc := &clientConn{conn: conn, br: bufio.NewReader(conn)}
-	switch c.proto {
-	case ProtoBinary:
-		if c.reqTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(c.reqTimeout))
-		}
+	if c.proto == ProtoBinary {
+		_ = conn.SetWriteDeadline(time.Now().Add(c.reqTimeout))
 		if _, err := conn.Write(binPreamble[:]); err != nil {
 			_ = conn.Close()
 			return nil, err
@@ -420,9 +439,7 @@ func (c *Client) dialConn() (*clientConn, error) {
 
 // exchange writes one request and reads one response on cc.
 func (c *Client) exchange(cc *clientConn, req request) (response, error) {
-	if c.reqTimeout > 0 {
-		_ = cc.conn.SetDeadline(time.Now().Add(c.reqTimeout))
-	}
+	_ = cc.conn.SetDeadline(time.Now().Add(c.reqTimeout))
 	if c.proto == ProtoBinary {
 		cc.out = appendRequest(cc.out[:0], req)
 		cc.wire = appendFrame(cc.wire[:0], cc.out)
@@ -451,14 +468,14 @@ func (c *Client) exchange(cc *clientConn, req request) (response, error) {
 
 // SubmitProfile sends an agent's profile to the coordinator.
 func (c *Client) SubmitProfile(p Profile) error {
-	_, err := c.roundTrip(request{Type: "submit", Profile: &p})
+	_, err := c.roundTrip(request{Type: "submit", Profile: &p}, c.submits)
 	return err
 }
 
 // FetchStrategies asks the coordinator to solve the game and return every
 // class's assigned strategy along with the equilibrium Ptrip.
 func (c *Client) FetchStrategies() (map[string]Strategy, float64, error) {
-	resp, err := c.roundTrip(request{Type: "strategies"})
+	resp, err := c.roundTrip(request{Type: "strategies"}, c.fetches)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"sprintgame/internal/telemetry"
@@ -171,10 +174,127 @@ func TestOversizedRequestLine(t *testing.T) {
 	}
 }
 
+// TestJSONLineFraming pins the server's line framing: a blank line is
+// a malformed request, "\r\n" ends a line like "\n", and a final line
+// without '\n' is still served before EOF closes the connection.
+func TestJSONLineFraming(t *testing.T) {
+	srv, _ := startServer(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("\n" + `{"type":"dance"}` + "\r\n" + `{"type":"waltz"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	for i, want := range []string{
+		"malformed request: unexpected end of JSON input",
+		`unknown request type "dance"`,
+		`unknown request type "waltz"`,
+	} {
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		resp, err := decodeJSONResponse(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Error != want {
+			t.Errorf("response %d: error %q, want %q", i, resp.Error, want)
+		}
+	}
+	if extra, err := r.ReadBytes('\n'); err == nil {
+		t.Errorf("unexpected response %q after the last line", extra)
+	}
+}
+
 func TestClientAgainstClosedServer(t *testing.T) {
 	srv, client := startServer(t)
 	_ = srv.Close()
 	if err := client.SubmitProfile(profileFor(t, "a", "decision", 1, 100)); err == nil {
 		t.Error("submit to a closed server should fail")
+	}
+}
+
+// TestUnknownRequestTypesShareOneCounter sends 1000 distinct unknown
+// request types on one connection, over each codec. Every request must
+// draw its own error, and the server's per-type counters must stay the
+// fixed set: a client cannot mint metric names.
+func TestUnknownRequestTypesShareOneCounter(t *testing.T) {
+	const n = 1000
+	for _, proto := range []Proto{ProtoJSON, ProtoBinary} {
+		t.Run(string(proto), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			srv, _ := startServerWith(t, ServeOptions{Metrics: reg})
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			var wire []byte
+			if proto == ProtoBinary {
+				wire = append(wire, binPreamble[:]...)
+			}
+			for i := 0; i < n; i++ {
+				req := request{Type: fmt.Sprintf("t%d", i)}
+				if proto == ProtoBinary {
+					wire = appendFrame(wire, appendRequest(nil, req))
+				} else if wire, err = appendJSONRequest(wire, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			go func() { _, _ = conn.Write(wire) }()
+			br := bufio.NewReader(conn)
+			var scratch []byte
+			for i := 0; i < n; i++ {
+				var resp response
+				if proto == ProtoBinary {
+					payload, err := readFrame(br, &scratch)
+					if err != nil {
+						t.Fatalf("response %d: %v", i, err)
+					}
+					resp, err = decodeResponse(payload)
+					if err != nil {
+						t.Fatalf("response %d: %v", i, err)
+					}
+				} else {
+					line, err := br.ReadBytes('\n')
+					if err != nil {
+						t.Fatalf("response %d: %v", i, err)
+					}
+					if resp, err = decodeJSONResponse(line); err != nil {
+						t.Fatalf("response %d: %v", i, err)
+					}
+				}
+				if want := fmt.Sprintf("unknown request type %q", fmt.Sprintf("t%d", i)); resp.Error != want {
+					t.Fatalf("response %d: error %q, want %q", i, resp.Error, want)
+				}
+			}
+			_ = srv.Close()
+
+			var names []string
+			for name := range reg.Snapshot().Counters {
+				if strings.HasPrefix(name, "coord.requests.") {
+					names = append(names, name)
+				}
+			}
+			sort.Strings(names)
+			want := []string{"coord.requests.malformed", "coord.requests.strategies",
+				"coord.requests.submit", "coord.requests.unknown"}
+			if !reflect.DeepEqual(names, want) {
+				if len(names) > len(want) {
+					names = append(names[:len(want)], "...")
+				}
+				t.Errorf("per-type counters = %v, want %v", names, want)
+			}
+			if got := reg.Counter("coord.requests.unknown").Value(); got != n {
+				t.Errorf("coord.requests.unknown = %d, want %d", got, n)
+			}
+		})
 	}
 }

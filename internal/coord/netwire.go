@@ -2,12 +2,11 @@ package coord
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sprintgame/internal/telemetry"
@@ -15,8 +14,8 @@ import (
 
 // This file holds the Server's transport machinery: per-connection
 // protocol negotiation (JSON lines vs binary frames), the codec
-// implementations, and the request loop that wraps every request in
-// spans and metrics.
+// implementations, the request loop that wraps every request in spans
+// and metrics, and the accept loop.
 
 // Proto names a wire protocol.
 type Proto string
@@ -55,39 +54,34 @@ type serverCodec interface {
 	oversizedMsg() string
 }
 
-// errOversized classifies a request that exceeded the size limit; the
+// errOversized classifies a message past its size limit (a JSON line
+// past maxRequestLine, or a binary frame past maxFramePayload); the
 // stream cannot be resynchronized past it.
-var errOversized = errors.New("coord: request exceeds size limit")
+var errOversized = errors.New("coord: message exceeds size limit")
 
 // jsonServerCodec speaks the newline-delimited JSON protocol.
 type jsonServerCodec struct {
-	scanner *bufio.Scanner
-	conn    net.Conn
-	out     []byte // response line scratch
-}
-
-func newJSONServerCodec(br *bufio.Reader, conn net.Conn) *jsonServerCodec {
-	scanner := bufio.NewScanner(br)
-	scanner.Buffer(make([]byte, 0, 64*1024), maxRequestLine)
-	return &jsonServerCodec{scanner: scanner, conn: conn}
+	br   *bufio.Reader
+	conn net.Conn
+	in   []byte // a request line too long for br
+	out  []byte // response line scratch
 }
 
 func (c *jsonServerCodec) proto() Proto { return ProtoJSON }
 
+// readRequest reads one line, bounded by maxRequestLine, and strips its
+// "\n" or "\r\n". A final line without '\n' is still served before EOF
+// ends the connection.
 func (c *jsonServerCodec) readRequest() (readResult, error) {
-	if !c.scanner.Scan() {
-		err := c.scanner.Err()
-		switch {
-		case err == nil:
-			return readResult{}, io.EOF
-		case errors.Is(err, bufio.ErrTooLong):
-			return readResult{}, errOversized
-		}
+	line, err := readJSONLine(c.br, &c.in)
+	if err != nil && (err != io.EOF || len(line) == 0) {
 		return readResult{}, err
 	}
+	line = bytes.TrimSuffix(line, []byte{'\n'})
+	line = bytes.TrimSuffix(line, []byte{'\r'})
 	var res readResult
 	res.start = time.Now()
-	res.req, res.payloadErr = decodeJSONRequest(c.scanner.Bytes())
+	res.req, res.payloadErr = decodeJSONRequest(line)
 	res.parseDur = time.Since(res.start)
 	return res, nil
 }
@@ -152,7 +146,7 @@ func negotiate(br *bufio.Reader, conn net.Conn) (serverCodec, error) {
 		return nil, err
 	}
 	if first[0] != binPreamble[0] {
-		return newJSONServerCodec(br, conn), nil
+		return &jsonServerCodec{br: br, conn: conn}, nil
 	}
 	var pre [len(binPreamble)]byte
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
@@ -164,131 +158,72 @@ func negotiate(br *bufio.Reader, conn net.Conn) (serverCodec, error) {
 	return &binServerCodec{br: br, conn: conn}, nil
 }
 
-// lazy caches a registry instrument resolved on its first use, so a
-// hot loop neither builds the instrument's name nor takes the registry
-// lock each time, and an instrument that is never used never appears
-// in the registry.
-type lazy[T any] struct {
-	p       atomic.Pointer[T]
-	resolve func() *T
-}
-
-func (l *lazy[T]) get() *T {
-	if m := l.p.Load(); m != nil {
-		return m
-	}
-	m := l.resolve()
-	l.p.Store(m)
-	return m
-}
-
-func lazyCounter(reg *telemetry.Registry, name string) *lazy[telemetry.Counter] {
-	return &lazy[telemetry.Counter]{resolve: func() *telemetry.Counter { return reg.Counter(name) }}
-}
-
-// typeCounters counts requests by type, as prefix+type. The known
-// types' counters are cached; any other type is looked up per request.
-type typeCounters struct {
-	reg    *telemetry.Registry
-	prefix string
-	known  map[string]*lazy[telemetry.Counter]
-}
-
-func newTypeCounters(reg *telemetry.Registry, prefix string, known ...string) typeCounters {
-	t := typeCounters{reg: reg, prefix: prefix, known: make(map[string]*lazy[telemetry.Counter], len(known))}
-	for _, typ := range known {
-		t.known[typ] = lazyCounter(reg, prefix+typ)
-	}
-	return t
-}
-
-func (t typeCounters) inc(typ string) {
-	if l := t.known[typ]; l != nil {
-		l.get().Inc()
-		return
-	}
-	t.reg.Counter(t.prefix + typ).Inc()
-}
-
-// endpoint is the protocol-independent request loop: it wraps each
-// request in coord.* spans and metrics around the dispatch function.
-type endpoint struct {
-	timeout  time.Duration
-	metrics  *telemetry.Registry
-	tracer   *telemetry.Tracer
-	reqSeq   atomic.Uint64 // trace-ID source for requests without one
-	dispatch func(req request, root *telemetry.Span) response
-
-	// Per-request instruments, resolved once per endpoint.
-	requests      *lazy[telemetry.Counter]
-	requestErrors *lazy[telemetry.Counter]
-	byType        typeCounters
-	latency       *lazy[telemetry.Histogram]
-}
-
-func newEndpoint(timeout time.Duration, metrics *telemetry.Registry, tracer *telemetry.Tracer,
-	dispatch func(req request, root *telemetry.Span) response) *endpoint {
-	return &endpoint{
-		timeout:       timeout,
-		metrics:       metrics,
-		tracer:        tracer,
-		dispatch:      dispatch,
-		requests:      lazyCounter(metrics, "coord.requests"),
-		requestErrors: lazyCounter(metrics, "coord.request_errors"),
-		byType:        newTypeCounters(metrics, "coord.requests.", "submit", "strategies", "malformed"),
-		latency: &lazy[telemetry.Histogram]{resolve: func() *telemetry.Histogram {
-			return metrics.Histogram("coord.request_latency_s", telemetry.LatencyBuckets())
-		}},
-	}
-}
-
 // requestTrace resolves the trace ID for one request: the client's, or
-// one derived from the endpoint's request sequence so every request is
+// one derived from the server's request sequence so every request is
 // traceable even from uninstrumented clients.
-func (e *endpoint) requestTrace(req request) string {
+func (s *Server) requestTrace(req request) string {
 	if req.Trace != "" {
 		return req.Trace
 	}
-	return telemetry.TraceIDFromSeed(e.reqSeq.Add(1))
+	return telemetry.TraceIDFromSeed(s.reqSeq.Add(1))
 }
 
-// serveConn negotiates the protocol and runs the request loop until the
-// connection dies, times out, or sends an unrecoverable request.
-func (e *endpoint) serveConn(conn net.Conn) {
+// typeCounter picks the per-type request counter. Every type the
+// protocol does not define shares coord.requests.unknown, so a client
+// cannot mint metric names.
+func (s *Server) typeCounter(typ string) *telemetry.Counter {
+	switch typ {
+	case "submit":
+		return s.submits
+	case "strategies":
+		return s.fetches
+	case "malformed":
+		return s.malformed
+	}
+	return s.unknown
+}
+
+// serveConn negotiates the protocol and runs the request loop, wrapping
+// each request in coord.* spans and metrics, until the connection dies,
+// times out, or sends an unrecoverable request.
+func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
-	e.metrics.Counter("coord.connections").Inc()
-	latencyHist := e.latency.get()
-	if e.timeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(e.timeout))
+	s.connections.Inc()
+	if s.timeout > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(s.timeout))
 	}
 	br := bufio.NewReaderSize(conn, 64*1024)
 	codec, err := negotiate(br, conn)
 	if err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
-			e.metrics.Counter("coord.conn_timeouts").Inc()
+			s.connTimeouts.Inc()
 		}
 		return
 	}
-	e.metrics.Counter("coord.connections." + string(codec.proto())).Inc()
+	if codec.proto() == ProtoBinary {
+		s.binaryConns.Inc()
+	} else {
+		s.jsonConns.Inc()
+	}
 	for {
-		if e.timeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(e.timeout))
+		if s.timeout > 0 {
+			_ = conn.SetReadDeadline(time.Now().Add(s.timeout))
 		}
 		res, rerr := codec.readRequest()
 		if rerr != nil {
 			var ne net.Error
 			switch {
 			case errors.As(rerr, &ne) && ne.Timeout():
-				e.metrics.Counter("coord.conn_timeouts").Inc()
+				s.connTimeouts.Inc()
 			case errors.Is(rerr, errOversized):
 				// The stream cannot resynchronize past an oversized
 				// request, so tell the client why before dropping the
 				// connection instead of dying silently.
-				e.metrics.Counter("coord.oversized_requests").Inc()
-				e.requestErrors.get().Inc()
-				if e.timeout > 0 {
-					_ = conn.SetWriteDeadline(time.Now().Add(e.timeout))
+				s.oversized.Inc()
+				s.requestErrors.Inc()
+				if s.timeout > 0 {
+					_ = conn.SetWriteDeadline(time.Now().Add(s.timeout))
 				}
 				_ = codec.writeResponse(response{Error: codec.oversizedMsg()})
 			}
@@ -301,19 +236,19 @@ func (e *endpoint) serveConn(conn net.Conn) {
 		// by the codec and is attached as a child span after the fact.
 		// Untraced, root stays nil and no trace ID is derived.
 		var root *telemetry.Span
-		if e.tracer.Enabled() {
-			root = e.tracer.StartSpanFrom("coord.request", e.requestTrace(req), req.Parent)
+		if s.tracer.Enabled() {
+			root = s.tracer.StartSpanFrom("coord.request", s.requestTrace(req), req.Parent)
 			root.Child("coord.parse").WithTiming(res.start, res.parseDur).End()
 		}
 		if res.payloadErr != nil {
 			req.Type = "malformed"
 			resp = response{Error: "malformed request: " + res.payloadErr.Error()}
 		} else {
-			resp = e.dispatch(req, root)
+			resp = s.dispatch(req, root)
 		}
 		resp.Trace = root.TraceID()
-		if e.timeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(e.timeout))
+		if s.timeout > 0 {
+			_ = conn.SetWriteDeadline(time.Now().Add(s.timeout))
 		}
 		encSpan := root.Child("coord.encode")
 		encErr := codec.writeResponse(resp)
@@ -330,11 +265,11 @@ func (e *endpoint) serveConn(conn net.Conn) {
 				"error": resp.Error,
 			})
 		}
-		latencyHist.Observe(rootDur.Seconds())
-		e.requests.get().Inc()
-		e.byType.inc(req.Type)
+		s.latency.Observe(rootDur.Seconds())
+		s.requests.Inc()
+		s.typeCounter(req.Type).Inc()
 		if resp.Error != "" {
-			e.requestErrors.get().Inc()
+			s.requestErrors.Inc()
 		}
 		if encErr != nil {
 			return
@@ -351,77 +286,37 @@ const (
 	acceptBackoffMax = time.Second
 )
 
-// acceptor owns a listener and the accept loop feeding connections to
-// an endpoint, plus the close bookkeeping.
-type acceptor struct {
-	ln net.Listener
-	ep *endpoint
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
-}
-
-func newAcceptor(addr string, ep *endpoint) (*acceptor, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	a := &acceptor{ln: ln, ep: ep, conns: make(map[net.Conn]struct{})}
-	a.wg.Add(1)
-	go a.acceptLoop()
-	return a, nil
-}
-
-func (a *acceptor) addr() string { return a.ln.Addr().String() }
-
-// close stops the accept loop, force-closes open connections (clients
-// pool idle connections, which would otherwise pin handler goroutines
-// until the idle deadline), and waits for handlers to finish.
-func (a *acceptor) close() error {
-	a.mu.Lock()
-	a.closed = true
-	for conn := range a.conns {
-		_ = conn.Close()
-	}
-	a.mu.Unlock()
-	err := a.ln.Close()
-	a.wg.Wait()
-	return err
-}
-
 // track registers an accepted connection for shutdown; it reports false
-// when the acceptor is already closed (the connection must be dropped).
-func (a *acceptor) track(conn net.Conn) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed {
+// when the server is already closed (the connection must be dropped).
+func (s *Server) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return false
 	}
-	a.conns[conn] = struct{}{}
+	s.conns[conn] = struct{}{}
 	return true
 }
 
-func (a *acceptor) untrack(conn net.Conn) {
-	a.mu.Lock()
-	delete(a.conns, conn)
-	a.mu.Unlock()
+func (s *Server) untrack(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
 }
 
-func (a *acceptor) acceptLoop() {
-	defer a.wg.Done()
+func (s *Server) acceptLoop() {
+	defer s.wg.Done()
 	var backoff time.Duration
 	for {
-		conn, err := a.ln.Accept()
+		conn, err := s.ln.Accept()
 		if err != nil {
-			a.mu.Lock()
-			done := a.closed
-			a.mu.Unlock()
+			s.mu.Lock()
+			done := s.closed
+			s.mu.Unlock()
 			if done || errors.Is(err, net.ErrClosed) {
 				return
 			}
-			a.ep.metrics.Counter("coord.accept_errors").Inc()
+			s.acceptErrors.Inc()
 			if backoff == 0 {
 				backoff = acceptBackoffMin
 			} else if backoff *= 2; backoff > acceptBackoffMax {
@@ -431,15 +326,15 @@ func (a *acceptor) acceptLoop() {
 			continue
 		}
 		backoff = 0
-		if !a.track(conn) {
+		if !s.track(conn) {
 			_ = conn.Close()
 			return
 		}
-		a.wg.Add(1)
+		s.wg.Add(1)
 		go func() {
-			defer a.wg.Done()
-			defer a.untrack(conn)
-			a.ep.serveConn(conn)
+			defer s.wg.Done()
+			defer s.untrack(conn)
+			s.serveConn(conn)
 		}()
 	}
 }

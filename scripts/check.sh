@@ -50,12 +50,14 @@ go test -race -short ./internal/cluster/...
 # The coordinator's correctness story is concurrency: concurrent
 # requests on one server coalescing into one solve (singleflight),
 # Submits racing fetches against the per-version equilibrium memo,
-# per-class re-pooling against a full re-pool of every agent, and both
-# codecs' per-connection scratch buffers. Run those suites under the
-# race detector by name so a rename that silently drops them from this
-# pass is visible here.
-echo "== go test -race -run 'Binary|JSON|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh|IncrementalPoolMatchesFullRepool' ./internal/coord ./internal/core"
-go test -race -run 'Binary|JSON|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh|IncrementalPoolMatchesFullRepool' ./internal/coord ./internal/core
+# per-class re-pooling against a full re-pool of every agent, both
+# codecs' per-connection scratch buffers, the server behind a
+# fault-injecting proxy (delays, drops, partial messages, resets), and
+# the fixed set of per-type request counters. Run those suites under
+# the race detector by name so a rename that silently drops them from
+# this pass is visible here.
+echo "== go test -race -run 'Binary|JSON|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh|IncrementalPoolMatchesFullRepool|ServerUnderInjectedFaults|UnknownRequestTypes' ./internal/coord ./internal/core"
+go test -race -run 'Binary|JSON|Singleflight|Coalesce|ConcurrentSubmitAndFetchMatchesFresh|IncrementalPoolMatchesFullRepool|ServerUnderInjectedFaults|UnknownRequestTypes' ./internal/coord ./internal/core
 
 # The JSON-lines decoders must give json.Unmarshal's result on every
 # line. The seed corpora run with the suite; a short fuzz pass per
@@ -220,5 +222,10 @@ if ! cmp -s "$SMOKE/cluster-a.txt" "$SMOKE/cluster-b.txt"; then
 	diff "$SMOKE/cluster-a.txt" "$SMOKE/cluster-b.txt" >&2
 	exit 1
 fi
+
+# Seeded outputs are pinned: experiments, equilibrium, sprintgame,
+# routebench and cmd/cluster must reproduce the committed goldens.
+echo "== sh scripts/golden.sh check"
+sh scripts/golden.sh check
 
 echo "ok"
