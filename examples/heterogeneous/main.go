@@ -55,7 +55,7 @@ func main() {
 		}
 		for i := 0; i < count; i++ {
 			seed++
-			agent, err := coord.NewAgent(fmt.Sprintf("%s-%d", name, i), bench, seed, &coord.OraclePredictor{})
+			agent, err := coord.NewAgent(fmt.Sprintf("%s-%d", name, i), bench, seed)
 			if err != nil {
 				log.Fatal(err)
 			}

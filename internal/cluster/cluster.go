@@ -206,16 +206,8 @@ type Result struct {
 // indices are sentinels for auxiliary streams no rack can collide with
 // (-1 fault schedule, -2 cluster trace ID, -3 serving-layer arrivals,
 // -4 serving-layer trace ID — see internal/route).
-func MixSeed(base uint64, idx int) uint64 { return mixSeed(base, idx) }
-
-// mixSeed derives rack i's seed from the cluster base seed with a
-// SplitMix64 finalizer, so per-rack streams are decorrelated even for
-// adjacent base seeds and rack indices.
-func mixSeed(base uint64, rack int) uint64 {
-	z := base + 0x9e3779b97f4a7c15*(uint64(rack)+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+func MixSeed(base uint64, idx int) uint64 {
+	return stats.SplitMix64(base + 0x9e3779b97f4a7c15*uint64(idx))
 }
 
 // RackSimConfig resolves rack i's fully-specified simulation
@@ -236,7 +228,7 @@ func (c Config) RackSimConfig(i int) sim.Config {
 	game.Span = nil
 	seed := spec.Seed
 	if seed == 0 {
-		seed = mixSeed(c.BaseSeed, i)
+		seed = MixSeed(c.BaseSeed, i)
 	}
 	return sim.Config{
 		Epochs:       c.Epochs,
@@ -487,7 +479,7 @@ func emitTrace(cfg Config, outcomes []rackOutcome, out *Result, runStart time.Ti
 	if !t.Enabled() {
 		return
 	}
-	root := t.StartSpan("cluster.run", telemetry.TraceIDFromSeed(mixSeed(cfg.BaseSeed, -2)))
+	root := t.StartSpan("cluster.run", telemetry.TraceIDFromSeed(MixSeed(cfg.BaseSeed, -2)))
 	failed := 0
 	for i := range outcomes {
 		oc := &outcomes[i]

@@ -327,7 +327,7 @@ func TestMixSeedDecorrelates(t *testing.T) {
 	seen := map[uint64]bool{}
 	for base := uint64(0); base < 4; base++ {
 		for rack := 0; rack < 64; rack++ {
-			s := mixSeed(base, rack)
+			s := MixSeed(base, rack)
 			if seen[s] {
 				t.Fatalf("duplicate derived seed %d (base %d rack %d)", s, base, rack)
 			}

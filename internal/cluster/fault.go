@@ -49,8 +49,8 @@ func (p *FaultPlan) validate(racks, epochs int) error {
 
 // Schedule resolves the kill epoch for every rack (-1 = no kill).
 // Explicit Kills win; Rate-selected kills draw from a stream seeded by
-// mixSeed(baseSeed, -1), which no rack uses (rack i's derived seed is
-// mixSeed(baseSeed, i) with i >= 0). The schedule depends only on the
+// MixSeed(baseSeed, -1), which no rack uses (rack i's derived seed is
+// MixSeed(baseSeed, i) with i >= 0). The schedule depends only on the
 // base seed and the cluster shape, never on Workers — both the batch
 // engine and the serving layer (internal/route) resolve it up front.
 func (p *FaultPlan) Schedule(baseSeed uint64, racks, epochs int) []int {
@@ -63,7 +63,7 @@ func (p *FaultPlan) Schedule(baseSeed uint64, racks, epochs int) []int {
 	}
 	var rng *stats.RNG
 	if p.Rate > 0 {
-		rng = stats.NewRNG(mixSeed(baseSeed, -1))
+		rng = stats.NewRNG(MixSeed(baseSeed, -1))
 	}
 	for i := range kills {
 		if rng != nil && rng.Bool(p.Rate) {

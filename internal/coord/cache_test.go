@@ -1,12 +1,14 @@
 package coord
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"math"
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -320,6 +322,59 @@ func TestClientRequestTimeout(t *testing.T) {
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("request took %v, deadline was 100ms", elapsed)
+	}
+}
+
+func TestClientTimeoutIsNotRetried(t *testing.T) {
+	// A server that answers one request and then stops answering: the
+	// timed-out fetch on the pooled connection must fail after one
+	// request deadline, not re-dial and wait out a second one.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var answered atomic.Bool
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				for {
+					if _, err := br.ReadSlice('\n'); err != nil {
+						return
+					}
+					if answered.CompareAndSwap(false, true) {
+						_, _ = conn.Write([]byte(`{"ok":"profile accepted"}` + "\n"))
+					}
+				}
+			}(conn)
+		}
+	}()
+
+	reg := telemetry.NewRegistry()
+	client := NewClientWith(ln.Addr().String(), ClientOptions{Metrics: reg})
+	defer client.Close()
+	const deadline = 200 * time.Millisecond
+	client.reqTimeout = deadline
+	if err := client.SubmitProfile(profileFor(t, "a1", "decision", 1, 200)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, _, err = client.FetchStrategies()
+	elapsed := time.Since(start)
+	if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
+		t.Fatalf("err = %v, want a net timeout", err)
+	}
+	if elapsed > deadline*3/2 {
+		t.Errorf("fetch failed after %v, want about one %v deadline", elapsed, deadline)
+	}
+	if got := reg.Counter("coord.client.dials").Value(); got != 1 {
+		t.Errorf("coord.client.dials = %d, want 1 (a timeout is not retried)", got)
 	}
 }
 

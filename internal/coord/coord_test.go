@@ -193,107 +193,15 @@ func TestSubmitReplacesProfile(t *testing.T) {
 	}
 }
 
-func TestEWMAPredictor(t *testing.T) {
-	if _, err := NewEWMAPredictor(0, 1); err == nil {
-		t.Error("alpha 0 should error")
-	}
-	if _, err := NewEWMAPredictor(1.5, 1); err == nil {
-		t.Error("alpha > 1 should error")
-	}
-	p, err := NewEWMAPredictor(0.5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Predict() != 3 {
-		t.Errorf("unprimed prediction = %v", p.Predict())
-	}
-	p.Observe(5)
-	if p.Predict() != 5 {
-		t.Errorf("first observation should seed the estimate: %v", p.Predict())
-	}
-	p.Observe(9)
-	if p.Predict() != 7 {
-		t.Errorf("EWMA = %v, want 7", p.Predict())
-	}
-}
-
-func TestEWMAPredictorTracksPhases(t *testing.T) {
-	// On a phase-structured trace, EWMA predictions should correlate with
-	// realized utilities well above chance.
-	b, _ := workload.ByName("pagerank")
-	pred, _ := NewEWMAPredictor(0.7, b.MeanSpeedup())
-	a, err := NewAgent("a1", b, 5, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = a.Assign(Strategy{Class: "pagerank", Threshold: 5})
-	agree := 0
-	n := 5000
-	for i := 0; i < n; i++ {
-		sprint, utility := a.Step()
-		if sprint == (utility > 5) {
-			agree++
-		}
-	}
-	if frac := float64(agree) / float64(n); frac < 0.8 {
-		t.Errorf("prediction agreement %v, want phase tracking to work", frac)
-	}
-}
-
-func TestOraclePredictor(t *testing.T) {
-	var o OraclePredictor
-	o.SetTruth(4.2)
-	if o.Predict() != 4.2 {
-		t.Error("oracle should return the truth")
-	}
-	o.Observe(9) // no-op
-	if o.Predict() != 4.2 {
-		t.Error("observe should not disturb the oracle")
-	}
-}
-
-func TestAgentLifecycle(t *testing.T) {
-	b, _ := workload.ByName("decision")
-	if _, err := NewAgent("", b, 1, &OraclePredictor{}); err == nil {
-		t.Error("empty id should error")
-	}
-	if _, err := NewAgent("a", b, 1, nil); err == nil {
-		t.Error("nil predictor should error")
-	}
-	a, err := NewAgent("a1", b, 1, &OraclePredictor{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Before assignment: never sprint.
-	if sprint, _ := a.Step(); sprint {
-		t.Error("unassigned agent sprinted")
-	}
-	if a.assigned {
-		t.Error("agent should not report a strategy yet")
-	}
-	// Wrong class strategy rejected.
-	if err := a.Assign(Strategy{Class: "pagerank", Threshold: 1}); err == nil {
-		t.Error("cross-class strategy should be rejected")
-	}
-	if err := a.Assign(Strategy{Class: "decision", Threshold: 3.3}); err != nil {
-		t.Fatal(err)
-	}
-	if !a.assigned || a.threshold != 3.3 {
-		t.Error("assignment not recorded")
-	}
-	// With an oracle predictor, decisions exactly implement the
-	// threshold rule.
-	for i := 0; i < 2000; i++ {
-		sprint, u := a.Step()
-		if sprint != (u > 3.3) {
-			t.Fatalf("oracle agent decision mismatch at u=%v", u)
-		}
-	}
-}
-
 func TestAgentProfileEpochs(t *testing.T) {
 	b, _ := workload.ByName("linear")
-	a, _ := NewAgent("a1", b, 3, &OraclePredictor{})
+	if _, err := NewAgent("", b, 3); err == nil {
+		t.Error("empty id should error")
+	}
+	a, err := NewAgent("a1", b, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := a.ProfileEpochs(0, 10); err == nil {
 		t.Error("zero epochs should error")
 	}

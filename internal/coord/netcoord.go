@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"sprintgame/internal/core"
@@ -373,11 +375,13 @@ func (c *Client) do(req request) (response, error) {
 		return response{}, err
 	}
 	resp, err := c.exchange(cc, req)
-	if err != nil && pooled {
+	if err != nil && pooled && peerClosed(err) {
 		// A pooled connection may have been idle-closed by the server
 		// since its last use. Requests are idempotent (submit replaces,
 		// strategies reads), so retry once on a fresh connection before
-		// reporting failure.
+		// reporting failure. A timeout is not retried: the server is
+		// there but not answering, and a retry would wait out a second
+		// deadline.
 		_ = cc.conn.Close()
 		if cc, err = c.dialConn(); err != nil {
 			return response{}, err
@@ -395,9 +399,16 @@ func (c *Client) do(req request) (response, error) {
 	return resp, nil
 }
 
+// peerClosed reports whether err shows the peer closed the connection:
+// EOF, a response cut short, a reset or a broken pipe.
+func peerClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
+}
+
 // getConn returns an idle pooled connection or dials a fresh one;
 // pooled reports whether the connection's liveness is unverified (it
-// may have been idle-closed) and a failed exchange should retry.
+// may have been idle-closed), so an exchange the peer closed should retry.
 func (c *Client) getConn() (cc *clientConn, pooled bool, err error) {
 	select {
 	case cc = <-c.pool:

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"sprintgame/internal/coord"
 	"sprintgame/internal/core"
 	"sprintgame/internal/dist"
 	"sprintgame/internal/policy"
@@ -171,8 +170,9 @@ func AblRecovery(opts Options) (*Report, error) {
 }
 
 // AblPredictor compares online utility predictors (§4.4 Online
-// Strategy): the oracle (first-seconds profiling) versus EWMA smoothing
-// of past epochs, measuring threshold-decision agreement.
+// Strategy): the oracle (first-seconds profiling) versus policy.Predictive's
+// EWMA smoothing of past epochs, measuring threshold-decision agreement
+// for one agent's trace.
 func AblPredictor(opts Options) (*Report, error) {
 	epochs := 20000
 	if opts.Quick {
@@ -199,20 +199,18 @@ func AblPredictor(opts Options) (*Report, error) {
 		}
 		th := eq.Classes[0].Threshold
 		for _, alpha := range []float64{0.9, 0.5, 0.2} {
-			pred, err := coord.NewEWMAPredictor(alpha, b.MeanSpeedup())
+			pred, err := policy.NewPredictive("ewma", map[string]float64{name: th}, alpha)
 			if err != nil {
 				return nil, err
 			}
-			agent, err := coord.NewAgent("a", b, opts.Seed+99, pred)
+			trace, err := workload.NewTraceGenerator(b, opts.Seed+99)
 			if err != nil {
-				return nil, err
-			}
-			if err := agent.Assign(coord.Strategy{Class: name, Threshold: th}); err != nil {
 				return nil, err
 			}
 			agree, sprints, oracleSprints := 0, 0, 0
 			for i := 0; i < epochs; i++ {
-				sprint, u := agent.Step()
+				u := trace.Next()
+				sprint := pred.Decide(policy.Context{Class: name, Epoch: i, Utility: u})
 				oracle := u > th
 				if sprint == oracle {
 					agree++
@@ -224,11 +222,9 @@ func AblPredictor(opts Options) (*Report, error) {
 					oracleSprints++
 				}
 			}
-			ratio := 0.0
+			ratio := 1.0
 			if oracleSprints > 0 {
 				ratio = float64(sprints) / float64(oracleSprints)
-			} else {
-				ratio = 1
 			}
 			r.Rows = append(r.Rows, []string{
 				name, fmt.Sprintf("EWMA(%.1f)", alpha),

@@ -6,7 +6,6 @@
 package policy
 
 import (
-	"errors"
 	"fmt"
 
 	"sprintgame/internal/stats"
@@ -200,10 +199,10 @@ func (Never) WakeUp(int, int) {}
 // realistic online setting of §4.4, where an agent estimates a sprint's
 // benefit from recent history and hardware counters rather than
 // observing it in advance. The realized utility is fed back after each
-// decision.
+// decision. The embedded Threshold supplies the label, the class table
+// and the no-op hooks.
 type Predictive struct {
-	label     string
-	byClass   map[string]float64
+	*Threshold
 	alpha     float64
 	estimates map[int]float64
 }
@@ -211,29 +210,15 @@ type Predictive struct {
 // NewPredictive builds the policy from per-class thresholds and an EWMA
 // smoothing factor alpha in (0, 1].
 func NewPredictive(label string, byClass map[string]float64, alpha float64) (*Predictive, error) {
-	if label == "" {
-		return nil, errors.New("policy: predictive policy needs a label")
-	}
-	if len(byClass) == 0 {
-		return nil, errors.New("policy: predictive policy needs thresholds")
+	t, err := NewThreshold(label, byClass)
+	if err != nil {
+		return nil, err
 	}
 	if alpha <= 0 || alpha > 1 {
 		return nil, fmt.Errorf("policy: alpha %v outside (0, 1]", alpha)
 	}
-	m := make(map[string]float64, len(byClass))
-	for k, v := range byClass {
-		m[k] = v
-	}
-	return &Predictive{
-		label:     label,
-		byClass:   m,
-		alpha:     alpha,
-		estimates: make(map[int]float64),
-	}, nil
+	return &Predictive{Threshold: t, alpha: alpha, estimates: make(map[int]float64)}, nil
 }
-
-// Name implements Policy.
-func (p *Predictive) Name() string { return p.label }
 
 // Decide implements Policy: compare the prediction (last EWMA estimate)
 // against the class threshold, then fold the epoch's realized utility
@@ -253,9 +238,3 @@ func (p *Predictive) Decide(ctx Context) bool {
 	}
 	return sprint
 }
-
-// EpochEnd implements Policy.
-func (p *Predictive) EpochEnd(int, int, bool) {}
-
-// WakeUp implements Policy.
-func (p *Predictive) WakeUp(int, int) {}

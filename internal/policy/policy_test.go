@@ -2,6 +2,8 @@ package policy
 
 import (
 	"testing"
+
+	"sprintgame/internal/workload"
 )
 
 func TestGreedyAlwaysSprints(t *testing.T) {
@@ -248,5 +250,80 @@ func TestPredictiveAgentsIndependent(t *testing.T) {
 	}
 	if p.Decide(Context{AgentID: 2, Class: "c", Utility: 10}) {
 		t.Error("agent 2 estimate should be low")
+	}
+}
+
+func TestPredictiveEWMAArithmetic(t *testing.T) {
+	// alpha 0.5: the first utility (5) primes the estimate, the second (9)
+	// moves it to 0.5*9 + 0.5*5 = 7. A threshold just below 7 sprints on
+	// the third decision; a threshold of 7 does not (strict inequality).
+	for _, c := range []struct {
+		th   float64
+		want bool
+	}{{6.999, true}, {7, false}} {
+		p, err := NewPredictive("pred", map[string]float64{"c": c.th}, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Decide(Context{Class: "c", Utility: 5}) {
+			t.Error("unprimed predictor sprinted")
+		}
+		if p.Decide(Context{Class: "c", Utility: 9}) {
+			t.Errorf("th %v: estimate 5 sprinted", c.th)
+		}
+		if got := p.Decide(Context{Class: "c", Utility: 0}); got != c.want {
+			t.Errorf("th %v: decision on estimate 7 = %v, want %v", c.th, got, c.want)
+		}
+	}
+}
+
+func TestPredictiveTracksPhases(t *testing.T) {
+	// On a phase-structured trace, EWMA predictions agree with the
+	// oracle's threshold decisions well above chance.
+	b, err := workload.ByName("pagerank")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.NewTraceGenerator(b, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPredictive("pred", map[string]float64{"pagerank": 5}, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agree, n := 0, 5000
+	for i := 0; i < n; i++ {
+		u := tr.Next()
+		if p.Decide(Context{Class: "pagerank", Epoch: i, Utility: u}) == (u > 5) {
+			agree++
+		}
+	}
+	if frac := float64(agree) / float64(n); frac < 0.8 {
+		t.Errorf("prediction agreement %v, want phase tracking to work", frac)
+	}
+}
+
+func TestPredictiveInheritsThreshold(t *testing.T) {
+	m := map[string]float64{"c": 3}
+	p, err := NewPredictive("pred", m, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m["c"] = 100 // the class table is a copy
+	if p.Name() != "pred" || p.Threshold.Name() != "pred" {
+		t.Errorf("name = %q, threshold label = %q", p.Name(), p.Threshold.Name())
+	}
+	// An unknown class never sprints and leaves the agent unprimed.
+	for i := 0; i < 3; i++ {
+		if p.Decide(Context{AgentID: 1, Class: "x", Utility: 100}) {
+			t.Fatal("unknown class sprinted")
+		}
+	}
+	if p.Decide(Context{AgentID: 1, Class: "c", Utility: 10}) {
+		t.Error("unknown-class decisions primed the predictor")
+	}
+	if !p.Decide(Context{AgentID: 1, Class: "c", Utility: 0}) {
+		t.Error("estimate 10 should sprint over the copied threshold 3")
 	}
 }

@@ -15,11 +15,12 @@ type RNG struct {
 	s [4]uint64
 }
 
-// splitmix64 advances the given state and returns the next value. It is
-// used to seed the main generator from a single 64-bit seed.
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+// SplitMix64 returns the SplitMix64 output for state x: its bijective
+// avalanche finalizer applied to x + γ, with γ = 0x9e3779b97f4a7c15.
+// Adjacent inputs give decorrelated outputs, and x, x+γ, x+2γ, ... is one
+// SplitMix64 stream. It seeds RNG and derives seeds and trace IDs.
+func SplitMix64(x uint64) uint64 {
+	z := x + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -28,9 +29,8 @@ func splitmix64(state *uint64) uint64 {
 // NewRNG returns a generator deterministically seeded from seed.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
-	sm := seed
 	for i := range r.s {
-		r.s[i] = splitmix64(&sm)
+		r.s[i] = SplitMix64(seed + 0x9e3779b97f4a7c15*uint64(i))
 	}
 	// Avoid the pathological all-zero state.
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {

@@ -17,6 +17,18 @@ func TestNewRNGDeterministic(t *testing.T) {
 	}
 }
 
+func TestSplitMix64ReferenceStream(t *testing.T) {
+	// The first outputs of the reference SplitMix64 generator seeded with
+	// 0: SplitMix64(x) is output i of the stream when x = i*γ.
+	const gamma = 0x9e3779b97f4a7c15
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f}
+	for i, w := range want {
+		if got := SplitMix64(gamma * uint64(i)); got != w {
+			t.Errorf("output %d = %#016x, want %#016x", i, got, w)
+		}
+	}
+}
+
 func TestNewRNGDifferentSeeds(t *testing.T) {
 	a := NewRNG(1)
 	b := NewRNG(2)

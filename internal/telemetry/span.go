@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"sync/atomic"
 	"time"
+
+	"sprintgame/internal/stats"
 )
 
 // Spans are the one trace record: a Span is one named operation inside
@@ -53,23 +55,15 @@ type Span struct {
 	ended    atomic.Bool
 }
 
-// splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix, so
-// adjacent seeds yield decorrelated IDs.
-func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // formatID renders an ID as 16 lowercase hex characters.
 func formatID(v uint64) string { return fmt.Sprintf("%016x", v) }
 
 // TraceIDFromSeed derives a trace ID from a seed. The derivation is a
 // pure function, so deterministic runs (cluster simulations, seeded
 // benchmarks) get reproducible trace IDs; live callers can feed any
-// unique source (request counters, client sequence numbers).
-func TraceIDFromSeed(seed uint64) string { return formatID(splitmix64(seed)) }
+// unique source (request counters, client sequence numbers). The
+// SplitMix64 mix decorrelates the IDs of adjacent seeds.
+func TraceIDFromSeed(seed uint64) string { return formatID(stats.SplitMix64(seed)) }
 
 // deriveSpanID hashes a span's coordinates — trace, parent, name, birth
 // order under the parent — into its ID.

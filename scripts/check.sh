@@ -23,11 +23,13 @@ echo "== go build ./..."
 go build ./...
 
 # bench/ is its own module, so the root ./... above never compiles it: a
-# deletion that breaks the benchmark would pass every other step. Vet and
-# build it with the environment bench/run.sh uses, discarding the binary.
-echo "== go -C bench vet ./... && go -C bench build ./..."
+# deletion that breaks the benchmark would pass every other step. Vet,
+# build and test it with the environment bench/run.sh uses, discarding
+# the binary; its tests call the span and Tracer.Emit API.
+echo "== go -C bench vet ./... && go -C bench build ./... && go -C bench test ./..."
 GOWORK=off GOFLAGS= go -C bench vet ./...
 GOWORK=off GOFLAGS= go -C bench build -o /dev/null ./...
+GOWORK=off GOFLAGS= go -C bench test ./...
 
 # Quick signal first: the solver's differential tests (exact solve vs
 # the value-iteration reference, concurrent solves over lazily-built
